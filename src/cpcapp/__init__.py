@@ -38,7 +38,6 @@ from .linalg import (
     auto_loading,
     diagonal_load,
     eig_count,
-    inv_sqrt_sym,
     q_eig,
     reset_eig_count,
     sym_eig,

@@ -8,7 +8,6 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .rng import SplitMix64
 from .splicing import BG_EDGE_MIN, FG_SPLICE_RANGE, PATCH_SIZE, PATCH_STRIDE, \
     SCORE_THRESHOLD, SPLICE_K, ProbabilityMap, binarize_and_score, edge_mask, \
     extract_patches, f1_score, label_patches, mcc_score, reconstruct_map, score_patches
-from .stats import DataMatrix, build_covariance_pair, center
+from .stats import DataMatrix, build_covariance_pair
 
 
 class UsageError(Exception):
@@ -55,9 +54,6 @@ def _parse_alpha_grid(spec: str) -> np.ndarray:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cpcapp", description="discriminative dimensionality reduction toolkit")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="advisory worker count (mirrors CPCAPP_THREADS); "
-                             "results do not depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset")
@@ -193,8 +189,7 @@ def _cmd_fit(args) -> int:
     else:
         grid = _parse_alpha_grid(args.alpha_grid or "default")
         banks = sweep_cpca(pair, args.k, grid)
-        z_f, z_b = center(fg), center(bg)
-        stats = [glrt_statistic(z_f, z_b, b.f) for b in banks]
+        stats = [glrt_statistic(pair, b.f) for b in banks]
         bank = banks[int(np.argmax(stats))]
     save_model(args.out, bank)
     return 0
@@ -295,11 +290,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bench(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    spec = default_spec(args.kind, args.seed)
-    n_fg = args.n_fg if args.n_fg is not None else spec.n_fg
-    n_bg = args.n_bg if args.n_bg is not None else spec.n_bg
-    spec = SyntheticSpec(kind=args.kind, seed=args.seed, n_fg=n_fg, n_bg=n_bg)
-    report = bench_mod.run_bench(spec, methods=methods,
+    report = bench_mod.run_bench(_spec_for(args, args.kind), methods=methods,
                                  alphas=_parse_alpha_grid(args.alpha_grid), k=args.k)
     print(report.format())
     return 0
@@ -328,11 +319,6 @@ def cli_dispatch(argv) -> int:
         return 1
     except SystemExit as exc:  # --help paths
         return 0 if exc.code in (0, None) else 1
-    if args.threads is None:
-        env = os.environ.get("CPCAPP_THREADS")
-        if env is not None and not env.isdigit():
-            print(f"error: CPCAPP_THREADS must be an integer, got {env!r}", file=sys.stderr)
-            return 1
     try:
         return _COMMANDS[args.command](args)
     except UsageError as exc:

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DefinitenessError, RankError, ShapeError, StateError
-from .linalg import auto_loading, diagonal_load
+from .errors import DefinitenessError, RankError, ShapeError
+from .linalg import diagonal_load
 from .reducers import FilterBank
-from .stats import CovariancePair, DataMatrix, second_moment
+from .stats import CovariancePair
 
 BIORTHOGONALITY_ATOL = 1e-7
 
@@ -56,7 +56,7 @@ def recover_w(pair: CovariancePair, bank: FilterBank) -> FactorModel:
         raise ShapeError(
             f"bank has {bank.features} features but pair has {pair.features}"
         )
-    r_b = pair.r_b if pair.loading == 0.0 else diagonal_load(pair.r_b, pair.loading)
+    r_b = diagonal_load(pair.r_b, pair.loading)
     lam = bank.f.T @ r_b @ bank.f
     if np.linalg.cond(lam) > 1e12:
         raise RankError("F^T R_b F is numerically singular; reduce k or check the data")
@@ -72,26 +72,23 @@ def denoise(model: FactorModel, z) -> np.ndarray:
     return model.w @ (model.f.T @ z)
 
 
-def glrt_statistic(z_f: DataMatrix, z_b: DataMatrix, w) -> float:
+def glrt_statistic(pair: CovariancePair, w) -> float:
     """Determinant-ratio detection statistic for a candidate basis ``w``.
 
-    Computes ``|W^T R_b^-1 W| / |W^T (N_f/N_b R_f + R_b)^-1 W]`` on centered
-    foreground/background batches. Always >= 1 up to rounding, and invariant
-    to right-multiplying ``w`` by any invertible K x K matrix.
+    Computes ``|W^T R_b^-1 W| / |W^T (N_f/N_b R_f + R_b)^-1 W|`` from the
+    pair's second moments, with its loading applied to ``R_b``. Always >= 1
+    up to rounding, and invariant to right-multiplying ``w`` by any
+    invertible K x K matrix.
     """
-    if not (z_f.centered and z_b.centered):
-        raise StateError("both batches must be centered")
     w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != z_f.features or z_f.features != z_b.features:
-        raise ShapeError("basis rows must match the batch feature count")
+    if w.ndim != 2 or w.shape[0] != pair.features:
+        raise ShapeError("basis rows must match the pair's feature count")
     if np.linalg.matrix_rank(w) < w.shape[1]:
         raise RankError("candidate basis is rank deficient")
-    r_b = second_moment(z_b)
-    r_b = diagonal_load(r_b, auto_loading(r_b))
-    r_f = second_moment(z_f)
-    ratio = z_f.samples / z_b.samples
+    r_b = diagonal_load(pair.r_b, pair.loading)
+    ratio = pair.n_f / pair.n_b
     numer = w.T @ np.linalg.solve(r_b, w)
-    denom = w.T @ np.linalg.solve(ratio * r_f + r_b, w)
+    denom = w.T @ np.linalg.solve(ratio * pair.r_f + r_b, w)
     sign_n, logdet_n = np.linalg.slogdet(numer)
     sign_d, logdet_d = np.linalg.slogdet(denom)
     if sign_n <= 0 or sign_d <= 0:

@@ -8,8 +8,10 @@ the lowest index), so repeated runs on identical input are bit-identical.
 The number of symmetric eigendecompositions performed is counted in a
 module-level counter so callers can verify how many decompositions a fitting
 routine actually spends (see :func:`eig_count` / :func:`reset_eig_count`).
-The counter is the one piece of shared state here; read it from a single
-thread when instrumenting.
+It counts every :func:`sym_eig` call, which is the only place the package
+runs a symmetric eigensolver: the loading decision uses a Cholesky test and
+the detection statistic uses linear solves. The counter is the one piece of
+shared state here; read it from a single thread when instrumenting.
 """
 
 from __future__ import annotations
@@ -113,28 +115,24 @@ def auto_loading(r_b) -> float:
 
     Loads with ``1e-6 * tr/M`` whenever the smallest eigenvalue falls below
     ``1e-10 * tr/M``; this keeps the Cholesky factorization of the loaded
-    matrix well defined for rank-deficient sample covariances.
+    matrix well defined for rank-deficient sample covariances. The bound is
+    tested by factorizing ``r_b - 1e-10 * tr/M * I``, which fails exactly
+    when it is violated (up to rounding), so no eigensolve is spent on it.
+    A zero-trace matrix has no variance to scale the loading by and raises
+    :class:`DefinitenessError`.
     """
     r_b = _as_square(r_b, "background covariance")
     m = r_b.shape[0]
     mean_diag = float(np.trace(r_b)) / m
-    if np.linalg.eigvalsh(r_b)[0] < EPS_FLOOR_SCALE * mean_diag:
+    if not mean_diag > 0:
+        raise DefinitenessError(
+            "background has no variance (zero-trace covariance); cannot choose a loading"
+        )
+    try:
+        np.linalg.cholesky(r_b - EPS_FLOOR_SCALE * mean_diag * np.eye(m))
+    except np.linalg.LinAlgError:
         return LOADING_SCALE * mean_diag
     return 0.0
-
-
-def inv_sqrt_sym(a) -> np.ndarray:
-    """Inverse symmetric square root ``B`` of an SPD matrix, ``B a B = I``."""
-    a = _as_square(a)
-    _require_symmetric(a)
-    res = sym_eig(a)
-    if res.values[-1] <= 0:
-        raise DefinitenessError(
-            f"matrix is not positive definite (min eigenvalue {res.values[-1]:.3e}); "
-            "apply diagonal loading first"
-        )
-    b = (res.vectors / np.sqrt(res.values)) @ res.vectors.T
-    return (b + b.T) / 2.0
 
 
 def q_eig(r_b, r_f, k: int) -> EigenResult:

@@ -138,8 +138,7 @@ def fit_cpcapp(pair: CovariancePair, k: int) -> FilterBank:
     contrast parameter.
     """
     _check_k(k, pair.features)
-    r_b = pair.r_b if pair.loading == 0.0 else diagonal_load(pair.r_b, pair.loading)
-    res = q_eig(r_b, pair.r_f, k)
+    res = q_eig(diagonal_load(pair.r_b, pair.loading), pair.r_f, k)
     return FilterBank(
         method="cpca++",
         f=res.vectors,

@@ -14,8 +14,12 @@ import numpy as np
 from .errors import ArgumentError, ShapeError, StateError
 from .linalg import auto_loading
 
-# Per-feature residual-sum slack accepted when validating a centered matrix.
+# Per-feature residual-sum slack accepted when validating a centered matrix:
+# N * max(atol, rtol * scale), scale being the feature's |mean| + max |value|.
+# Centering leaves sums of about N * eps * scale, so the relative term admits
+# large-magnitude data while unit-scale data still meets the absolute floor.
 CENTERING_ATOL_PER_SAMPLE = 1e-9
+CENTERING_RTOL_PER_SAMPLE = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,8 +46,11 @@ class DataMatrix:
             object.__setattr__(self, "mean", mean)
             if mean.shape != (values.shape[0],):
                 raise ShapeError(f"mean shape {mean.shape} does not match {values.shape[0]} features")
-            slack = CENTERING_ATOL_PER_SAMPLE * values.shape[1]
-            if np.max(np.abs(values.sum(axis=1)), initial=0.0) > slack:
+            # max |value| from two reductions: np.abs would copy the whole matrix
+            scale = np.abs(mean) + np.maximum(values.max(axis=1), -values.min(axis=1))
+            slack = values.shape[1] * np.maximum(CENTERING_ATOL_PER_SAMPLE,
+                                                 CENTERING_RTOL_PER_SAMPLE * scale)
+            if np.any(np.abs(values.sum(axis=1)) > slack):
                 raise ArgumentError("matrix flagged centered but feature sums are not zero")
         elif self.mean is not None:
             raise ArgumentError("uncentered matrix must not carry a mean")
@@ -100,6 +107,8 @@ def second_moment(z: DataMatrix) -> np.ndarray:
     if not z.centered:
         raise StateError("second_moment requires a centered matrix; call center() first")
     r = (z.values @ z.values.T) / z.samples
+    if not np.all(np.isfinite(r)):
+        raise ArgumentError("second moment overflows float64; rescale the data")
     return (r + r.T) / 2.0
 
 

@@ -184,13 +184,12 @@ def test_criterion_8_glrt_sanity():
     fg, bg = cp.sample_haystack(spec)
     pair = cp.build_covariance_pair(bg, fg)
     model = cp.recover_w(pair, cp.fit_cpcapp(pair, 1))
-    z_f, z_b = cp.center(fg), cp.center(bg)
-    best = cp.glrt_statistic(z_f, z_b, model.w)
+    best = cp.glrt_statistic(pair, model.w)
     gen = np.random.default_rng(7)
-    rand_max = max(cp.glrt_statistic(z_f, z_b, gen.standard_normal((4, 1)))
-                   for _ in range(100))
+    rand_max = max(cp.glrt_statistic(pair, gen.standard_normal((4, 1))) for _ in range(100))
     z = cp.center(cp.DataMatrix(values=np.random.default_rng(5).standard_normal((5, 60))))
-    twin = cp.glrt_statistic(z, z, np.random.default_rng(6).standard_normal((5, 3)))
+    twin = cp.glrt_statistic(cp.build_covariance_pair(z, z),
+                             np.random.default_rng(6).standard_normal((5, 3)))
     ok = best >= rand_max and math.isclose(twin, 8.0, rel_tol=1e-6)
     assert report(8, ok, f"optimal {best:.4f} >= random max {rand_max:.4f}, "
                          f"identical-batch statistic {twin:.8f} vs 2^3")

@@ -74,6 +74,16 @@ class TestFit:
 
 
 class TestErrors:
+    def test_zero_variance_background_is_data_error(self, tmp_path, capfd):
+        rng = np.random.default_rng(4)
+        write_csv(tmp_path / "fg.csv", rng.standard_normal((5, 40)))
+        write_csv(tmp_path / "bg.csv", np.full((5, 30), 2.5))
+        code = cli_dispatch(["fit", "--fg", str(tmp_path / "fg.csv"),
+                             "--bg", str(tmp_path / "bg.csv"), "--method", "cpca++",
+                             "-k", "2", "--out", str(tmp_path / "m.txt")])
+        assert code == 2
+        assert "background has no variance" in capfd.readouterr().err
+
     def test_unknown_subcommand_is_usage_error(self):
         assert cli_dispatch(["frobnicate"]) == 1
 

@@ -1,5 +1,7 @@
 """Basis recovery, oblique projection, and the determinant-ratio statistic."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -108,13 +110,13 @@ class TestGlrt:
     def test_identical_partitions_give_power_of_two(self, rng):
         z = center(DataMatrix(values=rng.standard_normal((5, 60))))
         w = rng.standard_normal((5, 3))
-        stat = glrt_statistic(z, z, w)
+        stat = glrt_statistic(build_covariance_pair(z, z), w)
         assert stat == pytest.approx(2.0**3, rel=1e-6)
 
     def test_zero_foreground_gives_one(self, rng):
         z_b = center(DataMatrix(values=rng.standard_normal((4, 50))))
         z_f = DataMatrix(values=np.zeros((4, 30)), centered=True, mean=np.zeros(4))
-        stat = glrt_statistic(z_f, z_b, rng.standard_normal((4, 2)))
+        stat = glrt_statistic(build_covariance_pair(z_b, z_f), rng.standard_normal((4, 2)))
         assert stat == pytest.approx(1.0, rel=1e-9)
 
     def test_optimal_basis_attains_maximum(self):
@@ -122,10 +124,9 @@ class TestGlrt:
         fg, bg = sample_haystack(spec)
         pair = build_covariance_pair(bg, fg)
         model = recover_w(pair, fit_cpcapp(pair, 1))
-        z_f, z_b = center(fg), center(bg)
-        best = glrt_statistic(z_f, z_b, model.w)
+        best = glrt_statistic(pair, model.w)
         gen = np.random.default_rng(99)
-        randoms = [glrt_statistic(z_f, z_b, gen.standard_normal((4, 1))) for _ in range(100)]
+        randoms = [glrt_statistic(pair, gen.standard_normal((4, 1))) for _ in range(100)]
         assert best >= max(randoms)
 
     def test_invariant_to_right_multiplication(self, rng):
@@ -133,8 +134,9 @@ class TestGlrt:
         z_b = center(DataMatrix(values=rng.standard_normal((6, 80))))
         w = rng.standard_normal((6, 3))
         t = random_spd(rng, 3, jitter=0.1)  # invertible
-        s1 = glrt_statistic(z_f, z_b, w)
-        s2 = glrt_statistic(z_f, z_b, w @ t)
+        pair = build_covariance_pair(z_b, z_f)
+        s1 = glrt_statistic(pair, w)
+        s2 = glrt_statistic(pair, w @ t)
         assert s2 == pytest.approx(s1, rel=1e-7)
 
     def test_at_least_one(self, rng):
@@ -142,7 +144,7 @@ class TestGlrt:
             gen = np.random.default_rng(seed)
             z_f = center(DataMatrix(values=gen.standard_normal((5, 40))))
             z_b = center(DataMatrix(values=gen.standard_normal((5, 45))))
-            stat = glrt_statistic(z_f, z_b, gen.standard_normal((5, 2)))
+            stat = glrt_statistic(build_covariance_pair(z_b, z_f), gen.standard_normal((5, 2)))
             assert stat >= 1.0 - 1e-9
 
     def test_rejects_rank_deficient_basis(self, rng):
@@ -150,4 +152,18 @@ class TestGlrt:
         w = np.zeros((4, 2))
         w[:, 0] = w[:, 1] = 1.0
         with pytest.raises(RankError):
-            glrt_statistic(z, z, w)
+            glrt_statistic(build_covariance_pair(z, z), w)
+
+
+class TestFactorizationCount:
+    def test_fit_spends_one_eigh_and_no_eigvalsh(self, rng):
+        # rank-deficient background, so the loading decision is exercised
+        bg = DataMatrix(values=rng.standard_normal((12, 8)))
+        fg = DataMatrix(values=rng.standard_normal((12, 40)))
+        with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh, \
+                mock.patch("numpy.linalg.eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+            pair = build_covariance_pair(bg, fg)
+            recover_w(pair, fit_cpcapp(pair, 3))
+        assert pair.loading > 0
+        assert eigh.call_count == 1
+        assert eigvalsh.call_count == 0

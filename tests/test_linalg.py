@@ -11,7 +11,6 @@ from cpcapp import (
     auto_loading,
     diagonal_load,
     eig_count,
-    inv_sqrt_sym,
     q_eig,
     reset_eig_count,
     sym_eig,
@@ -68,26 +67,6 @@ class TestSymEig:
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-class TestInvSqrt:
-    def test_identity(self):
-        np.testing.assert_allclose(inv_sqrt_sym(np.eye(4)), np.eye(4), atol=1e-12)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            inv_sqrt_sym(np.diag([4.0, 9.0])), np.diag([0.5, 1.0 / 3.0]), atol=1e-12
-        )
-
-    def test_reconstruction(self, rng):
-        a = random_spd(rng, 5)
-        b = inv_sqrt_sym(a)
-        np.testing.assert_allclose(b @ a @ b, np.eye(5), atol=1e-7)
-        np.testing.assert_allclose(b, b.T, atol=1e-12)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(DefinitenessError):
-            inv_sqrt_sym(np.diag([1.0, -1.0]))
-
-
 class TestDiagonalLoad:
     def test_zeros(self):
         np.testing.assert_array_equal(diagonal_load(np.zeros((2, 2)), 1.0), np.eye(2))
@@ -109,6 +88,24 @@ class TestDiagonalLoad:
 
     def test_auto_loading_zero_for_spd(self, rng):
         assert auto_loading(random_spd(rng, 4)) == 0.0
+
+    def test_auto_loading_rejects_zero_trace(self):
+        with pytest.raises(DefinitenessError):
+            auto_loading(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("ratio", [0.0, 1e-14, 1e-12, 1e-8, 1e-6, 1e-2])
+    def test_auto_loading_matches_eigenvalue_bound(self, rng, ratio):
+        # spectrum with lambda_min = ratio * tr/M, away from the 1e-10 boundary
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        values = np.array([5.0, 3.0, 2.0, 1.0, 0.5, 0.0])
+        values[-1] = ratio * values.sum() / (6 - ratio)
+        r_b = (q * values) @ q.T
+        r_b = (r_b + r_b.T) / 2
+        mean_diag = np.trace(r_b) / 6
+        expected = 1e-6 * mean_diag if np.linalg.eigvalsh(r_b)[0] < 1e-10 * mean_diag else 0.0
+        rho = auto_loading(r_b)
+        assert rho == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert (rho > 0) == (ratio < 1e-10)
 
 
 class TestQEig:
@@ -141,7 +138,7 @@ class TestQEig:
     def test_spectrum_matches_whitened_matrix(self, rng):
         r_b = random_spd(rng, 7)
         r_f = random_psd(rng, 7)
-        b = inv_sqrt_sym(r_b)
+        b = scipy.linalg.fractional_matrix_power(r_b, -0.5)
         whitened = b @ r_f @ b
         ref = sym_eig((whitened + whitened.T) / 2)
         res = q_eig(r_b, r_f, 7)

@@ -6,6 +6,7 @@ import pytest
 from cpcapp import (
     ArgumentError,
     DataMatrix,
+    DefinitenessError,
     ShapeError,
     StateError,
     SyntheticSpec,
@@ -50,6 +51,18 @@ class TestCenter:
         with pytest.raises(ArgumentError):
             DataMatrix(values=np.ones((2, 2)), centered=True, mean=np.zeros(2))
 
+    def test_large_magnitude_data_centers(self, rng):
+        # offset 5e8, spread 1e8: the residual sums of the centered output are
+        # ~1e-5, far above an absolute 1e-9 * N slack but at rounding level
+        raw = DataMatrix(values=5e8 + 1e8 * rng.standard_normal((3, 1000)))
+        c = center(raw)
+        np.testing.assert_allclose(c.values.mean(axis=1), 0.0, atol=1e-6)
+
+    def test_unit_scale_slack_is_unchanged(self):
+        values = np.array([[1.0, -1.0 + 3e-9]])  # residual sum 3e-9 > 1e-9 * N
+        with pytest.raises(ArgumentError):
+            DataMatrix(values=values, centered=True, mean=np.zeros(1))
+
 
 class TestSecondMoment:
     def test_two_columns(self):
@@ -77,6 +90,12 @@ class TestSecondMoment:
         with pytest.raises(StateError):
             second_moment(DataMatrix(values=rng.standard_normal((2, 5))))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_rejects_overflow(self, rng):
+        z = center(DataMatrix(values=1e200 * rng.standard_normal((3, 20))))
+        with pytest.raises(ArgumentError, match="overflows"):
+            second_moment(z)
+
     def test_psd(self, rng):
         z = center(DataMatrix(values=rng.standard_normal((6, 30))))
         r = second_moment(z)
@@ -95,6 +114,13 @@ class TestBuildPair:
         fg = DataMatrix(values=rng.standard_normal((5, 10)))
         pair = build_covariance_pair(bg, fg)
         assert pair.loading > 0
+
+    @pytest.mark.parametrize("bg_values", [np.full((4, 20), 3.0), np.arange(4.0)[:, None]],
+                             ids=["constant", "one-sample"])
+    def test_zero_variance_background_raises(self, rng, bg_values):
+        fg = DataMatrix(values=rng.standard_normal((4, 10)))
+        with pytest.raises(DefinitenessError, match="background has no variance"):
+            build_covariance_pair(DataMatrix(values=bg_values), fg)
 
     def test_rejects_mismatched_features(self, rng):
         with pytest.raises(ShapeError):
