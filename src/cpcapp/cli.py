@@ -238,10 +238,6 @@ def _cmd_localize(args) -> int:
     probe = netpbm.read_image(args.image)
     edge = edge_mask(probe)
     grid = extract_patches(probe, args.n, args.stride)
-    if grid.patches.features != bank.features:
-        raise CpcappError(
-            f"patches have {grid.patches.features} features but the model expects {bank.features}"
-        )
     scores = score_patches(bank, grid.patches)
     prob_map = reconstruct_map(scores, grid, edge)
     netpbm.write_probability_map(args.out, prob_map.values)

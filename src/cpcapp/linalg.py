@@ -118,16 +118,16 @@ def auto_loading(r_b) -> float:
     matrix well defined for rank-deficient sample covariances. The bound is
     tested by factorizing ``r_b - 1e-10 * tr/M * I``, which fails exactly
     when it is violated (up to rounding), so no eigensolve is spent on it.
-    A zero-trace matrix has no variance to scale the loading by and raises
-    :class:`DefinitenessError`.
+    A matrix whose loading ``1e-6 * tr/M`` would be zero or subnormal (a zero
+    trace included) has no variance to scale the loading by at float64
+    precision and raises :class:`DefinitenessError`.
     """
     r_b = _as_square(r_b, "background covariance")
     m = r_b.shape[0]
     mean_diag = float(np.trace(r_b)) / m
-    if not mean_diag > 0:
-        raise DefinitenessError(
-            "background has no variance (zero-trace covariance); cannot choose a loading"
-        )
+    if not LOADING_SCALE * mean_diag >= np.finfo(float).tiny:
+        raise DefinitenessError(f"background has no variance at float64 precision "
+                                f"(tr/M = {mean_diag:.3g}); rescale the data")
     try:
         np.linalg.cholesky(r_b - EPS_FLOOR_SCALE * mean_diag * np.eye(m))
     except np.linalg.LinAlgError:

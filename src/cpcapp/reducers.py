@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError
+from .errors import ArgumentError, DefinitenessError, ShapeError
 from .linalg import diagonal_load, q_eig, sym_eig
 from .stats import CovariancePair, DataMatrix, center, second_moment
 
@@ -135,9 +135,12 @@ def fit_cpcapp(pair: CovariancePair, k: int) -> FilterBank:
 
     Costs exactly one symmetric eigendecomposition; the relative scale of the
     two covariances cancels inside the product, which is what removes the
-    contrast parameter.
+    contrast parameter. A zero-trace foreground (constant features, or one
+    sample) has no structure to contrast and raises :class:`DefinitenessError`.
     """
     _check_k(k, pair.features)
+    if not np.trace(pair.r_f) > 0:
+        raise DefinitenessError("foreground has no variance (zero-trace covariance)")
     res = q_eig(diagonal_load(pair.r_b, pair.loading), pair.r_f, k)
     return FilterBank(
         method="cpca++",

@@ -31,27 +31,28 @@ _SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 
 @dataclass(frozen=True, eq=False)
 class PatchGrid:
-    """Flattened overlapping patches of one image, with their origins."""
+    """Flattened n x n patches of one image, row-major over origins (i*stride, j*stride)."""
 
     image_w: int
     image_h: int
     n: int
     stride: int
     channels: int
-    patches: DataMatrix          # (c*n*n, P), one flattened patch per column
-    origins: np.ndarray          # (P, 2) top-left (row, col) per patch
+    patches: DataMatrix          # (c*n*n, rows*cols), one flattened patch per column
 
     def __post_init__(self):
         if self.patches.features != self.channels * self.n * self.n:
             raise ShapeError("patch rows must equal channels * n^2")
-        if self.origins.shape != (self.patches.samples, 2):
-            raise ShapeError("one (row, col) origin per patch is required")
-        if self.origins.size and (
-            self.origins.min() < 0
-            or self.origins[:, 0].max() > self.image_h - self.n
-            or self.origins[:, 1].max() > self.image_w - self.n
-        ):
-            raise ShapeError("patch origins out of image bounds")
+        if self.stride < 1 or self.patches.samples != self.rows * self.cols:
+            raise ShapeError("one patch per origin of a stride >= 1 lattice is required")
+
+    @property
+    def rows(self) -> int:
+        return (self.image_h - self.n) // self.stride + 1
+
+    @property
+    def cols(self) -> int:
+        return (self.image_w - self.n) // self.stride + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,33 +137,33 @@ def edge_mask(image) -> np.ndarray:
     return np.where(magnitude > level, 255, 0).astype(np.uint8)
 
 
+def _windows(a: np.ndarray, n: int, stride: int) -> np.ndarray:
+    """The (rows, cols, ..., n, n) view of the n x n windows on the stride lattice."""
+    return np.lib.stride_tricks.sliding_window_view(a, (n, n), axis=(0, 1))[::stride, ::stride]
+
+
 def extract_patches(image, n: int, stride: int) -> PatchGrid:
     """All n x n windows on the stride lattice, flattened channel-major.
 
     Within a column the layout is channel, then row, then column; patches
-    are ordered row-major over their origins.
+    are ordered row-major over their origins ``(i * stride, j * stride)``.
     """
     image = _as_image(image)
     height, width, channels = image.shape
-    if n > min(width, height):
-        raise ArgumentError(f"patch size {n} exceeds image extent {width}x{height}")
+    if not 1 <= n <= min(width, height):
+        raise ArgumentError(f"patch size {n} is outside [1, {min(width, height)}] for {width}x{height}")
     if stride < 1:
         raise ArgumentError(f"stride must be positive, got {stride}")
-    rows = range(0, height - n + 1, stride)
-    cols = range(0, width - n + 1, stride)
-    origins = np.array([(r, c) for r in rows for c in cols], dtype=int)
-    columns = np.empty((channels * n * n, len(origins)))
-    for i, (r, c) in enumerate(origins):
-        window = image[r:r + n, c:c + n, :]                # (n, n, c)
-        columns[:, i] = np.moveaxis(window, 2, 0).ravel()  # channel-major
+    windows = _windows(image, n, stride)                   # (rows, cols, c, n, n)
+    # one copy into C order: center() takes row means, whose bits follow the layout
+    columns = np.ascontiguousarray(np.moveaxis(windows, (0, 1), (3, 4)))
     return PatchGrid(
         image_w=width,
         image_h=height,
         n=n,
         stride=stride,
         channels=channels,
-        patches=DataMatrix(values=columns),
-        origins=origins,
+        patches=DataMatrix(values=columns.reshape(-1, windows.shape[0] * windows.shape[1])),
     )
 
 
@@ -182,15 +183,10 @@ def label_patches(grid: PatchGrid, surface_mask, edge, fg_range=FG_SPLICE_RANGE,
     edges = np.asarray(edge) > 0
     if surface.shape != (grid.image_h, grid.image_w) or edges.shape != surface.shape:
         raise ShapeError("mask dimensions must match the patch grid's image")
-    fg, bg = [], []
-    n = grid.n
-    for i, (r, c) in enumerate(grid.origins):
-        frac = surface[r:r + n, c:c + n].mean()
-        if lo <= frac <= hi:
-            fg.append(i)
-        elif frac == 0.0 and edges[r:r + n, c:c + n].mean() >= bg_edge_min:
-            bg.append(i)
-    return np.array(fg, dtype=int), np.array(bg, dtype=int)
+    frac = _windows(surface, grid.n, grid.stride).mean(axis=(-2, -1)).ravel()
+    edge_frac = _windows(edges, grid.n, grid.stride).mean(axis=(-2, -1)).ravel()
+    is_fg = (lo <= frac) & (frac <= hi)
+    return np.flatnonzero(is_fg), np.flatnonzero(~is_fg & (frac == 0) & (edge_frac >= bg_edge_min))
 
 
 def score_patches(bank: FilterBank, test: DataMatrix, use_train_mean: bool = False) -> np.ndarray:
@@ -225,12 +221,16 @@ def reconstruct_map(scores, grid: PatchGrid, edge) -> ProbabilityMap:
         raise ShapeError("edge mask dimensions must match the patch grid's image")
     acc = np.zeros((grid.image_h, grid.image_w))
     cover = np.zeros((grid.image_h, grid.image_w))
-    n = grid.n
-    for i, (r, c) in enumerate(grid.origins):
-        acc[r:r + n, c:c + n] += scores[i]
-        cover[r:r + n, c:c + n] += 1.0
-    covered = cover > 0
-    acc[covered] /= cover[covered]
+    lattice = scores.reshape(grid.rows, grid.cols)
+    s = grid.stride
+    # Pixel (r*s + dy, c*s + dx) takes patch (r, c) at offset (dy, dx); taking
+    # the offsets in descending order adds each pixel's patches by patch index.
+    for dy in range(grid.n - 1, -1, -1):
+        for dx in range(grid.n - 1, -1, -1):
+            cell = np.s_[dy:dy + grid.rows * s:s, dx:dx + grid.cols * s:s]
+            acc[cell] += lattice
+            cover[cell] += 1.0
+    np.divide(acc, cover, out=acc, where=cover > 0)
     acc *= edges
     return ProbabilityMap(width=grid.image_w, height=grid.image_h, values=acc)
 

@@ -84,6 +84,28 @@ class TestErrors:
         assert code == 2
         assert "background has no variance" in capfd.readouterr().err
 
+    def test_one_sample_foreground_is_data_error(self, tmp_path, capfd):
+        rng = np.random.default_rng(4)
+        write_csv(tmp_path / "fg.csv", rng.standard_normal((4, 1)))
+        write_csv(tmp_path / "bg.csv", rng.standard_normal((4, 30)))
+        code = cli_dispatch(["fit", "--fg", str(tmp_path / "fg.csv"),
+                             "--bg", str(tmp_path / "bg.csv"), "--method", "cpca++",
+                             "-k", "2", "--out", str(tmp_path / "m.txt")])
+        assert code == 2
+        assert "foreground has no variance" in capfd.readouterr().err
+
+    def test_negative_patch_size_is_data_error(self, tmp_path, capfd, four_class_csvs):
+        fg, _ = four_class_csvs
+        model = tmp_path / "model.txt"
+        assert cli_dispatch(["fit", "--fg", str(fg), "--method", "pca", "-k", "1",
+                             "--out", str(model)]) == 0
+        image = tmp_path / "probe.pgm"
+        write_image(image, np.arange(256, dtype=np.uint8).reshape(16, 16))
+        code = cli_dispatch(["localize", "--model", str(model), "--image", str(image),
+                             "--n", "-2", "--out", str(tmp_path / "map.pgm")])
+        assert code == 2
+        assert "patch size -2 is outside [1, 16]" in capfd.readouterr().err
+
     def test_unknown_subcommand_is_usage_error(self):
         assert cli_dispatch(["frobnicate"]) == 1
 

@@ -6,6 +6,7 @@ import pytest
 from cpcapp import (
     ArgumentError,
     DataMatrix,
+    DefinitenessError,
     SyntheticSpec,
     build_covariance_pair,
     default_alpha_grid,
@@ -182,6 +183,31 @@ class TestFitCpcapp:
         bank2 = fit_cpcapp(pair2, 3)
         assert principal_angles(bank1.f, bank2.f).max() < 1e-8
         np.testing.assert_allclose(bank2.eigenvalues, bank1.eigenvalues / 4.0, rtol=1e-9)
+
+    def test_one_sample_foreground_raises(self, rng):
+        pair = build_covariance_pair(DataMatrix(values=rng.standard_normal((4, 30))),
+                                     DataMatrix(values=rng.standard_normal((4, 1))))
+        with pytest.raises(DefinitenessError, match="foreground has no variance"):
+            fit_cpcapp(pair, 2)
+
+    @pytest.mark.parametrize("scale", [1e-158, 1e-160])
+    def test_subnormal_loading_scale_raises(self, rng, scale):
+        # rank-deficient 6x3 background: tr/M ~ scale^2, loading 1e-6 * tr/M
+        # would be subnormal (1e-158) or zero (1e-160)
+        bg = DataMatrix(values=scale * rng.standard_normal((6, 3)))
+        fg = DataMatrix(values=scale * rng.standard_normal((6, 20)))
+        with pytest.raises(DefinitenessError,
+                           match="background has no variance.*tr/M = .*rescale the data"):
+            build_covariance_pair(bg, fg)
+
+    def test_tiny_normal_loading_scale_fits(self, rng):
+        bg = DataMatrix(values=1e-150 * rng.standard_normal((6, 3)))
+        fg = DataMatrix(values=1e-150 * rng.standard_normal((6, 20)))
+        pair = build_covariance_pair(bg, fg)
+        assert pair.loading >= np.finfo(float).tiny
+        bank = fit_cpcapp(pair, 2)
+        np.testing.assert_allclose(np.linalg.norm(bank.f, axis=0), 1.0, rtol=1e-12)
+        assert bank.eigenvalues[-1] > 0
 
     def test_exactly_one_decomposition(self, rng):
         fg = DataMatrix(values=rng.standard_normal((6, 50)))

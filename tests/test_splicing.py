@@ -10,6 +10,7 @@ from cpcapp import (
     ConfusionCounts,
     DataMatrix,
     FilterBank,
+    PatchGrid,
     ProbabilityMap,
     ShapeError,
     SyntheticSpec,
@@ -62,18 +63,20 @@ class TestExtractPatches:
     def test_single_patch(self):
         grid = extract_patches(np.arange(64.0).reshape(8, 8), 8, 4)
         assert grid.patches.samples == 1
-        np.testing.assert_array_equal(grid.origins, [[0, 0]])
+        assert (grid.rows, grid.cols) == (1, 1)
 
     def test_two_patches_wide_image(self):
         grid = extract_patches(np.zeros((8, 12)), 8, 4)
         assert grid.patches.samples == 2
-        np.testing.assert_array_equal(grid.origins, [[0, 0], [0, 4]])
+        assert (grid.rows, grid.cols) == (1, 2)  # origins (0, 0) and (0, 4)
 
     def test_flattening_round_trip(self, rng):
         img = rng.integers(0, 255, size=(20, 24, 3)).astype(np.uint8)
         grid = extract_patches(img, 8, 4)
+        assert (grid.rows, grid.cols) == (4, 5)
         i = 7
-        r, c = grid.origins[i]
+        r, c = i // grid.cols * 4, i % grid.cols * 4
+        assert (r, c) == (4, 8)
         col = grid.patches.values[:, i].reshape(3, 8, 8)  # channel-major
         window = np.moveaxis(img[r:r + 8, c:c + 8, :].astype(float), 2, 0)
         np.testing.assert_array_equal(col, window)
@@ -81,6 +84,122 @@ class TestExtractPatches:
     def test_rejects_oversize_patch(self):
         with pytest.raises(ArgumentError):
             extract_patches(np.zeros((6, 6)), 8, 4)
+
+    def test_builds_patch_matrix_with_one_copy(self):
+        import tracemalloc
+
+        image = np.zeros((128, 128, 3))  # already float: no conversion copy
+        tracemalloc.start()
+        try:
+            grid = extract_patches(image, 8, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.patches.values.flags.c_contiguous
+        assert peak < 1.25 * grid.patches.values.nbytes
+
+    @pytest.mark.parametrize("stride, samples", [(4, 3), (0, 2)])
+    def test_grid_rejects_patches_off_the_lattice(self, stride, samples):
+        with pytest.raises(ShapeError, match="one patch per origin"):
+            PatchGrid(image_w=12, image_h=8, n=8, stride=stride, channels=1,
+                      patches=DataMatrix(values=np.zeros((64, samples))))
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_rejects_nonpositive_patch_size(self, n):
+        with pytest.raises(ArgumentError, match=r"patch size -?\d+ is outside \[1, 6\]"):
+            extract_patches(np.zeros((6, 6)), n, 4)
+
+
+def _loop_origins(height, width, n, stride):
+    return [(r, c) for r in range(0, height - n + 1, stride)
+            for c in range(0, width - n + 1, stride)]
+
+
+def _loop_extract(image, n, stride):
+    """Per-patch reference: one column per origin, channel-major."""
+    image = np.asarray(image, dtype=float)
+    image = image[:, :, None] if image.ndim == 2 else image
+    origins = _loop_origins(image.shape[0], image.shape[1], n, stride)
+    columns = np.empty((image.shape[2] * n * n, len(origins)))
+    for i, (r, c) in enumerate(origins):
+        columns[:, i] = np.moveaxis(image[r:r + n, c:c + n, :], 2, 0).ravel()
+    return columns
+
+
+def _loop_label(surface, edge, n, stride, fg_range, bg_edge_min):
+    """Per-patch reference for label_patches."""
+    surface, edges = np.asarray(surface) > 0, np.asarray(edge) > 0
+    fg, bg = [], []
+    for i, (r, c) in enumerate(_loop_origins(*surface.shape, n, stride)):
+        frac = surface[r:r + n, c:c + n].mean()
+        if fg_range[0] <= frac <= fg_range[1]:
+            fg.append(i)
+        elif frac == 0.0 and edges[r:r + n, c:c + n].mean() >= bg_edge_min:
+            bg.append(i)
+    return np.array(fg, dtype=int), np.array(bg, dtype=int)
+
+
+def _loop_map(scores, shape, n, stride, edge):
+    """Per-patch reference for reconstruct_map, summed in patch-index order."""
+    acc, cover = np.zeros(shape), np.zeros(shape)
+    for i, (r, c) in enumerate(_loop_origins(*shape, n, stride)):
+        acc[r:r + n, c:c + n] += scores[i]
+        cover[r:r + n, c:c + n] += 1.0
+    covered = cover > 0
+    acc[covered] /= cover[covered]
+    return acc * (np.asarray(edge) > 0)
+
+
+class TestLatticeMatchesPatchLoops:
+    """Byte equality of the lattice code with the per-patch loops it replaced."""
+
+    @pytest.mark.parametrize("shape, n, stride", [
+        ((32, 32, 3), 8, 4),
+        ((37, 53), 8, 3),      # stride divides neither extent
+        ((37, 53, 3), 5, 7),   # stride > n: uncovered columns between patches
+        ((24, 30), 8, 1),
+        ((29, 31, 3), 3, 5),
+        ((37, 53), 37, 1),     # one patch row spanning the full height
+        ((9, 11, 3), 1, 1),
+        ((20, 44), 8, 8),
+    ])
+    def test_patches_labels_and_map(self, rng, shape, n, stride):
+        image = rng.integers(0, 256, size=shape).astype(np.uint8)
+        surface = np.zeros(shape[:2], dtype=np.uint8)
+        surface[shape[0] // 3:, shape[1] // 2:] = 255
+        edge = (rng.random(shape[:2]) < 0.3).astype(np.uint8) * 255
+        grid = extract_patches(image, n, stride)
+        assert grid.patches.values.flags.c_contiguous
+        assert grid.patches.values.tobytes() == _loop_extract(image, n, stride).tobytes()
+
+        for fg_range, bg_edge_min in [((0.3, 0.7), 0.05), ((0.0, 0.5), 0.0), ((0.2, 1.0), 0.3)]:
+            fg, bg = label_patches(grid, surface, edge, fg_range=fg_range,
+                                   bg_edge_min=bg_edge_min)
+            want_fg, want_bg = _loop_label(surface, edge, n, stride, fg_range, bg_edge_min)
+            assert fg.dtype == want_fg.dtype and bg.dtype == want_bg.dtype
+            assert fg.tobytes() == want_fg.tobytes()
+            assert bg.tobytes() == want_bg.tobytes()
+
+        scores = rng.random(grid.patches.samples)
+        pmap = reconstruct_map(scores, grid, edge)
+        assert pmap.values.tobytes() == _loop_map(scores, shape[:2], n, stride, edge).tobytes()
+
+    def test_spliced_probe(self):
+        spec = SyntheticSpec(kind="spliced-image", seed=11, n_fg=1, n_bg=1)
+        probe, surface, _ = gen_spliced_image(spec)
+        edge = edge_mask(probe)
+        grid = extract_patches(probe, 8, 4)
+        assert grid.patches.values.tobytes() == _loop_extract(probe, 8, 4).tobytes()
+        fg, bg = label_patches(grid, surface, edge)
+        want_fg, want_bg = _loop_label(surface, edge, 8, 4, (0.3, 0.7), 0.05)
+        assert fg.size and bg.size
+        assert (fg.tobytes(), bg.tobytes()) == (want_fg.tobytes(), want_bg.tobytes())
+        # scores with many distinct mantissas, so a changed summation order shows
+        scores = np.sqrt(np.arange(1.0, grid.patches.samples + 1)) / 7.0
+        scores /= scores.max()
+        pmap = reconstruct_map(scores, grid, edge)
+        want = _loop_map(scores, surface.shape, 8, 4, edge)
+        assert pmap.values.tobytes() == want.tobytes()
 
 
 class TestLabelPatches:
