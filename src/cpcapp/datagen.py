@@ -389,6 +389,24 @@ def _splice_field(rng: SplitMix64, height: int, width: int) -> np.ndarray:
     return field / dev if dev > 0 else field
 
 
+def _fit_polygon(height, width, angles, radii, cx, cy, area_lo, area_hi, target):
+    """Bisect the polygon's scale until its area fraction is in bounds; None if never."""
+    lo_s, hi_s = 0.02, 1.5
+    for _ in range(60):
+        scale = (lo_s + hi_s) / 2
+        r_pix = scale * min(width, height) * radii
+        mask = _polygon_mask(height, width, cx + r_pix * np.cos(angles),
+                             cy + r_pix * np.sin(angles))
+        frac = mask.mean()
+        if area_lo <= frac <= area_hi:
+            return mask
+        if frac < target:
+            lo_s = scale
+        else:
+            hi_s = scale
+    return None
+
+
 def gen_spliced_image(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One spliced probe plus its surface and boundary ground-truth masks.
 
@@ -399,7 +417,9 @@ def gen_spliced_image(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, np.n
     texture edges lack. Returns ``(probe, surface_mask, edge_truth)`` with
     the probe as (H, W, 3) uint8 and masks as (H, W) uint8 valued 0/255.
     The polygon is rescaled (no extra draws) until the spliced-pixel
-    fraction lies inside ``(area_lo, area_hi)``. Draw order: vertex count,
+    fraction lies inside ``(area_lo, area_hi)``; if the drawn vertex angles
+    never get there, the same search runs once more with the vertices
+    evenly spaced from the first angle. Draw order: vertex count,
     vertex angles, vertex radii, center x/y, target area, offset sign, then
     the host, donor, three host-tint and three donor-tint fields.
     """
@@ -420,22 +440,11 @@ def gen_spliced_image(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, np.n
     target = area_lo + (area_hi - area_lo) * rng.uniform(1)[0]
     offset_sign = 1.0 if rng.uniform(1)[0] < 0.5 else -1.0
 
-    lo_s, hi_s = 0.02, 1.5
-    mask = None
-    for _ in range(60):
-        scale = (lo_s + hi_s) / 2
-        r_pix = scale * min(width, height) * radii
-        xs = cx + r_pix * np.cos(angles)
-        ys = cy + r_pix * np.sin(angles)
-        mask = _polygon_mask(height, width, xs, ys)
-        frac = mask.mean()
-        if area_lo <= frac <= area_hi:
-            break
-        if frac < target:
-            lo_s = scale
-        else:
-            hi_s = scale
-    else:
+    mask = _fit_polygon(height, width, angles, radii, cx, cy, area_lo, area_hi, target)
+    if mask is None:  # a vertex-angle gap above pi makes a sliver that misses its centre
+        even = angles[0] + 2 * np.pi * np.arange(n_verts) / n_verts
+        mask = _fit_polygon(height, width, even, radii, cx, cy, area_lo, area_hi, target)
+    if mask is None:
         raise ArgumentError("could not fit a spliced region inside the area bounds")
 
     host = _splice_field(rng, height, width)

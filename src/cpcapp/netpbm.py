@@ -47,6 +47,8 @@ def read_image(path) -> np.ndarray:
         width, height, maxval = (int(t) for t in tokens[1:4])
     except ValueError as exc:
         raise ParseError(f"{path}: bad netpbm dimensions: {exc}") from exc
+    if width < 1 or height < 1:
+        raise ParseError(f"{path}: netpbm dimensions must be positive, got {width}x{height}")
     if maxval != 255:
         raise ParseError(f"{path}: only 8-bit images are supported (maxval {maxval})")
     channels = 1 if magic == b"P5" else 3

@@ -117,6 +117,19 @@ class TestErrors:
                              "--in", str(tmp_path / "no.csv"),
                              "--out", str(tmp_path / "y.csv")]) == 2
 
+    @pytest.mark.parametrize("broken", ["model", "in"])
+    def test_non_ascii_input_is_data_error(self, tmp_path, capfd, four_class_csvs, broken):
+        fg, _ = four_class_csvs
+        files = {"model": tmp_path / "model.txt", "in": fg}
+        assert cli_dispatch(["fit", "--fg", str(fg), "--method", "pca", "-k", "1",
+                             "--out", str(files["model"])]) == 0
+        files[broken] = tmp_path / "bad.txt"
+        files[broken].write_bytes(b"1,2\n3,\xe9\n")
+        code = cli_dispatch(["transform", "--model", str(files["model"]),
+                             "--in", str(files["in"]), "--out", str(tmp_path / "y.csv")])
+        assert code == 2
+        assert "not an ASCII text file" in capfd.readouterr().err
+
     def test_shape_mismatch_fails_fast(self, tmp_path, four_class_csvs):
         fg, bg = four_class_csvs
         model = tmp_path / "model.txt"

@@ -1,5 +1,7 @@
 """Generator determinism, scale, and closed-form oracle agreement."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -195,3 +197,29 @@ class TestSplicedImage:
     def test_rejects_wrong_kind(self):
         with pytest.raises(ArgumentError):
             gen_spliced_image(SyntheticSpec(kind="haystack", seed=0, n_fg=1, n_bg=1))
+
+    @pytest.mark.parametrize("seed, side, digests", [
+        (21, 64, ("67bb1f0bbdd66cc858e0a6b724f676992776b5f197c7703cb93975407f1bf911",
+                  "7af43c6d2f342089ccef8772627e9e9e2b8255795d6b13095d2ec2c9f900d38f",
+                  "6c2a711a479fce13c3f81d478a197375789cd97617ccd5bbc4f11cd25671d729")),
+        (7, 128, ("b31e424a967ef157b1a43544c9d81c6849cb44574fd8b28de0ad1504b43b2d48",
+                  "856f0a8a02b63b148a16654e8e6934a87f88f1ff2c9c5144bb0b4ab9bc389d2a",
+                  "890862c520619c554c5b043f8de5b7df5479e1c4d7749090cf19ac81564a5757")),
+        (12361739233122626591, 128, (
+            "aa722d59438f013bf9e408adc78ceeb652177e07938624852bace293cc6d81a1",
+            "c704daef0bbefb5f39159ff892134c4eafc741eda177b0df71cf1f72e8ca25d9",
+            "8d730017ef66b02212c7e5fa67577eab6ec5c41f9b6882152efb970c026afd8e")),
+    ])
+    def test_fitting_seeds_keep_their_bytes(self, seed, side, digests):
+        spec = SyntheticSpec(kind="spliced-image", seed=seed, n_fg=1, n_bg=1,
+                             params={"width": side, "height": side})
+        arrays = gen_spliced_image(spec)
+        assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == digests
+
+    def test_sliver_polygon_falls_back_to_even_angles(self):
+        # the drawn angles leave a 291 degree gap: at any scale the polygon
+        # covers at most 2.3% of the image, below area_lo = 8%
+        spec = SyntheticSpec(kind="spliced-image", seed=12361739233122626592, n_fg=1, n_bg=1,
+                             params={"width": 128, "height": 128})
+        _, surface, _ = gen_spliced_image(spec)
+        assert 0.08 <= (surface > 0).mean() <= 0.20

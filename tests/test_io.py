@@ -70,6 +70,14 @@ class TestCsv:
         with pytest.raises(ParseError, match=":2:"):
             read_csv(path)
 
+    def test_non_ascii_byte_is_parse_error(self, tmp_path):
+        from cpcapp import read_csv_table
+
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1,2\n3,\xe9\n")
+        with pytest.raises(ParseError, match="not an ASCII text file"):
+            read_csv_table(path)
+
 
 class TestNetpbm:
     def test_gray_round_trip(self, tmp_path, rng):
@@ -106,6 +114,13 @@ class TestNetpbm:
         path = tmp_path / "x.pgm"
         path.write_bytes(b"P5\n4 4\n255\n\x00\x01")
         with pytest.raises(ParseError):
+            read_image(path)
+
+    @pytest.mark.parametrize("height", [b"-4", b"0"])
+    def test_non_positive_dimensions(self, tmp_path, height):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5\n5 " + height + b"\n255\n" + bytes(20))
+        with pytest.raises(ParseError, match="must be positive"):
             read_image(path)
 
     def test_writer_rejects_float_data(self, tmp_path):
@@ -175,4 +190,42 @@ class TestModelFile:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:4]) + "\n")
         with pytest.raises(ParseError):
+            load_model(path)
+
+    def _saved_4x2(self, tmp_path, rng):
+        pair, _ = self._pair(rng, m=4)
+        bank = fit_cpcapp(pair, 2)
+        path = tmp_path / "model.txt"
+        save_model(path, bank, w=recover_w(pair, bank).w)
+        return path, path.read_text().splitlines()
+
+    @pytest.mark.parametrize("row, lineno", [(6, 7), (11, 12)])  # second F row, second W row
+    def test_ragged_block_row_names_its_line(self, tmp_path, rng, row, lineno):
+        path, lines = self._saved_4x2(tmp_path, rng)
+        assert lines[9] == "W"
+        lines[row] = lines[row].split(",")[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f":{lineno}: row has 1 cells, expected 2"):
+            load_model(path)
+
+    def test_non_ascii_byte_is_parse_error(self, tmp_path, rng):
+        path, lines = self._saved_4x2(tmp_path, rng)
+        path.write_bytes(path.read_bytes().replace(b"cpca++", b"cpca\xe9"))
+        with pytest.raises(ParseError, match="not an ASCII text file"):
+            load_model(path)
+
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_rejects_non_positive_feature_count(self, tmp_path, rng, m):
+        path, lines = self._saved_4x2(tmp_path, rng)
+        head = lines[1].split()
+        lines[1] = " ".join([head[0], m] + head[2:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=":2: bad header line"):
+            load_model(path)
+
+    def test_broken_filter_bank_invariant_is_parse_error(self, tmp_path, rng):
+        path, lines = self._saved_4x2(tmp_path, rng)
+        lines[5] = "2," + lines[5].split(",")[1]  # column 1 loses its unit norm
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="unit norm"):
             load_model(path)
