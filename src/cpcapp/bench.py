@@ -58,8 +58,9 @@ def run_bench(spec: SyntheticSpec, methods=BENCH_METHODS, alphas=None, k: int = 
               repeats: int = TIMING_REPEATS) -> BenchReport:
     """Fit each method on identical inputs; report times and eig counts.
 
-    Each fit is repeated and the minimum wall-clock kept, which suppresses
-    scheduler noise at microsecond scales.
+    The methods' repeats are interleaved round-robin and the minimum
+    wall-clock of each kept, so scheduler noise at microsecond scales and
+    bursts of machine load fall on every method alike.
     """
     for method in methods:
         if method not in BENCH_METHODS:
@@ -75,18 +76,15 @@ def run_bench(spec: SyntheticSpec, methods=BENCH_METHODS, alphas=None, k: int = 
         "cpca": lambda: sweep_cpca(pair, k, alphas),
         "cpca++": lambda: fit_cpcapp(pair, k),
     }
-    seconds: dict[str, float] = {}
+    seconds = dict.fromkeys(methods, float("inf"))
     counts: dict[str, int] = {}
-    for method in methods:
-        fit = fits[method]
-        reset_eig_count()
-        best = float("inf")
-        for _ in range(max(1, repeats)):
+    for _ in range(max(1, repeats)):
+        for method in methods:
+            reset_eig_count()
             start = time.perf_counter()
-            fit()
-            best = min(best, time.perf_counter() - start)
-        counts[method] = eig_count() // max(1, repeats)
-        seconds[method] = max(best, 1e-12)
+            fits[method]()
+            seconds[method] = min(seconds[method], max(time.perf_counter() - start, 1e-12))
+            counts[method] = eig_count()
     speedup = None
     if "cpca" in seconds and "cpca++" in seconds:
         speedup = seconds["cpca"] / seconds["cpca++"]

@@ -17,8 +17,8 @@ from . import bench as bench_mod
 from . import csvio, netpbm
 from .datagen import SyntheticSpec, default_spec, gen_four_class, gen_haystack, \
     gen_spliced_image, gen_textured_digits, sample_haystack
-from .errors import CpcappError
-from .factorization import glrt_statistic, recover_w
+from .errors import CpcappError, ShapeError
+from .factorization import FactorModel, denoise, glrt_statistic, recover_w
 from .model_io import load_model, save_model
 from .reducers import default_alpha_grid, fit_cpca, fit_cpcapp, fit_pca, sweep_cpca, transform
 from .rng import SplitMix64
@@ -189,7 +189,7 @@ def _cmd_fit(args) -> int:
     else:
         grid = _parse_alpha_grid(args.alpha_grid or "default")
         banks = sweep_cpca(pair, args.k, grid)
-        stats = [glrt_statistic(pair, b.f) for b in banks]
+        stats = glrt_statistic(pair, np.stack([b.f for b in banks]))
         bank = banks[int(np.argmax(stats))]
     save_model(args.out, bank)
     return 0
@@ -218,15 +218,13 @@ def _cmd_denoise(args) -> int:
     image = netpbm.read_image(args.infile)
     if image.ndim != 2:
         raise CpcappError("denoise expects a grayscale image")
-    flat = image.astype(float).ravel()
-    if flat.shape[0] != bank.features:
-        raise CpcappError(
-            f"image has {flat.shape[0]} pixels but the model expects {bank.features}"
-        )
     k = args.k if args.k is not None else bank.k
     if not 1 <= k <= bank.k:
         raise UsageError(f"-k must be in [1, {bank.k}]")
-    recon = w[:, :k] @ (bank.f[:, :k].T @ (flat - bank.train_mean_fg))
+    flat = image.astype(float).ravel()
+    if flat.shape != bank.train_mean_fg.shape:  # before the subtraction can broadcast
+        raise ShapeError(f"image has {flat.size} pixels but the model expects {bank.features}")
+    recon = denoise(FactorModel(w[:, :k], bank.f[:, :k]), flat - bank.train_mean_fg)
     lo, hi = recon.min(), recon.max()
     scaled = (recon - lo) / (hi - lo) if hi > lo else np.zeros_like(recon)
     netpbm.write_image(args.out, np.round(255 * scaled).astype(np.uint8).reshape(image.shape))

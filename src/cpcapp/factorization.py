@@ -29,9 +29,8 @@ class FactorModel:
     break the pairing.
     """
 
-    w: np.ndarray            # (M, K) dictionary atoms as columns
-    f: np.ndarray            # (M, K)
-    lambda_diag: np.ndarray  # (K,)
+    w: np.ndarray  # (M, K) dictionary atoms as columns
+    f: np.ndarray  # (M, K)
 
     def __post_init__(self):
         if self.w.shape != self.f.shape:
@@ -40,8 +39,6 @@ class FactorModel:
         gram = self.f.T @ self.w
         if np.max(np.abs(gram - np.eye(k))) > BIORTHOGONALITY_ATOL:
             raise RankError("F^T W deviates from identity; basis recovery failed")
-        if np.any(self.lambda_diag <= 0):
-            raise DefinitenessError("scaling diagonal must be strictly positive")
 
 
 def recover_w(pair: CovariancePair, bank: FilterBank) -> FactorModel:
@@ -49,8 +46,7 @@ def recover_w(pair: CovariancePair, bank: FilterBank) -> FactorModel:
 
     Inverts the filter/basis relation as ``W = R_b F (F^T R_b F)^-1`` using
     the loaded background matrix, so the pairing ``F^T W = I`` holds exactly
-    in floating point. ``F^T R_b F`` is diagonal for filters produced by the
-    whitened eigenproblem; its diagonal is returned as the scaling.
+    in floating point.
     """
     if bank.features != pair.features:
         raise ShapeError(
@@ -61,7 +57,7 @@ def recover_w(pair: CovariancePair, bank: FilterBank) -> FactorModel:
     if np.linalg.cond(lam) > 1e12:
         raise RankError("F^T R_b F is numerically singular; reduce k or check the data")
     w = r_b @ bank.f @ np.linalg.inv(lam)
-    return FactorModel(w=w, f=bank.f, lambda_diag=np.diag(lam).copy())
+    return FactorModel(w=w, f=bank.f)
 
 
 def denoise(model: FactorModel, z) -> np.ndarray:
@@ -72,25 +68,30 @@ def denoise(model: FactorModel, z) -> np.ndarray:
     return model.w @ (model.f.T @ z)
 
 
-def glrt_statistic(pair: CovariancePair, w) -> float:
+def glrt_statistic(pair: CovariancePair, w) -> float | np.ndarray:
     """Determinant-ratio detection statistic for a candidate basis ``w``.
 
     Computes ``|W^T R_b^-1 W| / |W^T (N_f/N_b R_f + R_b)^-1 W|`` from the
     pair's second moments, with its loading applied to ``R_b``. Always >= 1
     up to rounding, and invariant to right-multiplying ``w`` by any
-    invertible K x K matrix.
+    invertible K x K matrix. ``w`` is one ``(M, K)`` basis (a float comes
+    back) or a stack ``(..., M, K)`` (statistics of shape ``(...)``); each of
+    the two matrices is solved once, against all the bases side by side.
     """
     w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != pair.features:
+    if w.ndim < 2 or w.shape[-2] != pair.features:
         raise ShapeError("basis rows must match the pair's feature count")
-    if np.linalg.matrix_rank(w) < w.shape[1]:
+    if np.any(np.linalg.matrix_rank(w) < w.shape[-1]):
         raise RankError("candidate basis is rank deficient")
     r_b = diagonal_load(pair.r_b, pair.loading)
-    ratio = pair.n_f / pair.n_b
-    numer = w.T @ np.linalg.solve(r_b, w)
-    denom = w.T @ np.linalg.solve(ratio * pair.r_f + r_b, w)
-    sign_n, logdet_n = np.linalg.slogdet(numer)
-    sign_d, logdet_d = np.linalg.slogdet(denom)
-    if sign_n <= 0 or sign_d <= 0:
+    columns = np.moveaxis(w, -2, 0)  # (M, ..., K)
+
+    def projected(a):  # W^T a^-1 W for every basis, from one solve
+        solved = np.linalg.solve(a, columns.reshape(pair.features, -1))
+        return np.swapaxes(w, -1, -2) @ np.moveaxis(solved.reshape(columns.shape), 0, -2)
+
+    sign_n, logdet_n = np.linalg.slogdet(projected(r_b))
+    sign_d, logdet_d = np.linalg.slogdet(projected(pair.n_f / pair.n_b * pair.r_f + r_b))
+    if np.any(sign_n <= 0) or np.any(sign_d <= 0):
         raise DefinitenessError("projected covariances lost positive definiteness")
-    return float(np.exp(logdet_n - logdet_d))
+    return np.exp(logdet_n - logdet_d)

@@ -45,6 +45,8 @@ class FilterBank:
     alpha: float | None = None   # contrast parameter, cpca only
 
     def __post_init__(self):
+        # an owned copy: a bank cut from a full eigenvector matrix must not keep it alive
+        object.__setattr__(self, "f", np.array(self.f, dtype=float))
         if self.f.ndim != 2:
             raise ShapeError("filter matrix must be 2-D")
         m, k = self.f.shape

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,6 +50,15 @@ class TestFit:
                              "--alpha", "1.0", "--alpha-grid", "default",
                              "--out", str(tmp_path / "m.txt")])
         assert code == 1
+
+    def test_sweep_scores_grid_with_two_solves(self, tmp_path, four_class_csvs):
+        # one solve per matrix of the detection statistic, for the whole grid
+        fg, bg = four_class_csvs
+        with mock.patch("numpy.linalg.solve", wraps=np.linalg.solve) as solve:
+            code = cli_dispatch(["fit", "--fg", str(fg), "--bg", str(bg), "--method", "cpca",
+                                 "--alpha-grid", "0.1:10:5", "--out", str(tmp_path / "m.txt")])
+        assert code == 0
+        assert solve.call_count == 2
 
     def test_pca_needs_no_background(self, tmp_path, four_class_csvs):
         fg, _ = four_class_csvs
@@ -209,6 +219,36 @@ class TestDenoiseCommand:
                              "--in", str(tmp_path / "digit.pgm"),
                              "--out", str(out), "-k", "3"]) == 0
         assert out.exists()
+
+    @pytest.fixture
+    def digits_model(self, tmp_path):
+        assert cli_dispatch(["generate", "textured-digits", "--seed", "2",
+                             "--out", str(tmp_path), "--n-fg", "60", "--n-bg", "60"]) == 0
+        model = tmp_path / "model.txt"
+        assert cli_dispatch(["fit", "--fg", str(tmp_path / "fg.csv"),
+                             "--bg", str(tmp_path / "bg.csv"),
+                             "--method", "cpca++", "-k", "3", "--out", str(model)]) == 0
+        return model
+
+    def test_denoise_rejects_basis_that_does_not_pair_with_filters(self, tmp_path, digits_model):
+        from cpcapp import load_model, save_model
+
+        bank, w = load_model(digits_model)
+        w[:, 1] *= 2.0
+        save_model(digits_model, bank, w=w)
+        write_image(tmp_path / "digit.pgm", np.full((28, 28), 128, dtype=np.uint8))
+        code = cli_dispatch(["denoise", "--model", str(digits_model),
+                             "--in", str(tmp_path / "digit.pgm"),
+                             "--out", str(tmp_path / "o.pgm")])
+        assert code == 2
+
+    @pytest.mark.parametrize("side", [1, 10])  # one pixel would broadcast over the mean
+    def test_denoise_rejects_wrong_size_image(self, tmp_path, digits_model, side):
+        write_image(tmp_path / "small.pgm", np.full((side, side), 128, dtype=np.uint8))
+        code = cli_dispatch(["denoise", "--model", str(digits_model),
+                             "--in", str(tmp_path / "small.pgm"),
+                             "--out", str(tmp_path / "o.pgm")])
+        assert code == 2
 
     def test_denoise_requires_basis_block(self, tmp_path):
         assert cli_dispatch(["generate", "textured-digits", "--seed", "2",

@@ -179,6 +179,59 @@ class TestQEig:
         assert eig_count() == 1
 
 
+def _sin_largest_angle(f1, f2):
+    """Sine of the largest principal angle between two column spans.
+
+    Taken from the projection residual rather than ``arccos`` of singular
+    values, which cannot resolve angles below about 1e-8.
+    """
+    q1, _ = np.linalg.qr(f1)
+    q2, _ = np.linalg.qr(f2)
+    return np.linalg.norm(q2 - q1 @ (q1.T @ q2), 2)
+
+
+class TestQEigAgainstScipy:
+    """``q_eig(r_b, r_f, k)`` against ``scipy.linalg.eigh(r_f, r_b)`` (LAPACK sygvd).
+
+    ``r_b`` has condition number 10^c for c = 0..10; ``r_f`` is a fixed-size
+    Wishart matrix (condition about 30). With A = r_f, B = r_b, both solvers are
+    backward stable: each returns the exact answer for A + dA, B + dB with
+    ||dA|| <= p(m) eps ||A||, ||dB|| <= p(m) eps ||B||, taking p(m) = m. The
+    tolerances are their first-order consequences, doubled because both
+    solvers err:
+
+    - eigenvalues (Weyl's inequality for the whitened pencil):
+      |l_i - l'_i| <= 2 m eps (||A|| + |l_i| ||B||) ||B^-1||;
+    - top-k subspace (LAPACK Users' Guide, section 4.10.1):
+      sin(theta_max) <= 2 m eps ||A|| ||B^-1|| kappa(B)^(1/2) / (l_k - l_{k+1}).
+    """
+
+    M, K = 40, 4
+
+    @pytest.mark.parametrize("log_kappa", range(11))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_top_k_agree_within_conditioning_bounds(self, log_kappa, seed):
+        m, k = self.M, self.K
+        gen = np.random.default_rng([log_kappa, seed])
+        q, _ = np.linalg.qr(gen.standard_normal((m, m)))
+        r_b = (q * np.logspace(0, -log_kappa, m)) @ q.T
+        r_b = (r_b + r_b.T) / 2
+        g = gen.standard_normal((m, 2 * m))
+        r_f = g @ g.T / (2 * m)
+        res = q_eig(r_b, r_f, k)
+        values, vectors = scipy.linalg.eigh(r_f, r_b)
+        values, vectors = values[::-1], vectors[:, ::-1]
+
+        eps = np.finfo(float).eps
+        a_norm, b_norm = np.linalg.norm(r_f, 2), np.linalg.norm(r_b, 2)
+        b_inv_norm = np.linalg.norm(np.linalg.inv(r_b), 2)
+        value_tol = 2 * m * eps * (a_norm + values[:k] * b_norm) * b_inv_norm
+        assert np.all(np.abs(res.values - values[:k]) <= value_tol)
+        angle_tol = (2 * m * eps * a_norm * b_inv_norm * np.sqrt(b_norm * b_inv_norm)
+                     / (values[k - 1] - values[k]))
+        assert _sin_largest_angle(res.vectors, vectors[:, :k]) <= angle_tol
+
+
 class TestEigenResultValidation:
     def test_rejects_count_mismatch(self):
         from cpcapp import EigenResult

@@ -1,5 +1,7 @@
 """Fit/transform behavior across the three methods."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,22 @@ class TestSweep:
         pair, _, _ = analytic_pair()
         with pytest.raises(ArgumentError):
             sweep_cpca(pair, 1, [])
+
+    def test_banks_keep_no_eigenvector_matrix_alive(self, rng):
+        # each fit_cpca decomposes an M x M matrix; its banks must keep only
+        # their own M x k filters, not views into the M x M eigenvectors
+        m, k = 300, 2
+        pair = build_covariance_pair(DataMatrix(values=rng.standard_normal((m, 400))),
+                                     DataMatrix(values=rng.standard_normal((m, 400))))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            banks = sweep_cpca(pair, k, np.linspace(0.1, 10.0, 10))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(banks) == 10
+        assert kept < m * m * 8  # views would keep 10 * m * m * 8 bytes
 
 
 class TestFitCpcapp:
@@ -295,6 +313,14 @@ class TestFilterBankValidation:
         args["eigenvalues"] = np.array([1.0, 2.0])
         with pytest.raises(ArgumentError):
             FilterBank(method="pca", f=np.eye(3)[:, :2], **args)
+
+    def test_owns_a_copy_of_its_filters(self):
+        from cpcapp import FilterBank
+
+        vectors = np.eye(3)
+        bank = FilterBank(method="pca", f=vectors[:, :2], **self._args())
+        assert not np.shares_memory(bank.f, vectors)
+        np.testing.assert_array_equal(bank.f, vectors[:, :2])
 
     def test_alpha_only_for_contrastive(self):
         from cpcapp import FilterBank
