@@ -30,7 +30,6 @@ from .errors import (
     ParseError,
     RankError,
     ShapeError,
-    StateError,
 )
 from .factorization import FactorModel, denoise, glrt_statistic, recover_w
 from .linalg import (
@@ -69,6 +68,6 @@ from .splicing import (
     reconstruct_map,
     score_patches,
 )
-from .stats import CovariancePair, DataMatrix, build_covariance_pair, center, second_moment
+from .stats import CovariancePair, DataMatrix, Moments, build_covariance_pair, second_moment
 
 __version__ = "0.1.0"

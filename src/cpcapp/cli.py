@@ -25,7 +25,7 @@ from .rng import SplitMix64
 from .splicing import BG_EDGE_MIN, FG_SPLICE_RANGE, PATCH_SIZE, PATCH_STRIDE, \
     SCORE_THRESHOLD, SPLICE_K, ProbabilityMap, binarize_and_score, edge_mask, \
     extract_patches, f1_score, label_patches, mcc_score, reconstruct_map, score_patches
-from .stats import DataMatrix, build_covariance_pair
+from .stats import DataMatrix, Moments, build_covariance_pair, second_moment
 
 
 class UsageError(Exception):
@@ -242,12 +242,20 @@ def _cmd_localize(args) -> int:
     return 0
 
 
+def _pool(acc: Moments | None, columns: np.ndarray) -> Moments | None:
+    """``acc`` merged with the moments of ``columns`` (patches as columns), if any."""
+    if not columns.shape[1]:
+        return acc
+    batch = second_moment(DataMatrix(values=columns))
+    return batch if acc is None else acc.merge(batch)
+
+
 def _cmd_train_splice(args) -> int:
     train_dir = Path(args.train_dir)
     probes = sorted(train_dir.glob("probe_*.ppm"))
     if not probes:
         raise CpcappError(f"{train_dir}: no probe_*.ppm files found")
-    fg_cols, bg_cols = [], []
+    fg = bg = None  # moments pooled in sorted probe order
     for probe_path in probes:
         mask_path = train_dir / probe_path.name.replace("probe_", "surface_").replace(".ppm", ".pgm")
         if not mask_path.exists():
@@ -259,14 +267,13 @@ def _cmd_train_splice(args) -> int:
         fg_idx, bg_idx = label_patches(
             grid, surface, edge, fg_range=(args.fg_lo, args.fg_hi), bg_edge_min=args.bg_edge_min
         )
-        if fg_idx.size:
-            fg_cols.append(grid.patches.values[:, fg_idx])
-        if bg_idx.size:
-            bg_cols.append(grid.patches.values[:, bg_idx])
-    if not fg_cols or not bg_cols:
+        try:
+            fg = _pool(fg, grid.patches.values[:, fg_idx])
+            bg = _pool(bg, grid.patches.values[:, bg_idx])
+        except ShapeError as exc:
+            raise ShapeError(f"{probe_path}: {exc}") from exc
+    if fg is None or bg is None:
         raise CpcappError("training images produced no labeled patches; relax the thresholds")
-    fg = DataMatrix(values=np.concatenate(fg_cols, axis=1))
-    bg = DataMatrix(values=np.concatenate(bg_cols, axis=1))
     pair = build_covariance_pair(bg, fg)
     bank = fit_cpcapp(pair, args.k)
     save_model(args.out, bank, w=recover_w(pair, bank).w)

@@ -13,10 +13,6 @@ class ArgumentError(CpcappError, ValueError):
     """A scalar or structural argument is out of its allowed range."""
 
 
-class StateError(CpcappError, RuntimeError):
-    """An object is in the wrong state for the requested operation."""
-
-
 class DefinitenessError(CpcappError, ValueError):
     """A matrix required to be positive definite is not."""
 

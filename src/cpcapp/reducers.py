@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ArgumentError, DefinitenessError, ShapeError
 from .linalg import diagonal_load, q_eig, sym_eig
-from .stats import CovariancePair, DataMatrix, center, second_moment
+from .stats import CovariancePair, DataMatrix, second_moment
 
 METHODS = ("pca", "cpca", "cpca++")
 
@@ -90,13 +90,13 @@ def fit_pca(data: DataMatrix, k: int) -> FilterBank:
     _check_k(k, data.features)
     if data.samples < 2:
         raise ArgumentError("PCA needs at least two samples")
-    centered = center(data)
-    res = sym_eig(second_moment(centered))
+    moments = second_moment(data)
+    res = sym_eig(moments.covariance())
     return FilterBank(
         method="pca",
         f=res.vectors[:, :k],
-        train_mean_bg=centered.mean,
-        train_mean_fg=centered.mean,
+        train_mean_bg=moments.mean,
+        train_mean_fg=moments.mean,
         eigenvalues=res.values[:k],
         loading=0.0,
     )
@@ -165,10 +165,5 @@ def transform(bank: FilterBank, data: DataMatrix, use_train_mean: bool = False) 
         raise ShapeError(
             f"data has {data.features} features but bank expects {bank.features}"
         )
-    if data.centered:
-        values = data.values
-    elif use_train_mean:
-        values = data.values - bank.train_mean_fg[:, None]
-    else:
-        values = center(data).values
-    return Projection(y=bank.f.T @ values)
+    mean = bank.train_mean_fg if use_train_mean else data.values.mean(axis=1)
+    return Projection(y=bank.f.T @ (data.values - mean[:, None]))

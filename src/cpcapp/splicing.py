@@ -155,7 +155,7 @@ def extract_patches(image, n: int, stride: int) -> PatchGrid:
     if stride < 1:
         raise ArgumentError(f"stride must be positive, got {stride}")
     windows = _windows(image, n, stride)                   # (rows, cols, c, n, n)
-    # one copy into C order: center() takes row means, whose bits follow the layout
+    # one copy into C order: second_moment takes row means, whose bits follow the layout
     columns = np.ascontiguousarray(np.moveaxis(windows, (0, 1), (3, 4)))
     return PatchGrid(
         image_w=width,

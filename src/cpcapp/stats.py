@@ -3,6 +3,9 @@
 Data is kept feature-major: an ``(M, N)`` array holds N samples as columns.
 Covariances are normalized by 1/N (not 1/(N-1)); users expecting unbiased
 estimates should account for the difference.
+
+Each batch is reduced to :class:`Moments` (count, mean, scatter); merging
+them pools the batches, so a training set streams through in O(M^2) memory.
 """
 
 from __future__ import annotations
@@ -11,15 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError, StateError
+from .errors import ArgumentError, ShapeError
 from .linalg import auto_loading
-
-# Per-feature residual-sum slack accepted when validating a centered matrix:
-# N * max(atol, rtol * scale), scale being the feature's |mean| + max |value|.
-# Centering leaves sums of about N * eps * scale, so the relative term admits
-# large-magnitude data while unit-scale data still meets the absolute floor.
-CENTERING_ATOL_PER_SAMPLE = 1e-9
-CENTERING_RTOL_PER_SAMPLE = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,8 +23,6 @@ class DataMatrix:
     """A collection of N samples in M dimensions, one sample per column."""
 
     values: np.ndarray               # (M, N) float64
-    centered: bool = False
-    mean: np.ndarray | None = None   # (M,), present iff centered
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -39,21 +33,6 @@ class DataMatrix:
             raise ArgumentError("sample matrix needs at least one sample")
         if not np.all(np.isfinite(values)):
             raise ArgumentError("sample matrix contains non-finite entries")
-        if self.centered:
-            if self.mean is None:
-                raise ArgumentError("centered matrix must carry its subtracted mean")
-            mean = np.asarray(self.mean, dtype=float)
-            object.__setattr__(self, "mean", mean)
-            if mean.shape != (values.shape[0],):
-                raise ShapeError(f"mean shape {mean.shape} does not match {values.shape[0]} features")
-            # max |value| from two reductions: np.abs would copy the whole matrix
-            scale = np.abs(mean) + np.maximum(values.max(axis=1), -values.min(axis=1))
-            slack = values.shape[1] * np.maximum(CENTERING_ATOL_PER_SAMPLE,
-                                                 CENTERING_RTOL_PER_SAMPLE * scale)
-            if np.any(np.abs(values.sum(axis=1)) > slack):
-                raise ArgumentError("matrix flagged centered but feature sums are not zero")
-        elif self.mean is not None:
-            raise ArgumentError("uncentered matrix must not carry a mean")
 
     @property
     def features(self) -> int:
@@ -62,6 +41,45 @@ class DataMatrix:
     @property
     def samples(self) -> int:
         return self.values.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class Moments:
+    """Count, mean and scatter ``sum (x - mean)(x - mean)^T`` of a sample set."""
+
+    n: int
+    mean: np.ndarray      # (M,)
+    scatter: np.ndarray   # (M, M)
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.scatter)):
+            raise ArgumentError("second moment overflows float64; rescale the data")
+
+    @property
+    def features(self) -> int:
+        return self.mean.shape[0]
+
+    def merge(self, other: Moments) -> Moments:
+        """Moments of both sample sets, ``self``'s first.
+
+        The pairwise update of Chan, Golub & LeVeque (1979): with
+        ``d = other.mean - self.mean``, the pooled scatter is the sum of the
+        two plus ``d d^T * n_a n_b / n``. Each part stays centered on its own
+        mean, so no large offset is ever squared.
+        """
+        if other.features != self.features:
+            raise ShapeError(f"cannot merge moments of {other.features} features "
+                             f"into moments of {self.features}")
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        return Moments(n=n, mean=self.mean + delta * (other.n / n),
+                       scatter=self.scatter + other.scatter
+                       + np.outer(delta, delta * (self.n * other.n / n)))
+
+    def covariance(self) -> np.ndarray:
+        """``scatter / n``, symmetrized; symmetric PSD."""
+        r = self.scatter / self.n
+        return (r + r.T) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,45 +112,26 @@ class CovariancePair:
         return self.r_b.shape[0]
 
 
-def center(raw: DataMatrix) -> DataMatrix:
-    """Subtract the per-feature mean; a no-op on already-centered input."""
-    if raw.centered:
-        return raw
-    mean = raw.values.mean(axis=1)
-    return DataMatrix(values=raw.values - mean[:, None], centered=True, mean=mean)
+def second_moment(data: DataMatrix) -> Moments:
+    """Moments of one batch: its row mean, then ``Z Z^T`` of ``Z = data - mean``."""
+    mean = data.values.mean(axis=1)
+    z = data.values - mean[:, None]
+    return Moments(n=data.samples, mean=mean, scatter=z @ z.T)
 
 
-def second_moment(z: DataMatrix) -> np.ndarray:
-    """``(1/N) Z Z^T`` of a centered sample matrix; symmetric PSD."""
-    if not z.centered:
-        raise StateError("second_moment requires a centered matrix; call center() first")
-    r = (z.values @ z.values.T) / z.samples
-    if not np.all(np.isfinite(r)):
-        raise ArgumentError("second moment overflows float64; rescale the data")
-    return (r + r.T) / 2.0
+def build_covariance_pair(bg: DataMatrix | Moments, fg: DataMatrix | Moments) -> CovariancePair:
+    """Form both partitions' covariances and pick the loading.
 
-
-def build_covariance_pair(bg: DataMatrix, fg: DataMatrix) -> CovariancePair:
-    """Center both partitions, form their second moments, pick the loading.
-
+    Either partition may be a sample matrix or moments pooled beforehand.
     The loading factor keeps the background matrix invertible when it is
     rank deficient (fewer background samples than features, say); it is
     recorded on the pair rather than folded into ``r_b``.
     """
+    bg, fg = (x if isinstance(x, Moments) else second_moment(x) for x in (bg, fg))
     if bg.features != fg.features:
         raise ShapeError(
             f"background has {bg.features} features but foreground has {fg.features}"
         )
-    bg_c = center(bg)
-    fg_c = center(fg)
-    r_b = second_moment(bg_c)
-    r_f = second_moment(fg_c)
-    return CovariancePair(
-        r_b=r_b,
-        r_f=r_f,
-        loading=auto_loading(r_b),
-        n_b=bg_c.samples,
-        n_f=fg_c.samples,
-        mean_b=bg_c.mean,
-        mean_f=fg_c.mean,
-    )
+    r_b = bg.covariance()
+    return CovariancePair(r_b=r_b, r_f=fg.covariance(), loading=auto_loading(r_b),
+                          n_b=bg.n, n_f=fg.n, mean_b=bg.mean, mean_f=fg.mean)

@@ -19,8 +19,13 @@ def random_psd(rng, m, rank=None):
 
 
 def principal_angles(f1, f2):
-    """Angles between the column spans of two (possibly non-orthonormal) bases."""
+    """Sines of the principal angles between two column spans (equal-dimension bases).
+
+    Taken from the projection residual ``Q2 - Q1 Q1^T Q2``, whose singular
+    values are the sines; ``arccos`` of the singular values of ``Q1^T Q2``
+    cannot resolve angles below about 1e-8 rad. The largest is the residual's
+    2-norm, and equals its angle to first order.
+    """
     q1, _ = np.linalg.qr(f1)
     q2, _ = np.linalg.qr(f2)
-    sv = np.linalg.svd(q1.T @ q2, compute_uv=False)
-    return np.arccos(np.clip(sv, -1.0, 1.0))
+    return np.linalg.svd(q2 - q1 @ (q1.T @ q2), compute_uv=False)

@@ -1,12 +1,14 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
+import shutil
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from cpcapp import write_csv, write_image
+from cpcapp import read_image, write_csv, write_image
 from cpcapp.cli import cli_dispatch
 
 
@@ -172,6 +174,40 @@ class TestSplicePipeline:
         out = capfd.readouterr().out
         assert code == 0
         assert out.startswith("F1=") and "MCC=" in out
+
+    def test_train_rejects_grey_probe_among_colour_probes(self, tmp_path, capfd):
+        data = tmp_path / "imgs"
+        assert cli_dispatch(["generate", "spliced-image", "--seed", "5",
+                             "--count", "3", "--out", str(data)]) == 0
+        grey = read_image(data / "probe_001.ppm")[:, :, 1]  # same scene, one channel
+        write_image(data / "probe_001.ppm", grey)
+        code = cli_dispatch(["train-splice", "--train-dir", str(data),
+                             "--out", str(tmp_path / "model.txt")])
+        err = capfd.readouterr().err
+        assert code == 2
+        assert "probe_001.ppm" in err and "features" in err
+
+    def test_train_memory_does_not_grow_with_images(self, tmp_path):
+        # moments are pooled per probe, so peak traced memory is set by one
+        # image and the M x M fit, not by the number of training images
+        every = tmp_path / "every"
+        assert cli_dispatch(["generate", "spliced-image", "--seed", "3",
+                             "--count", "32", "--out", str(every)]) == 0
+        few = tmp_path / "few"
+        few.mkdir()
+        for i in range(8):
+            for name in (f"probe_{i:03d}.ppm", f"surface_{i:03d}.pgm"):
+                shutil.copy(every / name, few / name)
+        peaks = []
+        for train_dir in (few, every):
+            tracemalloc.start()
+            try:
+                assert cli_dispatch(["train-splice", "--train-dir", str(train_dir),
+                                     "--out", str(tmp_path / "model.txt")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], peaks
 
     def test_generate_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -11,7 +11,6 @@ from cpcapp import (
     RankError,
     SyntheticSpec,
     build_covariance_pair,
-    center,
     denoise,
     fit_cpcapp,
     gen_haystack,
@@ -107,14 +106,14 @@ class TestDenoise:
 
 class TestGlrt:
     def test_identical_partitions_give_power_of_two(self, rng):
-        z = center(DataMatrix(values=rng.standard_normal((5, 60))))
+        z = DataMatrix(values=rng.standard_normal((5, 60)))
         w = rng.standard_normal((5, 3))
         stat = glrt_statistic(build_covariance_pair(z, z), w)
         assert stat == pytest.approx(2.0**3, rel=1e-6)
 
     def test_zero_foreground_gives_one(self, rng):
-        z_b = center(DataMatrix(values=rng.standard_normal((4, 50))))
-        z_f = DataMatrix(values=np.zeros((4, 30)), centered=True, mean=np.zeros(4))
+        z_b = DataMatrix(values=rng.standard_normal((4, 50)))
+        z_f = DataMatrix(values=np.zeros((4, 30)))
         stat = glrt_statistic(build_covariance_pair(z_b, z_f), rng.standard_normal((4, 2)))
         assert stat == pytest.approx(1.0, rel=1e-9)
 
@@ -129,8 +128,8 @@ class TestGlrt:
         assert best >= max(randoms)
 
     def test_invariant_to_right_multiplication(self, rng):
-        z_f = center(DataMatrix(values=rng.standard_normal((6, 70))))
-        z_b = center(DataMatrix(values=rng.standard_normal((6, 80))))
+        z_f = DataMatrix(values=rng.standard_normal((6, 70)))
+        z_b = DataMatrix(values=rng.standard_normal((6, 80)))
         w = rng.standard_normal((6, 3))
         t = random_spd(rng, 3, jitter=0.1)  # invertible
         pair = build_covariance_pair(z_b, z_f)
@@ -141,13 +140,13 @@ class TestGlrt:
     def test_at_least_one(self, rng):
         for seed in range(5):
             gen = np.random.default_rng(seed)
-            z_f = center(DataMatrix(values=gen.standard_normal((5, 40))))
-            z_b = center(DataMatrix(values=gen.standard_normal((5, 45))))
+            z_f = DataMatrix(values=gen.standard_normal((5, 40)))
+            z_b = DataMatrix(values=gen.standard_normal((5, 45)))
             stat = glrt_statistic(build_covariance_pair(z_b, z_f), gen.standard_normal((5, 2)))
             assert stat >= 1.0 - 1e-9
 
     def test_rejects_rank_deficient_basis(self, rng):
-        z = center(DataMatrix(values=rng.standard_normal((4, 30))))
+        z = DataMatrix(values=rng.standard_normal((4, 30)))
         w = np.zeros((4, 2))
         w[:, 0] = w[:, 1] = 1.0
         with pytest.raises(RankError):

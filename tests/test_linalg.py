@@ -16,7 +16,7 @@ from cpcapp import (
     sym_eig,
 )
 
-from conftest import random_psd, random_spd
+from conftest import principal_angles, random_psd, random_spd
 
 
 class TestSymEig:
@@ -179,17 +179,6 @@ class TestQEig:
         assert eig_count() == 1
 
 
-def _sin_largest_angle(f1, f2):
-    """Sine of the largest principal angle between two column spans.
-
-    Taken from the projection residual rather than ``arccos`` of singular
-    values, which cannot resolve angles below about 1e-8.
-    """
-    q1, _ = np.linalg.qr(f1)
-    q2, _ = np.linalg.qr(f2)
-    return np.linalg.norm(q2 - q1 @ (q1.T @ q2), 2)
-
-
 class TestQEigAgainstScipy:
     """``q_eig(r_b, r_f, k)`` against ``scipy.linalg.eigh(r_f, r_b)`` (LAPACK sygvd).
 
@@ -229,7 +218,7 @@ class TestQEigAgainstScipy:
         assert np.all(np.abs(res.values - values[:k]) <= value_tol)
         angle_tol = (2 * m * eps * a_norm * b_inv_norm * np.sqrt(b_norm * b_inv_norm)
                      / (values[k - 1] - values[k]))
-        assert _sin_largest_angle(res.vectors, vectors[:, :k]) <= angle_tol
+        assert principal_angles(res.vectors, vectors[:, :k]).max() <= angle_tol
 
 
 class TestEigenResultValidation:

@@ -243,8 +243,7 @@ class TestTransform:
         bank = FilterBank(method="pca", f=np.array([[1.0], [0.0]]),
                           train_mean_bg=np.zeros(2), train_mean_fg=np.zeros(2),
                           eigenvalues=np.array([1.0]), loading=0.0)
-        data = DataMatrix(values=np.array([[2.0, -2.0], [5.0, -5.0]]), centered=True,
-                          mean=np.zeros(2))
+        data = DataMatrix(values=np.array([[2.0, -2.0], [5.0, -5.0]]))
         proj = transform(bank, data)
         np.testing.assert_array_equal(proj.y, [[2.0, -2.0]])
 
