@@ -11,10 +11,8 @@ from .bench import BenchReport, run_bench
 from .csvio import CsvTable, read_csv, read_csv_table, write_csv
 from .datagen import (
     LabeledDataset,
-    SyntheticSpec,
     analytic_four_class_covariances,
     analytic_four_class_q,
-    default_spec,
     gen_four_class,
     gen_haystack,
     gen_spliced_image,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import SyntheticSpec, gen_four_class, gen_textured_digits, sample_haystack
+from .datagen import gen_four_class, gen_textured_digits, sample_haystack
 from .errors import ArgumentError
 from .linalg import eig_count, reset_eig_count
 from .reducers import default_alpha_grid, fit_cpcapp, fit_pca, sweep_cpca
@@ -42,20 +42,20 @@ class BenchReport:
         return "\n".join(lines)
 
 
-def _bench_data(spec: SyntheticSpec):
-    if spec.kind == "four-class":
-        fg, bg = gen_four_class(spec)
+def _bench_data(kind: str, seed: int, n_fg: int, n_bg: int):
+    if kind == "four-class":
+        fg, bg = gen_four_class(seed, n_fg, n_bg)
         return fg.data, bg
-    if spec.kind == "textured-digits":
-        fg, bg, _ = gen_textured_digits(spec)
+    if kind == "textured-digits":
+        fg, bg, _ = gen_textured_digits(seed, n_fg, n_bg)
         return fg.data, bg
-    if spec.kind == "haystack":
-        return sample_haystack(spec)
-    raise ArgumentError(f"cannot benchmark dataset kind {spec.kind!r}")
+    if kind == "haystack":
+        return sample_haystack(seed, n_fg, n_bg)
+    raise ArgumentError(f"cannot benchmark dataset kind {kind!r}")
 
 
-def run_bench(spec: SyntheticSpec, methods=BENCH_METHODS, alphas=None, k: int = 2,
-              repeats: int = TIMING_REPEATS) -> BenchReport:
+def run_bench(kind: str, seed: int, n_fg: int, n_bg: int, methods=BENCH_METHODS, alphas=None,
+              k: int = 2, repeats: int = TIMING_REPEATS) -> BenchReport:
     """Fit each method on identical inputs; report times and eig counts.
 
     The methods' repeats are interleaved round-robin and the minimum
@@ -68,7 +68,7 @@ def run_bench(spec: SyntheticSpec, methods=BENCH_METHODS, alphas=None, k: int = 
     if alphas is None:
         alphas = default_alpha_grid()
     alphas = np.asarray(list(alphas), dtype=float)
-    fg_data, bg_data = _bench_data(spec)
+    fg_data, bg_data = _bench_data(kind, seed, n_fg, n_bg)
     pair = build_covariance_pair(bg_data, fg_data)
 
     fits = {
@@ -88,5 +88,5 @@ def run_bench(spec: SyntheticSpec, methods=BENCH_METHODS, alphas=None, k: int = 
     speedup = None
     if "cpca" in seconds and "cpca++" in seconds:
         speedup = seconds["cpca"] / seconds["cpca++"]
-    descriptor = f"{spec.kind} seed={spec.seed} n_fg={spec.n_fg} n_bg={spec.n_bg} k={k} alphas={len(alphas)}"
+    descriptor = f"{kind} seed={seed} n_fg={n_fg} n_bg={n_bg} k={k} alphas={len(alphas)}"
     return BenchReport(dataset=descriptor, seconds=seconds, eig_counts=counts, speedup=speedup)

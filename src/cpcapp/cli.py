@@ -8,6 +8,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -15,9 +16,9 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import csvio, netpbm
-from .datagen import SyntheticSpec, default_spec, gen_four_class, gen_haystack, \
-    gen_spliced_image, gen_textured_digits, sample_haystack
-from .errors import CpcappError, ShapeError
+from .datagen import TABLE_COUNTS, gen_four_class, gen_haystack, gen_spliced_image, \
+    gen_textured_digits, sample_haystack
+from .errors import ArgumentError, CpcappError, ShapeError
 from .factorization import FactorModel, denoise, glrt_statistic, recover_w
 from .model_io import load_model, save_model
 from .reducers import default_alpha_grid, fit_cpca, fit_cpcapp, fit_pca, sweep_cpca, transform
@@ -57,7 +58,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset")
-    gen.add_argument("kind", choices=["four-class", "haystack", "textured-digits", "spliced-image"])
+    gen.add_argument("kind", choices=[*TABLE_COUNTS, "spliced-image"])
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
     gen.add_argument("--n-fg", type=int, default=None)
@@ -95,7 +96,6 @@ def _build_parser() -> _Parser:
     loc.add_argument("--model", required=True)
     loc.add_argument("--image", required=True)
     loc.add_argument("--out", required=True)
-    loc.add_argument("--n", type=int, default=PATCH_SIZE)
     loc.add_argument("--stride", type=int, default=PATCH_STRIDE)
 
     trs = sub.add_parser("train-splice", help="fit a localization model from probe/mask pairs")
@@ -114,8 +114,7 @@ def _build_parser() -> _Parser:
     eva.add_argument("--threshold", type=float, default=SCORE_THRESHOLD)
 
     ben = sub.add_parser("bench", help="compare fit times across methods")
-    ben.add_argument("--kind", default="four-class",
-                     choices=["four-class", "haystack", "textured-digits"])
+    ben.add_argument("--kind", default="four-class", choices=list(TABLE_COUNTS))
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--n-fg", type=int, default=None)
     ben.add_argument("--n-bg", type=int, default=None)
@@ -125,33 +124,34 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _spec_for(args, kind: str) -> SyntheticSpec:
-    spec = default_spec(kind, args.seed)
-    n_fg = args.n_fg if args.n_fg is not None else spec.n_fg
-    n_bg = args.n_bg if args.n_bg is not None else spec.n_bg
-    return SyntheticSpec(kind=kind, seed=args.seed, n_fg=n_fg, n_bg=n_bg)
+def _counts(args, kind: str) -> tuple[int, int]:
+    """``(n_fg, n_bg)``: the flags where given, else the kind's standard counts."""
+    n_fg, n_bg = TABLE_COUNTS[kind]
+    return (args.n_fg if args.n_fg is not None else n_fg,
+            args.n_bg if args.n_bg is not None else n_bg)
 
 
 def _cmd_generate(args) -> int:
+    kind = args.kind
+    if kind == "spliced-image" and args.count < 1:
+        raise ArgumentError(f"--count must be at least 1, got {args.count}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    kind = args.kind
     if kind == "four-class":
-        fg, bg = gen_four_class(_spec_for(args, kind))
+        fg, bg = gen_four_class(args.seed, *_counts(args, kind))
         csvio.write_csv(out / "fg.csv", fg.data.values)
         csvio.write_csv(out / "bg.csv", bg.values)
         csvio.write_csv(out / "labels.csv", fg.labels[None, :].astype(float))
     elif kind == "haystack":
-        spec = _spec_for(args, kind)
-        r_b, r_f, c_dir, a_dir = gen_haystack(spec)
+        fg, bg = sample_haystack(args.seed, *_counts(args, kind))
+        r_b, r_f, c_dir, a_dir = gen_haystack()
         csvio.write_csv(out / "rb.csv", r_b)
         csvio.write_csv(out / "rf.csv", r_f)
         csvio.write_csv(out / "directions.csv", np.column_stack([c_dir, a_dir]).T)
-        fg, bg = sample_haystack(spec)
         csvio.write_csv(out / "fg.csv", fg.values)
         csvio.write_csv(out / "bg.csv", bg.values)
     elif kind == "textured-digits":
-        fg, bg, clean = gen_textured_digits(_spec_for(args, kind))
+        fg, bg, clean = gen_textured_digits(args.seed, *_counts(args, kind))
         csvio.write_csv(out / "fg.csv", fg.data.values)
         csvio.write_csv(out / "bg.csv", bg.values)
         csvio.write_csv(out / "clean.csv", clean.values)
@@ -159,9 +159,7 @@ def _cmd_generate(args) -> int:
     else:  # spliced-image
         seeds = SplitMix64(args.seed).spawn_seeds(args.count)
         for i, seed in enumerate(seeds):
-            spec = SyntheticSpec(kind=kind, seed=seed, n_fg=1, n_bg=1,
-                                 params={"width": args.width, "height": args.height})
-            probe, surface, edge = gen_spliced_image(spec)
+            probe, surface, edge = gen_spliced_image(seed, args.height, args.width)
             netpbm.write_image(out / f"probe_{i:03d}.ppm", probe)
             netpbm.write_image(out / f"surface_{i:03d}.pgm", surface)
             netpbm.write_image(out / f"edge_{i:03d}.pgm", edge)
@@ -234,8 +232,13 @@ def _cmd_denoise(args) -> int:
 def _cmd_localize(args) -> int:
     bank, _ = load_model(args.model)
     probe = netpbm.read_image(args.image)
+    channels = 1 if probe.ndim == 2 else probe.shape[2]
+    n = math.isqrt(bank.features // channels)  # the model's M is c*n^2
+    if channels * n * n != bank.features:
+        raise ShapeError(f"model has M={bank.features} features, which is not c*n^2 "
+                         f"for a probe of c={channels} channels")
     edge = edge_mask(probe)
-    grid = extract_patches(probe, args.n, args.stride)
+    grid = extract_patches(probe, n, args.stride)
     scores = score_patches(bank, grid.patches)
     prob_map = reconstruct_map(scores, grid, edge)
     netpbm.write_probability_map(args.out, prob_map.values)
@@ -291,8 +294,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bench(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    report = bench_mod.run_bench(_spec_for(args, args.kind), methods=methods,
-                                 alphas=_parse_alpha_grid(args.alpha_grid), k=args.k)
+    report = bench_mod.run_bench(args.kind, args.seed, *_counts(args, args.kind),
+                                 methods=methods, alphas=_parse_alpha_grid(args.alpha_grid),
+                                 k=args.k)
     print(report.format())
     return 0
 

@@ -1,21 +1,20 @@
 """Synthetic dataset generators and their closed-form oracles.
 
-Every generator is a pure function of ``(spec, seed)`` on the portable
+Every generator is a pure function of its seed and sizes on the portable
 SplitMix64 stream, so fixtures are identical across platforms. Draw order is
-part of each generator's contract and noted in its docstring.
+part of each generator's contract and noted in its docstring. The
+constructions are fixed: their scalars are the module constants below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError
 from .rng import SplitMix64
 from .stats import DataMatrix
-
-KINDS = ("four-class", "haystack", "textured-digits", "spliced-image")
 
 # Four-class geometry: three independent 10-dim blocks.
 BLOCK = 10
@@ -41,38 +40,30 @@ TEXTURE_PASSES = 3
 GLYPH_JITTER = 3.0
 STROKE_WIDTH = 1.2
 
+# Haystack: shared-direction variances (background gamma, foreground beta),
+# planted-direction variance eps, isotropic background noise rho, dimension.
+# They satisfy eps < beta, rho < gamma and beta*rho/gamma < eps, so the
+# planted direction leads the whitened problem but not plain PCA.
+HAYSTACK_GAMMA = 10.0
+HAYSTACK_BETA = 5.0
+HAYSTACK_EPS = 0.1
+HAYSTACK_RHO = 0.01
+HAYSTACK_DIM = 4
+
+# Bounds on the spliced-pixel fraction of a probe.
+SPLICE_AREA = (0.08, 0.20)
+
+# Standard (n_fg, n_bg) per sampled dataset kind.
 TABLE_COUNTS = {
     "four-class": (400, 400),
-    "textured-digits": (5000, 5000),
     "haystack": (400, 400),
-    "spliced-image": (1, 1),
+    "textured-digits": (5000, 5000),
 }
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """What to generate: kind, seed, sample counts, kind-specific scalars."""
-
-    kind: str
-    seed: int
-    n_fg: int
-    n_bg: int
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ArgumentError(f"unknown dataset kind {self.kind!r}")
-        if self.n_fg < 1 or self.n_bg < 1:
-            raise ArgumentError("sample counts must be at least 1")
-
-    def param(self, name: str, default):
-        return self.params.get(name, default)
-
-
-def default_spec(kind: str, seed: int, **params) -> SyntheticSpec:
-    """A spec with the standard sample counts for the kind."""
-    n_fg, n_bg = TABLE_COUNTS[kind]
-    return SyntheticSpec(kind=kind, seed=seed, n_fg=n_fg, n_bg=n_bg, params=params)
+def _check_counts(n_fg: int, n_bg: int) -> None:
+    if n_fg < 1 or n_bg < 1:
+        raise ArgumentError("sample counts must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +80,7 @@ class LabeledDataset:
 # Four-class mixture
 # ---------------------------------------------------------------------------
 
-def gen_four_class(spec: SyntheticSpec) -> tuple[LabeledDataset, DataMatrix]:
+def gen_four_class(seed: int, n_fg: int, n_bg: int) -> tuple[LabeledDataset, DataMatrix]:
     """Foreground mixture of four classes plus a structure-free background.
 
     Classes differ by mean offsets on blocks 1 and 2 (offsets 6 and 3); the
@@ -97,16 +88,14 @@ def gen_four_class(spec: SyntheticSpec) -> tuple[LabeledDataset, DataMatrix]:
     labels, then the (30, n_fg) foreground normals in C order, then the
     (30, n_bg) background normals.
     """
-    if spec.kind != "four-class":
-        raise ArgumentError(f"spec kind is {spec.kind!r}, expected 'four-class'")
-    rng = SplitMix64(spec.seed)
-    labels = rng.integers(spec.n_fg, 4)
-    fg = rng.normal((FOUR_CLASS_DIM, spec.n_fg))
-    h3_sd = np.sqrt(spec.param("fg_h3_var", FG_H3_VAR))
+    _check_counts(n_fg, n_bg)
+    rng = SplitMix64(seed)
+    labels = rng.integers(n_fg, 4)
+    fg = rng.normal((FOUR_CLASS_DIM, n_fg))
     fg[0:BLOCK] += MEAN_1 * (labels >= 2).astype(float)
     fg[BLOCK:2 * BLOCK] += MEAN_2 * (labels % 2 == 1).astype(float)
-    fg[2 * BLOCK:] *= h3_sd
-    bg = rng.normal((FOUR_CLASS_DIM, spec.n_bg))
+    fg[2 * BLOCK:] *= np.sqrt(FG_H3_VAR)
+    bg = rng.normal((FOUR_CLASS_DIM, n_bg))
     for i, var in enumerate(BG_VARS):
         bg[i * BLOCK:(i + 1) * BLOCK] *= np.sqrt(var)
     return LabeledDataset(data=DataMatrix(values=fg), labels=labels), DataMatrix(values=bg)
@@ -160,7 +149,7 @@ def analytic_four_class_q() -> np.ndarray:
 # Needle-in-a-haystack covariances
 # ---------------------------------------------------------------------------
 
-def gen_haystack(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def gen_haystack() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact rank-1-plus-noise covariances with planted directions.
 
     Returns ``(r_b, r_f, c, a)`` where ``a`` (first basis vector) carries the
@@ -168,50 +157,33 @@ def gen_haystack(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, np.ndarra
     foreground-only structure. No sampling happens here; the matrices are
     analytic.
     """
-    if spec.kind != "haystack":
-        raise ArgumentError(f"spec kind is {spec.kind!r}, expected 'haystack'")
-    gamma = spec.param("gamma", 10.0)
-    beta = spec.param("beta", 5.0)
-    eps = spec.param("eps", 0.1)
-    rho = spec.param("rho", 0.01)
-    m = int(spec.param("m", 4))
-    if min(gamma, beta, eps, rho) <= 0:
-        raise ArgumentError("all haystack scale parameters must be positive")
-    if m < 2:
-        raise ArgumentError("haystack needs at least 2 dimensions")
-    if not (eps < beta and rho < gamma and beta * rho / gamma < eps):
-        raise ArgumentError(
-            "haystack parameters must satisfy eps < beta, rho < gamma and beta*rho/gamma < eps"
-        )
+    m = HAYSTACK_DIM
     a = np.zeros(m)
     a[0] = 1.0
     c = np.zeros(m)
     c[1] = 1.0
-    r_b = gamma * np.outer(a, a) + rho * np.eye(m)
-    r_f = beta * np.outer(a, a) + eps * np.outer(c, c)
+    r_b = HAYSTACK_GAMMA * np.outer(a, a) + HAYSTACK_RHO * np.eye(m)
+    r_f = HAYSTACK_BETA * np.outer(a, a) + HAYSTACK_EPS * np.outer(c, c)
     return r_b, r_f, c, a
 
 
-def sample_haystack(spec: SyntheticSpec) -> tuple[DataMatrix, DataMatrix]:
+def sample_haystack(seed: int, n_fg: int, n_bg: int) -> tuple[DataMatrix, DataMatrix]:
     """Gaussian draws matching the haystack covariances.
 
     Draw order: the n_fg shared-direction weights, the n_fg planted-direction
     weights, then the n_bg background weights followed by the (m, n_bg)
     isotropic noise block.
     """
-    r_b, r_f, c, a = gen_haystack(spec)
-    gamma = spec.param("gamma", 10.0)
-    beta = spec.param("beta", 5.0)
-    eps = spec.param("eps", 0.1)
-    rho = spec.param("rho", 0.01)
-    m = a.shape[0]
-    rng = SplitMix64(spec.seed)
-    g_shared = rng.normal(spec.n_fg)
-    g_planted = rng.normal(spec.n_fg)
-    fg = np.sqrt(beta) * np.outer(a, g_shared) + np.sqrt(eps) * np.outer(c, g_planted)
-    g_bg = rng.normal(spec.n_bg)
-    noise = rng.normal((m, spec.n_bg))
-    bg = np.sqrt(gamma) * np.outer(a, g_bg) + np.sqrt(rho) * noise
+    _check_counts(n_fg, n_bg)
+    _, _, c, a = gen_haystack()
+    rng = SplitMix64(seed)
+    g_shared = rng.normal(n_fg)
+    g_planted = rng.normal(n_fg)
+    fg = (np.sqrt(HAYSTACK_BETA) * np.outer(a, g_shared)
+          + np.sqrt(HAYSTACK_EPS) * np.outer(c, g_planted))
+    g_bg = rng.normal(n_bg)
+    noise = rng.normal((HAYSTACK_DIM, n_bg))
+    bg = np.sqrt(HAYSTACK_GAMMA) * np.outer(a, g_bg) + np.sqrt(HAYSTACK_RHO) * noise
     return DataMatrix(values=fg), DataMatrix(values=bg)
 
 
@@ -241,19 +213,18 @@ def _smooth(field: np.ndarray, kernel: np.ndarray, axis: int, passes: int = 1) -
     return out
 
 
-def _texture_batch(rng: SplitMix64, count: int, side: int, std: float,
-                   passes_y: int, passes_x: int, floor: float = 0.0) -> np.ndarray:
-    """Smoothed noise fields normalized to a fixed per-image deviation."""
+def _texture_batch(rng: SplitMix64, count: int) -> np.ndarray:
+    """Smoothed digit-sized noise fields normalized to deviation TEXTURE_STD."""
+    side = DIGIT_SIDE
     fields = rng.normal((count, side, side))
-    fields = _smooth(fields, _BINOMIAL5, axis=1, passes=passes_y)
-    fields = _smooth(fields, _BINOMIAL5, axis=2, passes=passes_x)
-    if floor:
-        fields = fields + floor * rng.normal((count, side, side))
+    fields = _smooth(fields, _BINOMIAL5, axis=1, passes=TEXTURE_PASSES)
+    fields = _smooth(fields, _BINOMIAL5, axis=2, passes=TEXTURE_PASSES)
+    fields = fields + TEXTURE_FLOOR * rng.normal((count, side, side))
     flat = fields.reshape(count, -1)
     flat -= flat.mean(axis=1, keepdims=True)
     scale = flat.std(axis=1, keepdims=True)
     scale[scale == 0] = 1.0
-    return (flat * (std / scale)).reshape(count, side, side)
+    return (flat * (TEXTURE_STD / scale)).reshape(count, side, side)
 
 
 def _glyph_images(labels: np.ndarray, jitter: np.ndarray, side: int) -> np.ndarray:
@@ -280,7 +251,8 @@ def _glyph_images(labels: np.ndarray, jitter: np.ndarray, side: int) -> np.ndarr
     return out
 
 
-def gen_textured_digits(spec: SyntheticSpec) -> tuple[LabeledDataset, DataMatrix, DataMatrix]:
+def gen_textured_digits(seed: int, n_fg: int, n_bg: int
+                        ) -> tuple[LabeledDataset, DataMatrix, DataMatrix]:
     """Two glyph classes superimposed on high-variance smoothed-noise texture.
 
     Returns (foreground, background, clean): foreground images are
@@ -290,19 +262,13 @@ def gen_textured_digits(spec: SyntheticSpec) -> tuple[LabeledDataset, DataMatrix
     labels, per-glyph jitter triples, foreground texture fields (smoothed
     field then noise floor per batch), background texture fields.
     """
-    if spec.kind != "textured-digits":
-        raise ArgumentError(f"spec kind is {spec.kind!r}, expected 'textured-digits'")
-    side = DIGIT_SIDE
-    amp = spec.param("glyph_amp", GLYPH_AMP)
-    std = spec.param("texture_std", TEXTURE_STD)
-    rng = SplitMix64(spec.seed)
-    labels = rng.integers(spec.n_fg, 2)
-    jitter = rng.uniform(3 * spec.n_fg).reshape(3, spec.n_fg)
-    glyphs = amp * _glyph_images(labels, jitter, side)
-    fg_tex = _texture_batch(rng, spec.n_fg, side, std,
-                            passes_y=TEXTURE_PASSES, passes_x=TEXTURE_PASSES, floor=TEXTURE_FLOOR)
-    bg_tex = _texture_batch(rng, spec.n_bg, side, std,
-                            passes_y=TEXTURE_PASSES, passes_x=TEXTURE_PASSES, floor=TEXTURE_FLOOR)
+    _check_counts(n_fg, n_bg)
+    rng = SplitMix64(seed)
+    labels = rng.integers(n_fg, 2)
+    jitter = rng.uniform(3 * n_fg).reshape(3, n_fg)
+    glyphs = GLYPH_AMP * _glyph_images(labels, jitter, DIGIT_SIDE)
+    fg_tex = _texture_batch(rng, n_fg)
+    bg_tex = _texture_batch(rng, n_bg)
     composite = fg_tex + glyphs
 
     def to_cols(imgs):
@@ -389,7 +355,7 @@ def _splice_field(rng: SplitMix64, height: int, width: int) -> np.ndarray:
     return field / dev if dev > 0 else field
 
 
-def _fit_polygon(height, width, angles, radii, cx, cy, area_lo, area_hi, target):
+def _fit_polygon(height, width, angles, radii, cx, cy, target):
     """Bisect the polygon's scale until its area fraction is in bounds; None if never."""
     lo_s, hi_s = 0.02, 1.5
     for _ in range(60):
@@ -398,7 +364,7 @@ def _fit_polygon(height, width, angles, radii, cx, cy, area_lo, area_hi, target)
         mask = _polygon_mask(height, width, cx + r_pix * np.cos(angles),
                              cy + r_pix * np.sin(angles))
         frac = mask.mean()
-        if area_lo <= frac <= area_hi:
+        if SPLICE_AREA[0] <= frac <= SPLICE_AREA[1]:
             return mask
         if frac < target:
             lo_s = scale
@@ -407,7 +373,8 @@ def _fit_polygon(height, width, angles, radii, cx, cy, area_lo, area_hi, target)
     return None
 
 
-def gen_spliced_image(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def gen_spliced_image(seed: int, height: int = 64, width: int = 64
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One spliced probe plus its surface and boundary ground-truth masks.
 
     A polygonal region of an independently drawn donor texture is pasted
@@ -417,33 +384,29 @@ def gen_spliced_image(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, np.n
     texture edges lack. Returns ``(probe, surface_mask, edge_truth)`` with
     the probe as (H, W, 3) uint8 and masks as (H, W) uint8 valued 0/255.
     The polygon is rescaled (no extra draws) until the spliced-pixel
-    fraction lies inside ``(area_lo, area_hi)``; if the drawn vertex angles
+    fraction lies inside ``SPLICE_AREA``; if the drawn vertex angles
     never get there, the same search runs once more with the vertices
-    evenly spaced from the first angle. Draw order: vertex count,
+    evenly spaced from the first angle. A height or width below 1 raises
+    ArgumentError before anything is drawn. Draw order: vertex count,
     vertex angles, vertex radii, center x/y, target area, offset sign, then
     the host, donor, three host-tint and three donor-tint fields.
     """
-    if spec.kind != "spliced-image":
-        raise ArgumentError(f"spec kind is {spec.kind!r}, expected 'spliced-image'")
-    height = int(spec.param("height", 64))
-    width = int(spec.param("width", 64))
-    area_lo = spec.param("area_lo", 0.08)
-    area_hi = spec.param("area_hi", 0.20)
-    if not 0 < area_lo < area_hi < 1:
-        raise ArgumentError("area bounds must satisfy 0 < lo < hi < 1")
-    rng = SplitMix64(spec.seed)
+    if height < 1 or width < 1:
+        raise ArgumentError(f"image size {width}x{height} must be at least 1x1")
+    rng = SplitMix64(seed)
     n_verts = 6 + int(rng.integers(1, 4)[0])
     angles = np.sort(rng.uniform(n_verts)) * 2 * np.pi
     radii = 0.9 + 0.1 * rng.uniform(n_verts)
     cx = width * (0.38 + 0.24 * rng.uniform(1)[0])
     cy = height * (0.38 + 0.24 * rng.uniform(1)[0])
+    area_lo, area_hi = SPLICE_AREA
     target = area_lo + (area_hi - area_lo) * rng.uniform(1)[0]
     offset_sign = 1.0 if rng.uniform(1)[0] < 0.5 else -1.0
 
-    mask = _fit_polygon(height, width, angles, radii, cx, cy, area_lo, area_hi, target)
+    mask = _fit_polygon(height, width, angles, radii, cx, cy, target)
     if mask is None:  # a vertex-angle gap above pi makes a sliver that misses its centre
         even = angles[0] + 2 * np.pi * np.arange(n_verts) / n_verts
-        mask = _fit_polygon(height, width, even, radii, cx, cy, area_lo, area_hi, target)
+        mask = _fit_polygon(height, width, even, radii, cx, cy, target)
     if mask is None:
         raise ArgumentError("could not fit a spliced region inside the area bounds")
 

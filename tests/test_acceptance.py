@@ -25,24 +25,19 @@ def report(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def four_class_400():
-    fg, bg = cp.gen_four_class(
-        cp.SyntheticSpec(kind="four-class", seed=SEED_FOUR_CLASS, n_fg=400, n_bg=400)
-    )
+    fg, bg = cp.gen_four_class(SEED_FOUR_CLASS, 400, 400)
     return fg, bg
 
 
 @pytest.fixture(scope="module")
 def four_class_10k():
-    fg, bg = cp.gen_four_class(
-        cp.SyntheticSpec(kind="four-class", seed=SEED_FOUR_CLASS, n_fg=10_000, n_bg=10_000)
-    )
+    fg, bg = cp.gen_four_class(SEED_FOUR_CLASS, 10_000, 10_000)
     return fg, bg
 
 
 @pytest.fixture(scope="module")
 def example1():
-    spec = cp.SyntheticSpec(kind="haystack", seed=0, n_fg=1, n_bg=1)
-    r_b, r_f, c, a = cp.gen_haystack(spec)
+    r_b, r_f, c, a = cp.gen_haystack()
     pair = cp.CovariancePair(r_b=r_b, r_f=r_f, loading=0.0, n_b=1000, n_f=1000,
                              mean_b=np.zeros(4), mean_f=np.zeros(4))
     return pair, c, a
@@ -55,8 +50,7 @@ def splicing_run(tmp_path_factory):
     seeds = cp.SplitMix64(SEED_SPLICE).spawn_seeds(25)
     fg_cols, bg_cols = [], []
     for s in seeds[:20]:
-        spec = cp.SyntheticSpec(kind="spliced-image", seed=s, n_fg=1, n_bg=1)
-        probe, surface, _ = cp.gen_spliced_image(spec)
+        probe, surface, _ = cp.gen_spliced_image(s)
         edge = cp.edge_mask(probe)
         grid = cp.extract_patches(probe, 8, 4)
         fg_idx, bg_idx = cp.label_patches(grid, surface, edge)
@@ -69,8 +63,7 @@ def splicing_run(tmp_path_factory):
     bank = cp.fit_cpcapp(cp.build_covariance_pair(bg, fg), 6)
     f1s, mccs, baselines = [], [], []
     for s in seeds[20:]:
-        spec = cp.SyntheticSpec(kind="spliced-image", seed=s, n_fg=1, n_bg=1)
-        probe, _, edge_truth = cp.gen_spliced_image(spec)
+        probe, _, edge_truth = cp.gen_spliced_image(s)
         edge = cp.edge_mask(probe)
         grid = cp.extract_patches(probe, 8, 4)
         scores = cp.score_patches(bank, grid.patches)
@@ -88,9 +81,7 @@ def test_criterion_1_closed_form_filter_recovery():
     u = cp.oracle_four_class_filters()
     cosines = {}
     for n in (400, 10_000):
-        fg, bg = cp.gen_four_class(
-            cp.SyntheticSpec(kind="four-class", seed=SEED_FOUR_CLASS, n_fg=n, n_bg=n)
-        )
+        fg, bg = cp.gen_four_class(SEED_FOUR_CLASS, n, n)
         bank = cp.fit_cpcapp(cp.build_covariance_pair(bg, fg.data), 2)
         cosines[n] = min(abs(bank.f[:, 0] @ u[:, 0]), abs(bank.f[:, 1] @ u[:, 1]))
     elapsed = time.perf_counter() - start
@@ -148,8 +139,8 @@ def test_criterion_5_contrast_zero_matches_pca(four_class_400):
 
 def test_criterion_6_sweep_free_efficiency():
     start = time.perf_counter()
-    spec = cp.SyntheticSpec(kind="four-class", seed=SEED_FOUR_CLASS, n_fg=400, n_bg=400)
-    rep = cp.run_bench(spec, methods=("cpca", "cpca++"), alphas=cp.default_alpha_grid(), k=2)
+    rep = cp.run_bench("four-class", SEED_FOUR_CLASS, 400, 400, methods=("cpca", "cpca++"),
+                       alphas=cp.default_alpha_grid(), k=2)
     elapsed = time.perf_counter() - start
     ok = (rep.eig_counts["cpca"] == 41 and rep.eig_counts["cpca++"] == 1
           and rep.speedup >= 10.0 and elapsed < 30.0)
@@ -180,8 +171,7 @@ def test_criterion_7_factorization_contracts():
 
 
 def test_criterion_8_glrt_sanity():
-    spec = cp.SyntheticSpec(kind="haystack", seed=17, n_fg=2000, n_bg=2000)
-    fg, bg = cp.sample_haystack(spec)
+    fg, bg = cp.sample_haystack(17, 2000, 2000)
     pair = cp.build_covariance_pair(bg, fg)
     model = cp.recover_w(pair, cp.fit_cpcapp(pair, 1))
     best = cp.glrt_statistic(pair, model.w)
@@ -196,9 +186,7 @@ def test_criterion_8_glrt_sanity():
 
 
 def test_criterion_9_denoising_beats_pca():
-    train = cp.SyntheticSpec(kind="textured-digits", seed=SEED_DIGITS_TRAIN,
-                             n_fg=3000, n_bg=3000)
-    fg, bg, _ = cp.gen_textured_digits(train)
+    fg, bg, _ = cp.gen_textured_digits(SEED_DIGITS_TRAIN, 3000, 3000)
     pair = cp.build_covariance_pair(bg, fg.data)
     bank = cp.fit_cpcapp(pair, 3)
     model = cp.recover_w(pair, bank)
@@ -212,8 +200,7 @@ def test_criterion_9_denoising_beats_pca():
 
     ours, base = [], []
     for seed in range(1, 51):
-        spec = cp.SyntheticSpec(kind="textured-digits", seed=seed, n_fg=1, n_bg=1)
-        test_fg, _, clean = cp.gen_textured_digits(spec)
+        test_fg, _, clean = cp.gen_textured_digits(seed, 1, 1)
         z = test_fg.data.values[:, 0]
         g = clean.values[:, 0]
         ours.append(corr(cp.denoise(model, z - bank.train_mean_fg), g))

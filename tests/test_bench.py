@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from cpcapp import ArgumentError, SyntheticSpec, run_bench
+from cpcapp import ArgumentError, run_bench
 
 
 @pytest.fixture(scope="module")
 def report():
-    spec = SyntheticSpec(kind="four-class", seed=1, n_fg=400, n_bg=400)
-    return run_bench(spec, alphas=np.linspace(0.01, 10.0, 40), k=2)
+    return run_bench("four-class", 1, 400, 400, alphas=np.linspace(0.01, 10.0, 40), k=2)
 
 
 class TestRunBench:
@@ -37,6 +36,5 @@ class TestRunBench:
             assert method in text
 
     def test_rejects_unknown_method(self):
-        spec = SyntheticSpec(kind="four-class", seed=0, n_fg=50, n_bg=50)
         with pytest.raises(ArgumentError):
-            run_bench(spec, methods=("pca", "nope"))
+            run_bench("four-class", 0, 50, 50, methods=("pca", "nope"))

@@ -106,7 +106,9 @@ class TestErrors:
         assert code == 2
         assert "foreground has no variance" in capfd.readouterr().err
 
-    def test_negative_patch_size_is_data_error(self, tmp_path, capfd, four_class_csvs):
+    def test_model_without_square_patch_size_is_data_error(self, tmp_path, capfd,
+                                                           four_class_csvs):
+        # 30 features are c*n^2 for no patch size n of a grey (c = 1) probe
         fg, _ = four_class_csvs
         model = tmp_path / "model.txt"
         assert cli_dispatch(["fit", "--fg", str(fg), "--method", "pca", "-k", "1",
@@ -114,9 +116,9 @@ class TestErrors:
         image = tmp_path / "probe.pgm"
         write_image(image, np.arange(256, dtype=np.uint8).reshape(16, 16))
         code = cli_dispatch(["localize", "--model", str(model), "--image", str(image),
-                             "--n", "-2", "--out", str(tmp_path / "map.pgm")])
+                             "--out", str(tmp_path / "map.pgm")])
         assert code == 2
-        assert "patch size -2 is outside [1, 16]" in capfd.readouterr().err
+        assert "M=30" in capfd.readouterr().err
 
     def test_unknown_subcommand_is_usage_error(self):
         assert cli_dispatch(["frobnicate"]) == 1
@@ -175,6 +177,19 @@ class TestSplicePipeline:
         assert code == 0
         assert out.startswith("F1=") and "MCC=" in out
 
+    def test_localize_reads_patch_size_from_model(self, tmp_path):
+        data = tmp_path / "imgs"
+        assert cli_dispatch(["generate", "spliced-image", "--seed", "5",
+                             "--count", "4", "--out", str(data)]) == 0
+        model = tmp_path / "model.txt"
+        assert cli_dispatch(["train-splice", "--train-dir", str(data), "--n", "6",
+                             "--out", str(model)]) == 0
+        assert model.read_text().splitlines()[1].split()[1] == "108"  # 3 * 6^2
+        pmap = tmp_path / "map.pgm"
+        assert cli_dispatch(["localize", "--model", str(model),
+                             "--image", str(data / "probe_000.ppm"), "--out", str(pmap)]) == 0
+        assert read_image(pmap).shape == (64, 64)
+
     def test_train_rejects_grey_probe_among_colour_probes(self, tmp_path, capfd):
         data = tmp_path / "imgs"
         assert cli_dispatch(["generate", "spliced-image", "--seed", "5",
@@ -219,6 +234,26 @@ class TestSplicePipeline:
 
 
 class TestGenerateAndBench:
+    @pytest.mark.filterwarnings("error")  # rejected before any arithmetic on the empty image
+    @pytest.mark.parametrize("flags, message", [
+        (("--width", "-4"), "at least 1x1"), (("--width", "0"), "at least 1x1"),
+        (("--height", "0"), "at least 1x1"),
+        (("--count", "0"), "--count must be at least 1"),
+        (("--count", "-1"), "--count must be at least 1"),
+    ], ids=["width-4", "width0", "height0", "count0", "count-1"])
+    def test_generate_rejects_empty_spliced_images(self, tmp_path, capfd, flags, message):
+        code = cli_dispatch(["generate", "spliced-image", "--count", "1", *flags,
+                             "--out", str(tmp_path / "d")])
+        assert code == 2
+        assert message in capfd.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["four-class", "haystack", "textured-digits"])
+    def test_generate_rejects_zero_samples(self, tmp_path, capfd, kind):
+        code = cli_dispatch(["generate", kind, "--n-fg", "0", "--out", str(tmp_path)])
+        assert code == 2
+        assert "sample counts must be at least 1" in capfd.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))  # no partial dataset
+
     def test_generate_haystack_files(self, tmp_path):
         assert cli_dispatch(["generate", "haystack", "--seed", "4", "--out", str(tmp_path),
                              "--n-fg", "30", "--n-bg", "30"]) == 0

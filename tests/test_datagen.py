@@ -1,6 +1,7 @@
 """Generator determinism, scale, and closed-form oracle agreement."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,10 +9,9 @@ import pytest
 from cpcapp import (
     ArgumentError,
     SplitMix64,
-    SyntheticSpec,
     analytic_four_class_covariances,
     analytic_four_class_q,
-    default_spec,
+    datagen,
     gen_four_class,
     gen_haystack,
     gen_spliced_image,
@@ -21,6 +21,13 @@ from cpcapp import (
     sample_haystack,
     sym_eig,
 )
+
+
+@pytest.mark.parametrize("gen", [gen_four_class, sample_haystack, gen_textured_digits])
+@pytest.mark.parametrize("n_fg, n_bg", [(0, 5), (-5, 5), (5, 0), (5, -5)])
+def test_sample_counts_below_one_rejected(gen, n_fg, n_bg):
+    with pytest.raises(ArgumentError, match="sample counts must be at least 1"):
+        gen(0, n_fg, n_bg)
 
 
 class TestRng:
@@ -48,20 +55,17 @@ class TestRng:
 
 class TestFourClass:
     def test_deterministic(self):
-        spec = SyntheticSpec(kind="four-class", seed=4, n_fg=50, n_bg=60)
-        fg1, bg1 = gen_four_class(spec)
-        fg2, bg2 = gen_four_class(spec)
+        fg1, bg1 = gen_four_class(4, 50, 60)
+        fg2, bg2 = gen_four_class(4, 50, 60)
         assert np.array_equal(fg1.data.values, fg2.data.values)
         assert np.array_equal(bg1.values, bg2.values)
         assert np.array_equal(fg1.labels, fg2.labels)
 
     def test_table_scale_default(self):
-        spec = default_spec("four-class", seed=0)
-        assert (spec.n_fg, spec.n_bg) == (400, 400)
+        assert datagen.TABLE_COUNTS["four-class"] == (400, 400)
 
     def test_block_means_match_class_structure(self):
-        spec = SyntheticSpec(kind="four-class", seed=33, n_fg=4000, n_bg=100)
-        fg, _ = gen_four_class(spec)
+        fg, _ = gen_four_class(33, 4000, 100)
         for k in range(4):
             cols = fg.data.values[:, fg.labels == k]
             n_k = cols.shape[1]
@@ -72,8 +76,7 @@ class TestFourClass:
             assert abs(cols[10:20].mean() - want2) < tol
 
     def test_background_block_variances(self):
-        spec = SyntheticSpec(kind="four-class", seed=5, n_fg=10, n_bg=20000)
-        _, bg = gen_four_class(spec)
+        _, bg = gen_four_class(5, 10, 20000)
         for i, var in enumerate((3.0, 1.0, 10.0)):
             block = bg.values[i * 10:(i + 1) * 10]
             assert block.var() == pytest.approx(var, rel=0.05)
@@ -104,99 +107,86 @@ class TestFourClassOracles:
 
 class TestHaystack:
     def test_constraints_hold_for_defaults(self):
-        spec = SyntheticSpec(kind="haystack", seed=0, n_fg=1, n_bg=1)
-        r_b, r_f, c, a = gen_haystack(spec)
-        assert 5.0 * 0.01 / 10.0 < 0.1  # beta*rho/gamma < eps
+        r_b, r_f, c, a = gen_haystack()
+        beta, eps = datagen.HAYSTACK_BETA, datagen.HAYSTACK_EPS
+        gamma, rho = datagen.HAYSTACK_GAMMA, datagen.HAYSTACK_RHO
+        assert eps < beta and rho < gamma
+        assert beta * rho / gamma < eps
         assert a @ c == 0.0
         np.testing.assert_allclose([np.linalg.norm(a), np.linalg.norm(c)], 1.0)
 
-    def test_rejects_bad_parameters(self):
-        spec = SyntheticSpec(kind="haystack", seed=0, n_fg=1, n_bg=1,
-                             params={"eps": 10.0})  # eps > beta
-        with pytest.raises(ArgumentError):
-            gen_haystack(spec)
-
     def test_pca_on_foreground_finds_shared_direction(self):
-        spec = SyntheticSpec(kind="haystack", seed=0, n_fg=1, n_bg=1)
-        r_b, r_f, c, a = gen_haystack(spec)
+        r_b, r_f, c, a = gen_haystack()
         top = sym_eig(r_f).vectors[:, 0]
         assert abs(top @ a) >= 0.99
 
     def test_whitened_fit_finds_planted_direction(self):
-        spec = SyntheticSpec(kind="haystack", seed=0, n_fg=1, n_bg=1)
-        r_b, r_f, c, a = gen_haystack(spec)
+        r_b, r_f, c, a = gen_haystack()
         top = q_eig(r_b, r_f, 1).vectors[:, 0]
         assert abs(top @ c) >= 0.99
 
     def test_sampling_deterministic(self):
-        spec = SyntheticSpec(kind="haystack", seed=2, n_fg=100, n_bg=150)
-        f1, b1 = sample_haystack(spec)
-        f2, b2 = sample_haystack(spec)
+        f1, b1 = sample_haystack(2, 100, 150)
+        f2, b2 = sample_haystack(2, 100, 150)
         assert np.array_equal(f1.values, f2.values)
         assert np.array_equal(b1.values, b2.values)
 
 
 class TestTexturedDigits:
     def test_deterministic(self):
-        spec = SyntheticSpec(kind="textured-digits", seed=8, n_fg=12, n_bg=9)
-        a = gen_textured_digits(spec)
-        b = gen_textured_digits(spec)
+        a = gen_textured_digits(8, 12, 9)
+        b = gen_textured_digits(8, 12, 9)
         for x, y in zip((a[0].data.values, a[1].values, a[2].values),
                         (b[0].data.values, b[1].values, b[2].values)):
             assert np.array_equal(x, y)
 
     def test_table_scale_default(self):
-        spec = default_spec("textured-digits", seed=0)
-        assert (spec.n_fg, spec.n_bg) == (5000, 5000)
+        assert datagen.TABLE_COUNTS["textured-digits"] == (5000, 5000)
 
     def test_variance_ratio(self):
-        spec = SyntheticSpec(kind="textured-digits", seed=1, n_fg=300, n_bg=300)
-        fg, bg, clean = gen_textured_digits(spec)
+        fg, bg, clean = gen_textured_digits(1, 300, 300)
         texture_var = bg.values.var()
         glyph_var = clean.values.var()
         assert texture_var / glyph_var >= 9.0
 
     def test_composite_is_texture_plus_glyph(self):
-        spec = SyntheticSpec(kind="textured-digits", seed=2, n_fg=5, n_bg=5)
-        fg, bg, clean = gen_textured_digits(spec)
+        fg, bg, clean = gen_textured_digits(2, 5, 5)
         assert fg.data.values.shape == (784, 5)
         assert set(np.unique(fg.labels)) <= {0, 1}
 
 
 class TestSplicedImage:
     def test_deterministic(self):
-        spec = SyntheticSpec(kind="spliced-image", seed=21, n_fg=1, n_bg=1)
-        p1, s1, e1 = gen_spliced_image(spec)
-        p2, s2, e2 = gen_spliced_image(spec)
+        p1, s1, e1 = gen_spliced_image(21)
+        p2, s2, e2 = gen_spliced_image(21)
         assert np.array_equal(p1, p2) and np.array_equal(s1, s2) and np.array_equal(e1, e2)
 
     @pytest.mark.parametrize("seed", [0, 7, 19])
     def test_mask_fraction_within_bounds(self, seed):
-        spec = SyntheticSpec(kind="spliced-image", seed=seed, n_fg=1, n_bg=1)
-        _, surface, _ = gen_spliced_image(spec)
+        _, surface, _ = gen_spliced_image(seed)
         frac = (surface > 0).mean()
         assert 0.08 <= frac <= 0.20
 
     def test_edge_truth_follows_surface_boundary(self):
         from cpcapp.datagen import mask_boundary
 
-        spec = SyntheticSpec(kind="spliced-image", seed=3, n_fg=1, n_bg=1)
-        _, surface, edge = gen_spliced_image(spec)
+        _, surface, edge = gen_spliced_image(3)
         band = mask_boundary(surface > 0)
         assert np.all((edge > 0) <= band)  # subset of the dilated boundary
 
     def test_donor_and_host_statistics_differ(self):
-        spec = SyntheticSpec(kind="spliced-image", seed=11, n_fg=1, n_bg=1)
-        probe, surface, _ = gen_spliced_image(spec)
+        probe, surface, _ = gen_spliced_image(11)
         inside = probe[surface > 0].astype(float)
         outside = probe[surface == 0].astype(float)
         cov_in = np.cov(inside.T)
         cov_out = np.cov(outside.T)
         assert np.linalg.norm(cov_in - cov_out, "fro") > 1.0
 
-    def test_rejects_wrong_kind(self):
-        with pytest.raises(ArgumentError):
-            gen_spliced_image(SyntheticSpec(kind="haystack", seed=0, n_fg=1, n_bg=1))
+    @pytest.mark.parametrize("height, width", [(64, -4), (64, 0), (0, 64), (-1, -1)])
+    def test_rejects_empty_size_before_drawing(self, height, width):
+        with mock.patch("cpcapp.datagen.SplitMix64", side_effect=AssertionError("drew")), \
+                pytest.raises(ArgumentError, match="at least 1x1"):
+            gen_spliced_image(0, height, width)
 
     @pytest.mark.parametrize("seed, side, digests", [
         (21, 64, ("67bb1f0bbdd66cc858e0a6b724f676992776b5f197c7703cb93975407f1bf911",
@@ -211,15 +201,11 @@ class TestSplicedImage:
             "8d730017ef66b02212c7e5fa67577eab6ec5c41f9b6882152efb970c026afd8e")),
     ])
     def test_fitting_seeds_keep_their_bytes(self, seed, side, digests):
-        spec = SyntheticSpec(kind="spliced-image", seed=seed, n_fg=1, n_bg=1,
-                             params={"width": side, "height": side})
-        arrays = gen_spliced_image(spec)
+        arrays = gen_spliced_image(seed, side, side)
         assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == digests
 
     def test_sliver_polygon_falls_back_to_even_angles(self):
         # the drawn angles leave a 291 degree gap: at any scale the polygon
-        # covers at most 2.3% of the image, below area_lo = 8%
-        spec = SyntheticSpec(kind="spliced-image", seed=12361739233122626592, n_fg=1, n_bg=1,
-                             params={"width": 128, "height": 128})
-        _, surface, _ = gen_spliced_image(spec)
+        # covers at most 2.3% of the image, below the 8% lower bound of SPLICE_AREA
+        _, surface, _ = gen_spliced_image(12361739233122626592, 128, 128)
         assert 0.08 <= (surface > 0).mean() <= 0.20

@@ -9,7 +9,6 @@ from cpcapp import (
     CovariancePair,
     DataMatrix,
     RankError,
-    SyntheticSpec,
     build_covariance_pair,
     denoise,
     fit_cpcapp,
@@ -45,9 +44,8 @@ class TestRecoverW:
         # the basis recovery multiplies the filter by the background
         # covariance, whose 1000x anisotropy amplifies sampling error in the
         # filter, so this needs a generous sample count
-        spec = SyntheticSpec(kind="haystack", seed=3, n_fg=60_000, n_bg=60_000)
-        fg, bg = sample_haystack(spec)
-        _, _, c, _ = gen_haystack(spec)
+        fg, bg = sample_haystack(3, 60_000, 60_000)
+        _, _, c, _ = gen_haystack()
         pair = build_covariance_pair(bg, fg)
         bank = fit_cpcapp(pair, 1)
         model = recover_w(pair, bank)
@@ -118,8 +116,7 @@ class TestGlrt:
         assert stat == pytest.approx(1.0, rel=1e-9)
 
     def test_optimal_basis_attains_maximum(self):
-        spec = SyntheticSpec(kind="haystack", seed=17, n_fg=2000, n_bg=2000)
-        fg, bg = sample_haystack(spec)
+        fg, bg = sample_haystack(17, 2000, 2000)
         pair = build_covariance_pair(bg, fg)
         model = recover_w(pair, fit_cpcapp(pair, 1))
         best = glrt_statistic(pair, model.w)

@@ -9,7 +9,6 @@ from cpcapp import (
     ArgumentError,
     DataMatrix,
     DefinitenessError,
-    SyntheticSpec,
     build_covariance_pair,
     default_alpha_grid,
     eig_count,
@@ -31,9 +30,8 @@ def example1_pair(n=4000, seed=11):
     """Covariance pair sampled from the planted-direction model."""
     from cpcapp import sample_haystack
 
-    spec = SyntheticSpec(kind="haystack", seed=seed, n_fg=n, n_bg=n)
-    fg, bg = sample_haystack(spec)
-    r_b, r_f, c, a = gen_haystack(spec)
+    fg, bg = sample_haystack(seed, n, n)
+    r_b, r_f, c, a = gen_haystack()
     return build_covariance_pair(bg, fg), c, a
 
 
@@ -41,8 +39,7 @@ def analytic_pair():
     """Exact planted-direction covariances wrapped as a CovariancePair."""
     from cpcapp import CovariancePair
 
-    spec = SyntheticSpec(kind="haystack", seed=0, n_fg=1, n_bg=1)
-    r_b, r_f, c, a = gen_haystack(spec)
+    r_b, r_f, c, a = gen_haystack()
     pair = CovariancePair(r_b=r_b, r_f=r_f, loading=0.0, n_b=1000, n_f=1000,
                           mean_b=np.zeros(4), mean_f=np.zeros(4))
     return pair, c, a
@@ -63,7 +60,7 @@ class TestFitPca:
         assert bank.eigenvalues[0] == pytest.approx(1.0, rel=0.1)
 
     def test_noise_block_dominates_four_class(self):
-        fg, _ = gen_four_class(SyntheticSpec(kind="four-class", seed=33, n_fg=400, n_bg=400))
+        fg, _ = gen_four_class(33, 400, 400)
         bank = fit_pca(fg.data, 2)
         mass = float(np.sum(bank.f[20:30] ** 2)) / 2.0
         assert mass >= 0.8
@@ -175,7 +172,7 @@ class TestFitCpcapp:
     def test_four_class_recovers_closed_form(self):
         from cpcapp import oracle_four_class_filters
 
-        fg, bg = gen_four_class(SyntheticSpec(kind="four-class", seed=33, n_fg=400, n_bg=400))
+        fg, bg = gen_four_class(33, 400, 400)
         bank = fit_cpcapp(build_covariance_pair(bg, fg.data), 2)
         u = oracle_four_class_filters()
         assert abs(bank.f[:, 0] @ u[:, 0]) >= 0.95
@@ -255,7 +252,7 @@ class TestTransform:
         assert np.linalg.norm(proj.y) == pytest.approx(np.linalg.norm(centered), rel=1e-12)
 
     def test_four_class_embedding_separates(self):
-        fg, bg = gen_four_class(SyntheticSpec(kind="four-class", seed=33, n_fg=2000, n_bg=2000))
+        fg, bg = gen_four_class(33, 2000, 2000)
         bank = fit_cpcapp(build_covariance_pair(bg, fg.data), 2)
         proj = transform(bank, fg.data)
         centroids = np.stack([proj.y[:, fg.labels == k].mean(axis=1) for k in range(4)])

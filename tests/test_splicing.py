@@ -13,7 +13,6 @@ from cpcapp import (
     PatchGrid,
     ProbabilityMap,
     ShapeError,
-    SyntheticSpec,
     binarize_and_score,
     edge_mask,
     extract_patches,
@@ -47,8 +46,7 @@ class TestEdgeMask:
         assert mask[:, :6].sum() == 0 and mask[:, 10:].sum() == 0
 
     def test_recall_of_spliced_boundary(self):
-        spec = SyntheticSpec(kind="spliced-image", seed=3, n_fg=1, n_bg=1)
-        probe, _, edge_truth = gen_spliced_image(spec)
+        probe, _, edge_truth = gen_spliced_image(3)
         mask = edge_mask(probe)
         truth = edge_truth > 0
         recall = (mask[truth] > 0).mean()
@@ -185,8 +183,7 @@ class TestLatticeMatchesPatchLoops:
         assert pmap.values.tobytes() == _loop_map(scores, shape[:2], n, stride, edge).tobytes()
 
     def test_spliced_probe(self):
-        spec = SyntheticSpec(kind="spliced-image", seed=11, n_fg=1, n_bg=1)
-        probe, surface, _ = gen_spliced_image(spec)
+        probe, surface, _ = gen_spliced_image(11)
         edge = edge_mask(probe)
         grid = extract_patches(probe, 8, 4)
         assert grid.patches.values.tobytes() == _loop_extract(probe, 8, 4).tobytes()
@@ -269,8 +266,7 @@ class TestScorePatches:
         seeds = SplitMix64(7).spawn_seeds(4)
         fg_cols, bg_cols = [], []
         for s in seeds[:3]:
-            spec = SyntheticSpec(kind="spliced-image", seed=s, n_fg=1, n_bg=1)
-            probe, surface, _ = gen_spliced_image(spec)
+            probe, surface, _ = gen_spliced_image(s)
             edge = edge_mask(probe)
             grid = extract_patches(probe, 8, 4)
             fg_idx, bg_idx = label_patches(grid, surface, edge)
@@ -283,8 +279,7 @@ class TestScorePatches:
             ),
             6,
         )
-        spec = SyntheticSpec(kind="spliced-image", seed=seeds[3], n_fg=1, n_bg=1)
-        probe, surface, _ = gen_spliced_image(spec)
+        probe, surface, _ = gen_spliced_image(seeds[3])
         edge = edge_mask(probe)
         grid = extract_patches(probe, 8, 4)
         fg_idx, bg_idx = label_patches(grid, surface, edge)

@@ -10,7 +10,6 @@ from cpcapp import (
     DataMatrix,
     DefinitenessError,
     ShapeError,
-    SyntheticSpec,
     build_covariance_pair,
     gen_haystack,
     sample_haystack,
@@ -185,9 +184,8 @@ class TestBuildPair:
     def test_monte_carlo_concentration(self):
         # 1e4 draws from the planted-direction model land within 5% Frobenius
         # of the analytic background covariance.
-        spec = SyntheticSpec(kind="haystack", seed=5, n_fg=10_000, n_bg=10_000)
-        r_b, r_f, _, _ = gen_haystack(spec)
-        fg, bg = sample_haystack(spec)
+        r_b, r_f, _, _ = gen_haystack()
+        fg, bg = sample_haystack(5, 10_000, 10_000)
         pair = build_covariance_pair(bg, fg)
         assert np.linalg.norm(pair.r_b - r_b, "fro") <= 0.05 * np.linalg.norm(r_b, "fro")
 
