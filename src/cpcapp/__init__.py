@@ -43,7 +43,6 @@ from .model_io import load_model, save_model
 from .netpbm import read_image, read_probability_map, write_image, write_probability_map
 from .reducers import (
     FilterBank,
-    Projection,
     default_alpha_grid,
     fit_cpca,
     fit_cpcapp,

@@ -48,8 +48,8 @@ def _parse_alpha_grid(spec: str) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise UsageError(f"bad alpha grid {spec!r}: {exc}") from exc
-    if lo <= 0 or hi <= lo or count < 1:
-        raise UsageError("alpha grid needs 0 < lo < hi and count >= 1")
+    if not 0 < lo < hi < math.inf or count < 1:
+        raise UsageError("alpha grid needs 0 < lo < hi < inf and count >= 1")
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
@@ -196,8 +196,7 @@ def _cmd_fit(args) -> int:
 def _cmd_transform(args) -> int:
     bank, _ = load_model(args.model)
     data = csvio.read_csv(args.infile)
-    projection = transform(bank, data)
-    csvio.write_csv(args.out, projection.y)
+    csvio.write_csv(args.out, transform(bank, data))
     return 0
 
 

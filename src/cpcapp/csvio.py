@@ -80,23 +80,15 @@ def read_csv_table(path) -> CsvTable:
     return CsvTable(header=header, rows=table)
 
 
-def read_csv(path, transpose: bool = False) -> DataMatrix:
-    """Load a rectangular numeric CSV as an uncentered sample matrix.
-
-    Rows are samples and columns features unless ``transpose`` is set, in
-    which case rows are read as features directly.
-    """
-    table = read_csv_table(path)
-    values = table.rows if transpose else table.rows.T
-    return DataMatrix(values=values)
+def read_csv(path) -> DataMatrix:
+    """Load a rectangular numeric CSV as an uncentered sample matrix (rows are samples)."""
+    return DataMatrix(values=read_csv_table(path).rows.T)
 
 
-def write_csv(path, values, header=None) -> None:
+def write_csv(path, values) -> None:
     """Write a feature-major array sample-major with 17 significant digits."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ParseError(f"can only write 2-D tables, got shape {values.shape}")
     with open(path, "w", encoding="ascii") as fh:
-        if header is not None:
-            fh.write(",".join(header) + "\n")
         _write_rows(fh, values.T)

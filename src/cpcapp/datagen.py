@@ -194,18 +194,18 @@ def sample_haystack(seed: int, n_fg: int, n_bg: int) -> tuple[DataMatrix, DataMa
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
-def _smooth(field: np.ndarray, kernel: np.ndarray, axis: int, passes: int = 1) -> np.ndarray:
-    """Separable reflect-padded convolution along one axis."""
-    half = kernel.size // 2
+def _smooth(field: np.ndarray, axis: int) -> np.ndarray:
+    """TEXTURE_PASSES reflect-padded binomial convolutions along one axis."""
+    half = _BINOMIAL5.size // 2
     out = field
-    for _ in range(passes):
+    for _ in range(TEXTURE_PASSES):
         padded = np.pad(
             out,
             [(half, half) if ax == axis else (0, 0) for ax in range(out.ndim)],
             mode="reflect",
         )
         acc = np.zeros_like(out)
-        for j, w in enumerate(kernel):
+        for j, w in enumerate(_BINOMIAL5):
             sl = [slice(None)] * out.ndim
             sl[axis] = slice(j, j + out.shape[axis])
             acc += w * padded[tuple(sl)]
@@ -213,41 +213,40 @@ def _smooth(field: np.ndarray, kernel: np.ndarray, axis: int, passes: int = 1) -
     return out
 
 
-def _texture_batch(rng: SplitMix64, count: int) -> np.ndarray:
-    """Smoothed digit-sized noise fields normalized to deviation TEXTURE_STD."""
-    side = DIGIT_SIDE
-    fields = rng.normal((count, side, side))
-    fields = _smooth(fields, _BINOMIAL5, axis=1, passes=TEXTURE_PASSES)
-    fields = _smooth(fields, _BINOMIAL5, axis=2, passes=TEXTURE_PASSES)
-    fields = fields + TEXTURE_FLOOR * rng.normal((count, side, side))
-    flat = fields.reshape(count, -1)
+def _texture(rng: SplitMix64, shape: tuple[int, int, int], std: float) -> np.ndarray:
+    """``(count, H, W)`` smoothed noise fields, each normalized to deviation ``std``.
+
+    Draw order: the smoothed fields, then their unsmoothed noise floor. A
+    constant field is centered but left unscaled.
+    """
+    fields = _smooth(_smooth(rng.normal(shape), axis=1), axis=2)
+    fields = fields + TEXTURE_FLOOR * rng.normal(shape)
+    flat = fields.reshape(shape[0], -1)
     flat -= flat.mean(axis=1, keepdims=True)
     scale = flat.std(axis=1, keepdims=True)
     scale[scale == 0] = 1.0
-    return (flat * (TEXTURE_STD / scale)).reshape(count, side, side)
+    return (flat * (std / scale)).reshape(shape)
 
 
 def _glyph_images(labels: np.ndarray, jitter: np.ndarray, side: int) -> np.ndarray:
-    """Soft ring (class 0) and bar (class 1) strokes with positional jitter."""
+    """Soft ring (class 0) and bar (class 1) strokes; ``jitter`` is (3, count)."""
     yy, xx = np.mgrid[0:side, 0:side].astype(float)
-    count = labels.shape[0]
-    out = np.empty((count, side, side))
+    out = np.empty((labels.shape[0], side, side))
     width = STROKE_WIDTH
-    for i in range(count):
-        j0, j1, j2 = jitter[:, i]
-        if labels[i] == 0:
-            cx = side / 2 + GLYPH_JITTER * (j0 - 0.5)
-            cy = side / 2 + GLYPH_JITTER * (j1 - 0.5)
-            radius = 6.0 + (j2 - 0.5)
-            dist = np.hypot(xx - cx, yy - cy)
-            out[i] = np.exp(-((dist - radius) ** 2) / (2 * width**2))
-        else:
-            x0 = side / 2 + 1.2 * GLYPH_JITTER * (j0 - 0.5)
-            tilt = 0.4 * (j1 - 0.5)
-            span = 9.0 + 2.0 * (j2 - 0.5)
-            dx = xx - (x0 + tilt * (yy - side / 2))
-            window = np.exp(-(((yy - side / 2) / span) ** 8))
-            out[i] = np.exp(-(dx**2) / (2 * width**2)) * window
+    ring = labels == 0
+    j0, j1, j2 = jitter[:, ring, None, None]
+    cx = side / 2 + GLYPH_JITTER * (j0 - 0.5)
+    cy = side / 2 + GLYPH_JITTER * (j1 - 0.5)
+    radius = 6.0 + (j2 - 0.5)
+    dist = np.hypot(xx - cx, yy - cy)
+    out[ring] = np.exp(-((dist - radius) ** 2) / (2 * width**2))
+    j0, j1, j2 = jitter[:, ~ring, None, None]
+    x0 = side / 2 + 1.2 * GLYPH_JITTER * (j0 - 0.5)
+    tilt = 0.4 * (j1 - 0.5)
+    span = 9.0 + 2.0 * (j2 - 0.5)
+    dx = xx - (x0 + tilt * (yy - side / 2))
+    window = np.exp(-(((yy - side / 2) / span) ** 8))
+    out[~ring] = np.exp(-(dx**2) / (2 * width**2)) * window
     return out
 
 
@@ -267,8 +266,8 @@ def gen_textured_digits(seed: int, n_fg: int, n_bg: int
     labels = rng.integers(n_fg, 2)
     jitter = rng.uniform(3 * n_fg).reshape(3, n_fg)
     glyphs = GLYPH_AMP * _glyph_images(labels, jitter, DIGIT_SIDE)
-    fg_tex = _texture_batch(rng, n_fg)
-    bg_tex = _texture_batch(rng, n_bg)
+    fg_tex = _texture(rng, (n_fg, DIGIT_SIDE, DIGIT_SIDE), TEXTURE_STD)
+    bg_tex = _texture(rng, (n_bg, DIGIT_SIDE, DIGIT_SIDE), TEXTURE_STD)
     composite = fg_tex + glyphs
 
     def to_cols(imgs):
@@ -302,35 +301,17 @@ def _polygon_mask(height: int, width: int, xs: np.ndarray, ys: np.ndarray) -> np
     return inside
 
 
-def _shift(mask: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    out = np.zeros_like(mask)
-    ys = slice(max(dy, 0), mask.shape[0] + min(dy, 0))
-    xs = slice(max(dx, 0), mask.shape[1] + min(dx, 0))
-    ys_src = slice(max(-dy, 0), mask.shape[0] + min(-dy, 0))
-    xs_src = slice(max(-dx, 0), mask.shape[1] + min(-dx, 0))
-    out[ys, xs] = mask[ys_src, xs_src]
-    return out
-
-
-def _dilate(mask: np.ndarray) -> np.ndarray:
-    out = mask.copy()
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            out |= _shift(mask, dy, dx)
-    return out
-
-
-def _erode(mask: np.ndarray) -> np.ndarray:
-    out = mask.copy()
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            out &= _shift(mask, dy, dx)
-    return out
+def _3x3(mask: np.ndarray, reduce: np.ufunc) -> np.ndarray:
+    """``reduce`` over each pixel's 3x3 neighbourhood; outside the image is False."""
+    height, width = mask.shape
+    padded = np.pad(mask, 1)
+    return reduce.reduce([padded[dy:dy + height, dx:dx + width]
+                          for dy in range(3) for dx in range(3)])
 
 
 def mask_boundary(mask: np.ndarray) -> np.ndarray:
     """Inner boundary of a boolean region, dilated by one pixel."""
-    return _dilate(mask & ~_erode(mask))
+    return _3x3(mask & ~_3x3(mask, np.logical_and), np.logical_or)
 
 
 # Spliced-image look: texture deviation in grey levels, donor exposure
@@ -340,19 +321,6 @@ SPLICE_GREY_SCALE = 40.0
 SPLICE_OFFSET = 0.5
 SPLICE_TINT = 0.3
 SPLICE_SEAM_DITHER = 1.2
-SPLICE_PASSES = 3
-SPLICE_FLOOR = 0.05
-
-
-def _splice_field(rng: SplitMix64, height: int, width: int) -> np.ndarray:
-    """One smoothed unit-deviation texture field with a high-frequency floor."""
-    field = rng.normal((1, height, width))
-    field = _smooth(field, _BINOMIAL5, axis=1, passes=SPLICE_PASSES)
-    field = _smooth(field, _BINOMIAL5, axis=2, passes=SPLICE_PASSES)
-    field = field[0] + SPLICE_FLOOR * rng.normal((height, width))
-    field -= field.mean()
-    dev = field.std()
-    return field / dev if dev > 0 else field
 
 
 def _fit_polygon(height, width, angles, radii, cx, cy, target):
@@ -410,13 +378,11 @@ def gen_spliced_image(seed: int, height: int = 64, width: int = 64
     if mask is None:
         raise ArgumentError("could not fit a spliced region inside the area bounds")
 
-    host = _splice_field(rng, height, width)
-    donor = _splice_field(rng, height, width)
-    host_tints = [_splice_field(rng, height, width) for _ in range(3)]
-    donor_tints = [_splice_field(rng, height, width) for _ in range(3)]
-    probe = np.stack([host + SPLICE_TINT * t for t in host_tints], axis=-1)
+    # one field per call: an (8, H, W) batch would change the draw order
+    host, donor, *tints = (_texture(rng, (1, height, width), 1.0)[0] for _ in range(8))
+    probe = np.stack([host + SPLICE_TINT * t for t in tints[:3]], axis=-1)
     donor_rgb = np.stack(
-        [donor + SPLICE_TINT * t + offset_sign * SPLICE_OFFSET for t in donor_tints], axis=-1
+        [donor + SPLICE_TINT * t + offset_sign * SPLICE_OFFSET for t in tints[3:]], axis=-1
     )
     probe[mask] = donor_rgb[mask]
     band = mask_boundary(mask)

@@ -35,6 +35,8 @@ class FactorModel:
     def __post_init__(self):
         if self.w.shape != self.f.shape:
             raise ShapeError(f"W shape {self.w.shape} does not match F shape {self.f.shape}")
+        if not (np.isfinite(self.w).all() and np.isfinite(self.f).all()):
+            raise RankError("F and W must hold finite values")
         k = self.f.shape[1]
         gram = self.f.T @ self.w
         if np.max(np.abs(gram - np.eye(k))) > BIORTHOGONALITY_ATOL:

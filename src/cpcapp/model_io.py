@@ -12,7 +12,8 @@ with 17 significant digits, which round-trips IEEE doubles exactly):
     W                      (optional basis block)
     <M rows of W as CSV>
 
-``alpha`` is written as ``nan`` for methods that have no contrast parameter.
+``alpha`` is written as ``nan`` for methods that have no contrast parameter;
+that sentinel is the only non-finite value a model file may hold.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ def load_model(path) -> tuple[FilterBank, np.ndarray | None]:
         w = _parse_rows(rest[1:], path)
         if w.shape != (m, k):
             raise ParseError(f"{path}: W block is {w.shape}, expected {(m, k)}")
+        if not np.isfinite(w).all():
+            raise ParseError(f"{path}: W block has non-finite values")
     try:
         bank = FilterBank(
             method=method,

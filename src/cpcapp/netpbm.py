@@ -83,7 +83,7 @@ def write_image(path, image) -> None:
 def write_probability_map(path, values) -> None:
     """Quantize probabilities in [0, 1] to 8 bits and write as P5."""
     values = np.asarray(values, dtype=float)
-    if values.min() < 0 or values.max() > 1:
+    if not (0 <= values.min() and values.max() <= 1):
         raise ShapeError("probabilities must lie in [0, 1]")
     write_image(path, np.round(255.0 * values).astype(np.uint8))
 

@@ -58,6 +58,12 @@ class FilterBank:
             raise ArgumentError("alpha must be present exactly when method is 'cpca'")
         if self.eigenvalues.shape != (k,):
             raise ShapeError("one eigenvalue per filter column is required")
+        values = (self.f, self.train_mean_bg, self.train_mean_fg, self.eigenvalues,
+                  self.loading, 0.0 if self.alpha is None else self.alpha)
+        if not all(np.isfinite(v).all() for v in values):
+            raise ArgumentError("filter bank values must be finite")
+        if self.loading < 0:
+            raise ArgumentError(f"loading must be non-negative, got {self.loading}")
         if np.any(np.diff(self.eigenvalues) > 1e-12 * (1.0 + np.abs(self.eigenvalues[:-1]))):
             raise ArgumentError("eigenvalues must be descending")
         norms = np.linalg.norm(self.f, axis=0)
@@ -71,13 +77,6 @@ class FilterBank:
     @property
     def k(self) -> int:
         return self.f.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class Projection:
-    """Reduced-dimension samples, one column per input sample."""
-
-    y: np.ndarray  # (K, N)
 
 
 def _check_k(k: int, m: int) -> None:
@@ -110,8 +109,8 @@ def fit_cpca(pair: CovariancePair, k: int, alpha: float) -> FilterBank:
     spectrum uniformly and cannot change the chosen filters.
     """
     _check_k(k, pair.features)
-    if alpha < 0:
-        raise ArgumentError(f"contrast parameter must be non-negative, got {alpha}")
+    if not 0 <= alpha < np.inf:
+        raise ArgumentError(f"contrast parameter must be finite and non-negative, got {alpha}")
     res = sym_eig(pair.r_f - alpha * pair.r_b)
     return FilterBank(
         method="cpca",
@@ -154,8 +153,8 @@ def fit_cpcapp(pair: CovariancePair, k: int) -> FilterBank:
     )
 
 
-def transform(bank: FilterBank, data: DataMatrix, use_train_mean: bool = False) -> Projection:
-    """Project samples through the bank: ``y = F^T (data - mean)``.
+def transform(bank: FilterBank, data: DataMatrix, use_train_mean: bool = False) -> np.ndarray:
+    """Project samples through the bank: the (K, N) array ``F^T (data - mean)``.
 
     By default each batch is centered with its own mean; pass
     ``use_train_mean=True`` to reuse the foreground mean stored at fit time
@@ -166,4 +165,4 @@ def transform(bank: FilterBank, data: DataMatrix, use_train_mean: bool = False) 
             f"data has {data.features} features but bank expects {bank.features}"
         )
     mean = bank.train_mean_fg if use_train_mean else data.values.mean(axis=1)
-    return Projection(y=bank.f.T @ (data.values - mean[:, None]))
+    return bank.f.T @ (data.values - mean[:, None])

@@ -66,7 +66,7 @@ class ProbabilityMap:
     def __post_init__(self):
         if self.values.shape != (self.height, self.width):
             raise ShapeError("probability map dims do not match values array")
-        if self.values.size and (self.values.min() < 0 or self.values.max() > 1):
+        if self.values.size and not (0 <= self.values.min() and self.values.max() <= 1):
             raise ArgumentError("probabilities must lie in [0, 1]")
 
 
@@ -196,8 +196,7 @@ def score_patches(bank: FilterBank, test: DataMatrix, use_train_mean: bool = Fal
     the bank, and each column's squared L2 norm is divided by the batch
     maximum. An all-zero projection yields all-zero scores.
     """
-    projection = transform(bank, test, use_train_mean=use_train_mean)
-    v = np.sum(projection.y**2, axis=0)
+    v = np.sum(transform(bank, test, use_train_mean=use_train_mean) ** 2, axis=0)
     peak = v.max()
     if peak == 0:
         return np.zeros_like(v)

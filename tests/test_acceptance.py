@@ -116,10 +116,10 @@ def test_criterion_4_pca_negative_control(four_class_10k):
     bank = cp.fit_pca(fg.data, 2)
     mass = float(np.sum(bank.f[20:30] ** 2)) / 2.0
     proj = cp.transform(bank, fg.data)
-    centroids = np.stack([proj.y[:, fg.labels == k].mean(axis=1) for k in range(4)])
+    centroids = np.stack([proj[:, fg.labels == k].mean(axis=1) for k in range(4)])
     between = max(np.linalg.norm(centroids[i] - centroids[j])
                   for i in range(4) for j in range(i + 1, 4))
-    within = float(np.mean([proj.y[:, fg.labels == k].std() for k in range(4)]))
+    within = float(np.mean([proj[:, fg.labels == k].std() for k in range(4)]))
     ok = mass >= 0.8 and between < within
     assert report(4, ok, f"noise-block mass {mass:.3f}, between {between:.2f} "
                          f"< within {within:.2f}")

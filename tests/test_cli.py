@@ -62,6 +62,23 @@ class TestFit:
         assert code == 0
         assert solve.call_count == 2
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_is_data_error(self, tmp_path, capfd, four_class_csvs, alpha):
+        fg, bg = four_class_csvs
+        model = tmp_path / "m.txt"
+        code = cli_dispatch(["fit", "--fg", str(fg), "--bg", str(bg), "--method", "cpca",
+                             "--alpha", alpha, "--out", str(model)])
+        assert code == 2 and not model.exists()
+        assert "must be finite" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["1e-3:inf:5", "nan:1:5", "1:nan:5"])
+    def test_non_finite_alpha_grid_is_usage_error(self, tmp_path, capfd, four_class_csvs, grid):
+        fg, bg = four_class_csvs
+        code = cli_dispatch(["fit", "--fg", str(fg), "--bg", str(bg), "--method", "cpca",
+                             "--alpha-grid", grid, "--out", str(tmp_path / "m.txt")])
+        assert code == 1
+        assert "0 < lo < hi < inf" in capfd.readouterr().err
+
     def test_pca_needs_no_background(self, tmp_path, four_class_csvs):
         fg, _ = four_class_csvs
         model = tmp_path / "pca.txt"
@@ -312,6 +329,19 @@ class TestDenoiseCommand:
                              "--in", str(tmp_path / "digit.pgm"),
                              "--out", str(tmp_path / "o.pgm")])
         assert code == 2
+
+    def test_denoise_rejects_non_finite_basis(self, tmp_path, capfd, digits_model):
+        from cpcapp import load_model, save_model
+
+        bank, w = load_model(digits_model)
+        w[3, 1] = np.nan
+        save_model(digits_model, bank, w=w)
+        write_image(tmp_path / "digit.pgm", np.full((28, 28), 128, dtype=np.uint8))
+        code = cli_dispatch(["denoise", "--model", str(digits_model),
+                             "--in", str(tmp_path / "digit.pgm"),
+                             "--out", str(tmp_path / "o.pgm")])
+        assert code == 2 and not (tmp_path / "o.pgm").exists()
+        assert "W block has non-finite values" in capfd.readouterr().err
 
     @pytest.mark.parametrize("side", [1, 10])  # one pixel would broadcast over the mean
     def test_denoise_rejects_wrong_size_image(self, tmp_path, digits_model, side):

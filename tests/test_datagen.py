@@ -154,6 +154,82 @@ class TestTexturedDigits:
         assert fg.data.values.shape == (784, 5)
         assert set(np.unique(fg.labels)) <= {0, 1}
 
+    def test_seed_keeps_its_bytes(self):
+        fg, bg, clean = gen_textured_digits(1, 40, 30)
+        arrays = (fg.data.values, fg.labels, bg.values, clean.values)
+        assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == (
+            "9eef9b4e2cdff52bbaf17e9a0df55a2e586bd59308dc6205f6f7719b81579477",
+            "212e053d989cf72becef0fc33655dca9a5a0becb988e248ae641a62e55ed1e02",
+            "abf69d70e51b1970ec3ac92a5eea1c57f71700dc5c1c6e10154e21d93b420739",
+            "7a40d4fd8dfa2be9ed7e54cfbbb9d39913e0c59c3569993dfe2f84fff972a97a",
+        )
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 200])
+    @pytest.mark.parametrize("labeling", ["drawn", "rings", "bars"])
+    def test_glyphs_match_per_glyph_loop(self, count, labeling):
+        rng = SplitMix64(count)
+        jitter = rng.uniform(3 * count).reshape(3, count)
+        labels = {"drawn": rng.integers(count, 2), "rings": np.zeros(count, dtype=np.int64),
+                  "bars": np.ones(count, dtype=np.int64)}[labeling]
+        np.testing.assert_array_equal(datagen._glyph_images(labels, jitter, 28),
+                                      _loop_glyphs(labels, jitter, 28))
+
+
+def _loop_glyphs(labels, jitter, side):
+    """Per-glyph reference with the same operations in the same order."""
+    yy, xx = np.mgrid[0:side, 0:side].astype(float)
+    out = np.empty((labels.shape[0], side, side))
+    width, jit = datagen.STROKE_WIDTH, datagen.GLYPH_JITTER
+    for i in range(labels.shape[0]):
+        j0, j1, j2 = jitter[:, i]
+        if labels[i] == 0:
+            cx = side / 2 + jit * (j0 - 0.5)
+            cy = side / 2 + jit * (j1 - 0.5)
+            dist = np.hypot(xx - cx, yy - cy)
+            out[i] = np.exp(-((dist - (6.0 + (j2 - 0.5))) ** 2) / (2 * width**2))
+        else:
+            x0 = side / 2 + 1.2 * jit * (j0 - 0.5)
+            dx = xx - (x0 + 0.4 * (j1 - 0.5) * (yy - side / 2))
+            window = np.exp(-(((yy - side / 2) / (9.0 + 2.0 * (j2 - 0.5))) ** 8))
+            out[i] = np.exp(-(dx**2) / (2 * width**2)) * window
+    return out
+
+
+def _loop_boundary(mask):
+    """Per-pixel reference: pixels outside the image count as False."""
+    h, w = mask.shape
+
+    def at(y, x):
+        return 0 <= y < h and 0 <= x < w and bool(mask[y, x])
+
+    def hood(y, x):
+        return [(y + dy, x + dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+
+    inner = [[at(y, x) and not all(at(*p) for p in hood(y, x)) for x in range(w)]
+             for y in range(h)]
+    return np.array([[any(0 <= py < h and 0 <= px < w and inner[py][px]
+                          for py, px in hood(y, x)) for x in range(w)]
+                     for y in range(h)], dtype=bool)
+
+
+class TestMaskBoundary:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (7, 13), (24, 24)])
+    def test_matches_per_pixel_reference(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        for density in (0.1, 0.5, 0.9):
+            for _ in range(5):
+                mask = rng.random(shape) < density
+                np.testing.assert_array_equal(datagen.mask_boundary(mask), _loop_boundary(mask))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 5)])
+    @pytest.mark.parametrize("fill", [False, True])
+    def test_uniform_masks(self, shape, fill):
+        mask = np.full(shape, fill)
+        got = datagen.mask_boundary(mask)
+        np.testing.assert_array_equal(got, _loop_boundary(mask))
+        # the image border of an all-True mask borders the False outside
+        assert got.any() == fill and got[0].all() == fill
+
 
 class TestSplicedImage:
     def test_deterministic(self):

@@ -8,6 +8,7 @@ import pytest
 from cpcapp import (
     CovariancePair,
     DataMatrix,
+    FactorModel,
     RankError,
     build_covariance_pair,
     denoise,
@@ -66,6 +67,15 @@ class TestRecoverW:
         off = lam - np.diag(np.diag(lam))
         assert np.linalg.norm(off) < 1e-6 * np.linalg.norm(np.diag(lam))
         recover_w(pair, bank)  # F^T W = I is checked on construction
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_model_rejects_non_finite_basis(self, rng, bad):
+        pair = pair_from(rng, 5)
+        model = recover_w(pair, fit_cpcapp(pair, 2))
+        w = model.w.copy()
+        w[0, 1] = bad
+        with pytest.raises(RankError):
+            FactorModel(w=w, f=model.f)
 
     def test_projector_idempotent(self, rng):
         pair = pair_from(rng, 9)

@@ -57,8 +57,8 @@ def _mutate(data: bytes, rng: SplitMix64) -> bytes:
 
 def _csv_bytes(tmp_path) -> bytes:
     values = np.random.default_rng(5).standard_normal((3, 6)) * 10.0 ** np.arange(-1, 2)[:, None]
-    write_csv(tmp_path / "base.csv", values, header=["a", "b", "c"])
-    return (tmp_path / "base.csv").read_bytes()
+    write_csv(tmp_path / "base.csv", values)
+    return b"a,b,c\n" + (tmp_path / "base.csv").read_bytes()
 
 
 def _model_bytes(tmp_path) -> bytes:

@@ -45,12 +45,6 @@ class TestCsv:
         assert table.header == ["a", "b"]
         np.testing.assert_array_equal(table.rows, [[1.0, 2.0], [3.0, 4.0]])
 
-    def test_transpose_flag(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("1,2,3\n4,5,6\n")
-        data = read_csv(path, transpose=True)
-        assert data.features == 2 and data.samples == 3
-
     def test_round_trip_bit_exact(self, tmp_path, rng):
         values = rng.standard_normal((5, 9)) * np.exp(rng.standard_normal((5, 9)) * 8)
         path = tmp_path / "rt.csv"
@@ -103,6 +97,15 @@ class TestNetpbm:
         write_probability_map(path, values)
         back = read_probability_map(path)
         np.testing.assert_allclose(back, np.round(values * 255) / 255, atol=1e-12)
+
+    def test_probability_map_rejects_nan(self, tmp_path):
+        from cpcapp import ShapeError
+
+        values = np.full((2, 2), 0.5)
+        values[1, 0] = np.nan
+        with pytest.raises(ShapeError, match=r"\[0, 1\]"):
+            write_probability_map(tmp_path / "m.pgm", values)
+        assert not (tmp_path / "m.pgm").exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.pgm"
@@ -221,6 +224,33 @@ class TestModelFile:
         lines[1] = " ".join([head[0], m] + head[2:])
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=":2: bad header line"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("row", [2, 3, 4, 5, 10])  # mean_bg, mean_fg, eigenvalues, F, W
+    def test_non_finite_value_is_parse_error(self, tmp_path, rng, row, value):
+        path, lines = self._saved_4x2(tmp_path, rng)
+        cells = lines[row].split(",")
+        cells[-1] = value
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        # the message names the file, whose directory repeats the test name
+        with pytest.raises(ParseError, match="values must be finite|W block has non-finite"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, value", [(3, "inf"), (3, "-inf"), (4, "nan"), (4, "inf"),
+                                              (4, "-5")])  # alpha, loading
+    def test_bad_header_value_is_parse_error(self, tmp_path, rng, field, value):
+        pair, _ = self._pair(rng)
+        path = tmp_path / "model.txt"
+        save_model(path, fit_cpca(pair, 2, 0.125))
+        lines = path.read_text().splitlines()
+        head = lines[1].split()
+        head[field] = value
+        lines[1] = " ".join(head)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError,
+                           match="values must be finite" if value != "-5" else "non-negative"):
             load_model(path)
 
     def test_broken_filter_bank_invariant_is_parse_error(self, tmp_path, rng):

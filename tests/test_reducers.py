@@ -105,6 +105,12 @@ class TestFitCpca:
         with pytest.raises(ArgumentError):
             fit_cpca(pair, 1, -1.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        pair, _, _ = analytic_pair()
+        with pytest.raises(ArgumentError, match="must be finite"):
+            fit_cpca(pair, 1, alpha)
+
 
 class TestSweep:
     def test_singleton_matches_single_fit(self):
@@ -242,23 +248,23 @@ class TestTransform:
                           eigenvalues=np.array([1.0]), loading=0.0)
         data = DataMatrix(values=np.array([[2.0, -2.0], [5.0, -5.0]]))
         proj = transform(bank, data)
-        np.testing.assert_array_equal(proj.y, [[2.0, -2.0]])
+        np.testing.assert_array_equal(proj, [[2.0, -2.0]])
 
     def test_full_rank_isometry(self, rng):
         data = DataMatrix(values=rng.standard_normal((5, 40)))
         bank = fit_pca(data, 5)
         proj = transform(bank, data)
         centered = data.values - data.values.mean(axis=1, keepdims=True)
-        assert np.linalg.norm(proj.y) == pytest.approx(np.linalg.norm(centered), rel=1e-12)
+        assert np.linalg.norm(proj) == pytest.approx(np.linalg.norm(centered), rel=1e-12)
 
     def test_four_class_embedding_separates(self):
         fg, bg = gen_four_class(33, 2000, 2000)
         bank = fit_cpcapp(build_covariance_pair(bg, fg.data), 2)
         proj = transform(bank, fg.data)
-        centroids = np.stack([proj.y[:, fg.labels == k].mean(axis=1) for k in range(4)])
+        centroids = np.stack([proj[:, fg.labels == k].mean(axis=1) for k in range(4)])
         dists = [np.linalg.norm(centroids[i] - centroids[j])
                  for i in range(4) for j in range(i + 1, 4)]
-        within = np.mean([proj.y[:, fg.labels == k].std(axis=1).mean() for k in range(4)])
+        within = np.mean([proj[:, fg.labels == k].std(axis=1).mean() for k in range(4)])
         assert min(dists) > 3.0 * within
 
     def test_rejects_feature_mismatch(self, rng):
@@ -275,9 +281,9 @@ class TestTransform:
         test = DataMatrix(values=rng.standard_normal((3, 6)) + 7.0)
         reused = transform(bank, test, use_train_mean=True)
         manual = bank.f.T @ (test.values - bank.train_mean_fg[:, None])
-        np.testing.assert_array_equal(reused.y, manual)
+        np.testing.assert_array_equal(reused, manual)
         own = transform(bank, test)
-        assert not np.allclose(own.y, reused.y)
+        assert not np.allclose(own, reused)
 
 
 class TestDefaults:
@@ -317,6 +323,27 @@ class TestFilterBankValidation:
         bank = FilterBank(method="pca", f=vectors[:, :2], **self._args())
         assert not np.shares_memory(bank.f, vectors)
         np.testing.assert_array_equal(bank.f, vectors[:, :2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["f", "train_mean_bg", "train_mean_fg", "eigenvalues",
+                                       "loading", "alpha"])
+    def test_rejects_non_finite_values(self, field, bad):
+        from cpcapp import FilterBank
+
+        args = dict(self._args(), f=np.eye(3)[:, :2], method="cpca", alpha=1.0)
+        if field in ("loading", "alpha"):
+            args[field] = bad
+        else:
+            args[field] = args[field].copy()
+            args[field][-1] = bad  # the last eigenvalue keeps the order check quiet
+        with pytest.raises(ArgumentError, match="values must be finite"):
+            FilterBank(**args)
+
+    def test_rejects_negative_loading(self):
+        from cpcapp import FilterBank
+
+        with pytest.raises(ArgumentError, match="loading"):
+            FilterBank(method="pca", f=np.eye(3)[:, :2], **dict(self._args(), loading=-5.0))
 
     def test_alpha_only_for_contrastive(self):
         from cpcapp import FilterBank

@@ -398,6 +398,13 @@ class TestBinarize:
                 fn += (not pred) and pos
         assert (c.tp, c.tn, c.fp, c.fn) == (tp, tn, fp, fn)
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
+    def test_map_rejects_values_outside_unit_interval(self, bad):
+        values = np.zeros((4, 4))
+        values[2, 3] = bad
+        with pytest.raises(ArgumentError, match=r"\[0, 1\]"):
+            ProbabilityMap(width=4, height=4, values=values)
+
     def test_rejects_dim_mismatch(self):
         pmap = ProbabilityMap(width=4, height=4, values=np.zeros((4, 4)))
         with pytest.raises(ShapeError):
