@@ -176,8 +176,11 @@ def _cmd_fit(args) -> int:
         return 0
     if args.bg is None:
         raise UsageError(f"--bg is required for method {args.method}")
-    bg = csvio.read_csv(args.bg)
-    pair = build_covariance_pair(bg, fg)
+    # each table is reduced to its moments as soon as it is read, and only the
+    # pair's covariances live on into the fit
+    fg = second_moment(fg)
+    pair = build_covariance_pair(second_moment(csvio.read_csv(args.bg)), fg)
+    del fg
     if args.method == "cpca++":
         bank = fit_cpcapp(pair, args.k)
         save_model(args.out, bank, w=recover_w(pair, bank).w)

@@ -5,10 +5,16 @@ feature-major, so reading transposes. A single non-numeric first row is
 treated as a header. Rows are comma-separated numbers in numpy's float
 syntax, written with 17 significant digits, which round-trips doubles
 exactly. Files must be ASCII; blank lines are skipped.
+
+A well-formed file is parsed straight from the open stream by one
+``np.loadtxt`` call, so a read holds about one table's worth of memory. Any
+other file (a header, a whitespace-only line, a bad cell) is walked line by
+line, which names the offending line.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +66,25 @@ def _write_rows(fh, rows) -> None:
     np.savetxt(fh, rows, fmt=_FLOAT, delimiter=",")
 
 
+def _fast_rows(path) -> np.ndarray | None:
+    """The table of a header-free file in one pass, or None if it needs the walk."""
+    try:
+        with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # a bad cell or row, or a non-ASCII byte (UnicodeDecodeError)
+        return None
+    if not table.size or not np.all(np.isfinite(table)):
+        return None
+    return table
+
+
 def read_csv_table(path) -> CsvTable:
     """Parse a rectangular numeric CSV, keeping any header names."""
     path = str(path)
+    table = _fast_rows(path)
+    if table is not None:
+        return CsvTable(header=None, rows=table)
     numbered = _numbered_lines(path)
     header = None
     if numbered and numbered[0][0] == 1:

@@ -70,35 +70,42 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
 
 
 def _require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    if np.max(np.abs(a - a.T), initial=0.0) > SYMMETRY_RTOL * scale:
+    # max|a| from two reductions and |a - a^T| in one buffer: no M x M copy of |a|
+    scale = max(a.max(), -a.min()) if a.size else 0.0
+    asym = a - a.T
+    np.abs(asym, out=asym)
+    if np.max(asym, initial=0.0) > SYMMETRY_RTOL * scale:
         raise ShapeError(f"{name} is not symmetric within tolerance")
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns so the largest-magnitude entry of each is positive."""
+    """Flip columns in place so the largest-magnitude entry of each is positive."""
     idx = np.argmax(np.abs(vectors), axis=0)  # argmax takes the lowest index on ties
     flip = vectors[idx, np.arange(vectors.shape[1])] < 0
-    out = vectors.copy()
-    out[:, flip] *= -1.0
-    return out
+    vectors[:, flip] *= -1.0
+    return vectors
 
 
-def sym_eig(a) -> EigenResult:
-    """Full eigendecomposition of a real symmetric matrix.
+def sym_eig(a, k: int) -> EigenResult:
+    """The k largest eigenpairs of a real symmetric matrix.
 
     Values come back descending with a stable tie order; vectors are
-    orthonormal columns with the deterministic sign convention.
+    orthonormal columns with the deterministic sign convention. The solve is
+    always the full one; only the k kept columns are copied out, and they are
+    bit-identical to the first k of a full decomposition (pass ``k = M``).
     """
     global _eig_count
     a = _as_square(a)
+    m = a.shape[0]
+    if not 1 <= k <= m:
+        raise ArgumentError(f"k must be in [1, {m}], got {k}")
     _require_symmetric(a)
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed to converge: {exc}") from exc
     _eig_count += 1
-    order = np.argsort(-values, kind="stable")
+    order = np.argsort(-values, kind="stable")[:k]
     return EigenResult(values=values[order], vectors=_fix_signs(vectors[:, order]))
 
 
@@ -161,7 +168,10 @@ def q_eig(r_b, r_f, k: int) -> EigenResult:
         ) from exc
     half = np.linalg.solve(chol, r_f)          # L^-1 r_f
     s = np.linalg.solve(chol, half.T)          # L^-1 (L^-1 r_f)^T = L^-1 r_f L^-T
-    res = sym_eig((s + s.T) / 2.0)
-    vectors = np.linalg.solve(chol.T, res.vectors[:, :k])
+    del half
+    s = s + s.T                                # symmetrized in one buffer
+    s /= 2.0
+    res = sym_eig(s, k)
+    vectors = np.linalg.solve(chol.T, res.vectors)
     vectors /= np.linalg.norm(vectors, axis=0)
-    return EigenResult(values=res.values[:k], vectors=_fix_signs(vectors))
+    return EigenResult(values=res.values, vectors=_fix_signs(vectors))

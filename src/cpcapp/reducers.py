@@ -90,13 +90,13 @@ def fit_pca(data: DataMatrix, k: int) -> FilterBank:
     if data.samples < 2:
         raise ArgumentError("PCA needs at least two samples")
     moments = second_moment(data)
-    res = sym_eig(moments.covariance())
+    res = sym_eig(moments.covariance(), k)
     return FilterBank(
         method="pca",
-        f=res.vectors[:, :k],
+        f=res.vectors,
         train_mean_bg=moments.mean,
         train_mean_fg=moments.mean,
-        eigenvalues=res.values[:k],
+        eigenvalues=res.values,
         loading=0.0,
     )
 
@@ -111,13 +111,13 @@ def fit_cpca(pair: CovariancePair, k: int, alpha: float) -> FilterBank:
     _check_k(k, pair.features)
     if not 0 <= alpha < np.inf:
         raise ArgumentError(f"contrast parameter must be finite and non-negative, got {alpha}")
-    res = sym_eig(pair.r_f - alpha * pair.r_b)
+    res = sym_eig(pair.r_f - alpha * pair.r_b, k)
     return FilterBank(
         method="cpca",
-        f=res.vectors[:, :k],
+        f=res.vectors,
         train_mean_bg=pair.mean_b,
         train_mean_fg=pair.mean_f,
-        eigenvalues=res.values[:k],
+        eigenvalues=res.values,
         loading=pair.loading,
         alpha=float(alpha),
     )

@@ -174,11 +174,16 @@ def label_patches(grid: PatchGrid, surface_mask, edge, fg_range=FG_SPLICE_RANGE,
     Foreground patches have a spliced-pixel fraction inside ``fg_range``
     (they straddle the spliced boundary); background patches contain no
     spliced pixels but at least ``bg_edge_min`` of ordinary edge pixels.
-    Everything else stays unlabeled.
+    Everything else stays unlabeled. Both thresholds are fractions: the
+    range needs ``0 <= lo <= hi <= 1`` and the edge floor ``0 <= bg_edge_min
+    <= 1``, so NaN and infinities are rejected.
     """
     lo, hi = fg_range
-    if lo > hi:
-        raise ArgumentError(f"foreground range is empty: ({lo}, {hi})")
+    if not 0.0 <= lo <= hi <= 1.0:
+        raise ArgumentError(f"foreground spliced-fraction range must satisfy "
+                            f"0 <= lo <= hi <= 1, got ({lo}, {hi})")
+    if not 0.0 <= bg_edge_min <= 1.0:
+        raise ArgumentError(f"background edge fraction must be in [0, 1], got {bg_edge_min}")
     surface = np.asarray(surface_mask) > 0
     edges = np.asarray(edge) > 0
     if surface.shape != (grid.image_h, grid.image_w) or edges.shape != surface.shape:

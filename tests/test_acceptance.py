@@ -91,7 +91,7 @@ def test_criterion_1_closed_form_filter_recovery():
 
 
 def test_criterion_2_analytic_eigenvalues():
-    values = cp.sym_eig(cp.analytic_four_class_q()).values
+    values = cp.sym_eig(cp.analytic_four_class_q(), 30).values
     ok = abs(values[0] - 30.33) <= 0.01 and abs(values[1] - 23.50) <= 0.01
     assert report(2, ok, f"top eigenvalues {values[0]:.4f}, {values[1]:.4f}")
 
@@ -101,7 +101,7 @@ def test_criterion_3_planted_direction_example(example1):
     pair, c, a = example1
     cpp = cp.fit_cpcapp(pair, 1)
     cos_cpp = abs(cpp.f[:, 0] @ c)
-    pca_top = cp.sym_eig(pair.r_f).vectors[:, 0]
+    pca_top = cp.sym_eig(pair.r_f, pair.features).vectors[:, 0]
     cos_pca = abs(pca_top @ a)
     cpca = cp.fit_cpca(pair, 1, 5.0 / 10.0)
     cos_cpca = abs(cpca.f[:, 0] @ c)

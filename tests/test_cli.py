@@ -219,6 +219,23 @@ class TestSplicePipeline:
         assert code == 2
         assert "probe_001.ppm" in err and "features" in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--fg-lo", "nan", "(nan, 0.7)"),
+        ("--fg-lo", "-3", "(-3.0, 0.7)"),
+        ("--fg-hi", "inf", "(0.3, inf)"),
+        ("--bg-edge-min", "nan", "got nan"),
+    ])
+    def test_train_rejects_thresholds_outside_unit_interval(self, tmp_path, capfd,
+                                                             flag, value, message):
+        data = tmp_path / "imgs"
+        assert cli_dispatch(["generate", "spliced-image", "--seed", "5",
+                             "--count", "1", "--out", str(data)]) == 0
+        code = cli_dispatch(["train-splice", "--train-dir", str(data),
+                             "--out", str(tmp_path / "model.txt"), flag, value])
+        err = capfd.readouterr().err
+        assert code == 2
+        assert message in err and "relax the thresholds" not in err
+
     def test_train_memory_does_not_grow_with_images(self, tmp_path):
         # moments are pooled per probe, so peak traced memory is set by one
         # image and the M x M fit, not by the number of training images

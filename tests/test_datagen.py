@@ -92,7 +92,7 @@ class TestFourClassOracles:
         np.testing.assert_allclose(np.linalg.norm(f, axis=0), 1.0)
 
     def test_analytic_eigenvalues(self):
-        res = sym_eig(analytic_four_class_q())
+        res = sym_eig(analytic_four_class_q(), 30)
         assert res.values[0] == pytest.approx(30.33, abs=0.01)
         assert res.values[1] == pytest.approx(23.50, abs=0.01)
 
@@ -101,7 +101,7 @@ class TestFourClassOracles:
         q = np.linalg.solve(r_b, r_f)
         np.testing.assert_allclose(q, analytic_four_class_q(), atol=1e-12)
         res = q_eig(r_b, r_f, 2)
-        np.testing.assert_allclose(res.values, sym_eig(analytic_four_class_q()).values[:2],
+        np.testing.assert_allclose(res.values, sym_eig(analytic_four_class_q(), 30).values[:2],
                                    rtol=1e-10)
 
 
@@ -117,7 +117,7 @@ class TestHaystack:
 
     def test_pca_on_foreground_finds_shared_direction(self):
         r_b, r_f, c, a = gen_haystack()
-        top = sym_eig(r_f).vectors[:, 0]
+        top = sym_eig(r_f, r_f.shape[0]).vectors[:, 0]
         assert abs(top @ a) >= 0.99
 
     def test_whitened_fit_finds_planted_direction(self):

@@ -1,5 +1,7 @@
 """CSV and netpbm round trips plus model-file serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from cpcapp import (
     fit_pca,
     load_model,
     read_csv,
+    read_csv_table,
     read_image,
     read_probability_map,
     recover_w,
@@ -71,6 +74,53 @@ class TestCsv:
         path.write_bytes(b"1,2\n3,\xe9\n")
         with pytest.raises(ParseError, match="not an ASCII text file"):
             read_csv_table(path)
+
+
+# Inputs around the one-pass read's fallback to the line walk, each with the
+# table (header, rows) or the ParseError message of the line-walk reader.
+CSV_EDGES = {
+    "whitespace-only line": (b"1,2\n   \n3,4\n", (None, [[1.0, 2.0], [3.0, 4.0]])),
+    "form-feed line": (b"1,2\n\x0c\n3,4\n", (None, [[1.0, 2.0], [3.0, 4.0]])),
+    "leading blank line": (b"\n1,2\n3,4\n", (None, [[1.0, 2.0], [3.0, 4.0]])),
+    "header": (b"a, b\n1,2\n3,4\n", (["a", "b"], [[1.0, 2.0], [3.0, 4.0]])),
+    "header after a blank line": (b"\na,b\n1,2\n", ":2: non-numeric cell in data row"),
+    "header only": (b"a,b\n", ": no numeric rows found"),
+    "empty file": (b"", ": no numeric rows found"),
+    "blank lines only": (b"\n \n", ": no numeric rows found"),
+    "non-ASCII byte": (b"1,2\n3,\xe94\n", ": not an ASCII text file (byte 0xe9)"),
+    "carriage returns": (b"1,2\r3,4\r", (None, [[1.0, 2.0], [3.0, 4.0]])),
+    "non-finite value": (b"1,nan\n", ": file contains non-finite values"),
+    "ragged row": (b"1,2\n3\n", ":2: row has 1 cells, expected 2"),
+}
+
+
+class TestCsvReadPaths:
+    @pytest.mark.filterwarnings("error")  # loadtxt warns on input with no data
+    @pytest.mark.parametrize("case", list(CSV_EDGES))
+    def test_same_table_or_message_as_the_line_walk(self, tmp_path, case):
+        data, want = CSV_EDGES[case]
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        if isinstance(want, str):
+            with pytest.raises(ParseError) as info:
+                read_csv_table(path)
+            assert str(info.value) == f"{path}{want}"
+        else:
+            table = read_csv_table(path)
+            assert table.header == want[0]
+            assert table.rows.tobytes() == np.array(want[1]).tobytes()
+
+    def test_read_holds_about_one_table(self, tmp_path, rng):
+        # parsed from the open stream: no list of the file's lines is kept
+        path = tmp_path / "t.csv"
+        write_csv(path, rng.standard_normal((200, 400)))
+        tracemalloc.start()
+        try:
+            data = read_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * data.values.nbytes
 
 
 class TestNetpbm:

@@ -21,12 +21,12 @@ from conftest import principal_angles, random_psd, random_spd
 
 class TestSymEig:
     def test_diagonal(self):
-        res = sym_eig(np.diag([3.0, 1.0]))
+        res = sym_eig(np.diag([3.0, 1.0]), 2)
         np.testing.assert_allclose(res.values, [3.0, 1.0])
         np.testing.assert_allclose(np.abs(res.vectors), np.eye(2), atol=1e-14)
 
     def test_exchange_matrix(self):
-        res = sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        res = sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]), 2)
         np.testing.assert_allclose(res.values, [1.0, -1.0], atol=1e-14)
         s = 1.0 / np.sqrt(2.0)
         np.testing.assert_allclose(np.abs(res.vectors), [[s, s], [s, s]], atol=1e-12)
@@ -34,7 +34,7 @@ class TestSymEig:
     def test_reconstruction_6x6(self, rng):
         a = rng.standard_normal((6, 6))
         a = (a + a.T) / 2
-        res = sym_eig(a)
+        res = sym_eig(a, a.shape[0])
         recon = res.vectors @ np.diag(res.values) @ res.vectors.T
         assert np.linalg.norm(recon - a) <= 1e-8 * (np.linalg.norm(a) + 1)
 
@@ -42,29 +42,41 @@ class TestSymEig:
     def test_reconstruction_sizes(self, rng, m):
         a = rng.standard_normal((m, m))
         a = (a + a.T) / 2
-        res = sym_eig(a)
+        res = sym_eig(a, a.shape[0])
         recon = res.vectors @ np.diag(res.values) @ res.vectors.T
         assert np.linalg.norm(recon - a, "fro") <= 1e-7 * (np.linalg.norm(a, "fro") + 1)
 
     def test_descending_and_unit_norm(self, rng):
-        res = sym_eig(random_spd(rng, 12))
+        res = sym_eig(random_spd(rng, 12), 12)
         assert np.all(np.diff(res.values) <= 0)
         np.testing.assert_allclose(np.linalg.norm(res.vectors, axis=0), 1.0, atol=1e-12)
 
     def test_sign_convention_deterministic(self, rng):
         a = random_spd(rng, 9)
-        r1, r2 = sym_eig(a), sym_eig(a.copy())
+        r1, r2 = sym_eig(a, 9), sym_eig(a.copy(), 9)
         assert np.array_equal(r1.vectors, r2.vectors)
         peaks = r1.vectors[np.argmax(np.abs(r1.vectors), axis=0), np.arange(9)]
         assert np.all(peaks > 0)
 
+    @pytest.mark.parametrize("k", [1, 3, 11])
+    def test_top_k_is_a_bitwise_prefix_of_the_full_spectrum(self, rng, k):
+        a = random_spd(rng, 12)
+        full, top = sym_eig(a, 12), sym_eig(a, k)
+        assert top.values.tobytes() == full.values[:k].tobytes()
+        assert top.vectors.tobytes() == full.vectors[:, :k].tobytes()
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_rejects_k_out_of_range(self, k):
+        with pytest.raises(ArgumentError, match=r"k must be in \[1, 3\]"):
+            sym_eig(np.eye(3), k)
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ShapeError):
-            sym_eig(np.ones((2, 3)))
+            sym_eig(np.ones((2, 3)), 2)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ShapeError):
-            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]), 2)
 
 
 class TestDiagonalLoad:
@@ -112,7 +124,7 @@ class TestQEig:
     def test_identity_background(self, rng):
         r_f = random_psd(rng, 5)
         res = q_eig(np.eye(5), r_f, 5)
-        direct = sym_eig(r_f)
+        direct = sym_eig(r_f, 5)
         np.testing.assert_allclose(res.values, direct.values, atol=1e-10)
         np.testing.assert_allclose(np.abs(res.vectors), np.abs(direct.vectors), atol=1e-8)
 
@@ -140,7 +152,7 @@ class TestQEig:
         r_f = random_psd(rng, 7)
         b = scipy.linalg.fractional_matrix_power(r_b, -0.5)
         whitened = b @ r_f @ b
-        ref = sym_eig((whitened + whitened.T) / 2)
+        ref = sym_eig((whitened + whitened.T) / 2, 7)
         res = q_eig(r_b, r_f, 7)
         np.testing.assert_allclose(res.values, ref.values, rtol=1e-9, atol=1e-12)
 

@@ -157,6 +157,38 @@ class TestSweep:
         assert kept < m * m * 8  # views would keep 10 * m * m * 8 bytes
 
 
+def _peak_above_base(fit) -> float:
+    """Traced peak of ``fit()`` above the memory held when it starts, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fit()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestFitMemory:
+    """Transient M x M arrays a fit allocates above its covariance pair."""
+
+    M = 300
+
+    @pytest.fixture
+    def pair(self, rng):
+        return build_covariance_pair(DataMatrix(values=rng.standard_normal((self.M, 600))),
+                                     DataMatrix(values=rng.standard_normal((self.M, 600))))
+
+    def test_cpcapp_peak(self, pair):
+        # the loaded background, its Cholesky factor and one solve buffer at a time
+        peak = _peak_above_base(lambda: fit_cpcapp(pair, 3))
+        assert peak <= 5 * self.M * self.M * 8
+
+    def test_cpca_peak(self, pair):
+        # the contrast matrix and its eigenvectors
+        peak = _peak_above_base(lambda: fit_cpca(pair, 3, 2.0))
+        assert peak <= 3 * self.M * self.M * 8
+
+
 class TestFitCpcapp:
     def test_identity_background(self, rng):
         from cpcapp import CovariancePair
@@ -166,7 +198,7 @@ class TestFitCpcapp:
         pair = CovariancePair(r_b=np.eye(5), r_f=r_f, loading=0.0, n_b=10, n_f=10,
                               mean_b=np.zeros(5), mean_f=np.zeros(5))
         bank = fit_cpcapp(pair, 5)
-        direct = sym_eig(r_f)
+        direct = sym_eig(r_f, 5)
         np.testing.assert_allclose(bank.eigenvalues, direct.values, atol=1e-9)
         np.testing.assert_allclose(np.abs(bank.f), np.abs(direct.vectors), atol=1e-7)
 

@@ -232,6 +232,24 @@ class TestLabelPatches:
         with pytest.raises(ArgumentError):
             label_patches(grid, surface, edge, fg_range=(0.7, 0.3))
 
+    @pytest.mark.parametrize("fg_range", [(np.nan, 0.7), (0.3, np.nan), (-3.0, 0.7),
+                                          (0.3, 1.5), (-np.inf, np.inf)])
+    def test_rejects_range_outside_unit_interval(self, fg_range):
+        grid, surface, edge = self._grid_and_masks()
+        with pytest.raises(ArgumentError, match=r"0 <= lo <= hi <= 1, got \("):
+            label_patches(grid, surface, edge, fg_range=fg_range)
+
+    @pytest.mark.parametrize("bg_edge_min", [np.nan, -0.1, 1.5, np.inf])
+    def test_rejects_edge_floor_outside_unit_interval(self, bg_edge_min):
+        grid, surface, edge = self._grid_and_masks()
+        with pytest.raises(ArgumentError, match=f"in \\[0, 1\\], got {bg_edge_min}"):
+            label_patches(grid, surface, edge, bg_edge_min=bg_edge_min)
+
+    def test_accepts_closed_unit_interval_bounds(self):
+        grid, surface, edge = self._grid_and_masks()
+        fg, bg = label_patches(grid, surface, edge, fg_range=(0.0, 1.0), bg_edge_min=1.0)
+        assert fg.size == 3 and bg.size == 0  # every patch is 0% spliced
+
 
 class TestScorePatches:
     def test_single_patch_self_normalizes(self):
