@@ -195,21 +195,24 @@ _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
 def _smooth(field: np.ndarray, axis: int) -> np.ndarray:
-    """TEXTURE_PASSES reflect-padded binomial convolutions along one axis."""
-    half = _BINOMIAL5.size // 2
-    out = field
-    for _ in range(TEXTURE_PASSES):
-        padded = np.pad(
-            out,
-            [(half, half) if ax == axis else (0, 0) for ax in range(out.ndim)],
-            mode="reflect",
-        )
-        acc = np.zeros_like(out)
+    """TEXTURE_PASSES reflect-padded binomial convolutions along one axis.
+
+    Each pass gathers the reflect padding into one reused buffer and
+    multiply-accumulates the taps, in order, through one scratch buffer.
+    """
+    size = field.shape[axis]
+    reflect_idx = np.pad(np.arange(size), _BINOMIAL5.size // 2, mode="reflect")
+    padded = np.take(field, reflect_idx, axis=axis)
+    out = np.empty_like(field)
+    term = np.empty_like(field)
+    tap = [slice(None)] * field.ndim
+    for p in range(TEXTURE_PASSES):
+        if p:
+            np.take(out, reflect_idx, axis=axis, out=padded, mode="clip")
+        out.fill(0.0)  # from zeros, not the first tap: 0.0 + -0.0 is +0.0
         for j, w in enumerate(_BINOMIAL5):
-            sl = [slice(None)] * out.ndim
-            sl[axis] = slice(j, j + out.shape[axis])
-            acc += w * padded[tuple(sl)]
-        out = acc
+            tap[axis] = slice(j, j + size)
+            out += np.multiply(w, padded[tuple(tap)], out=term)
     return out
 
 
@@ -220,12 +223,16 @@ def _texture(rng: SplitMix64, shape: tuple[int, int, int], std: float) -> np.nda
     constant field is centered but left unscaled.
     """
     fields = _smooth(_smooth(rng.normal(shape), axis=1), axis=2)
-    fields = fields + TEXTURE_FLOOR * rng.normal(shape)
+    floor = rng.normal(shape)
+    floor *= TEXTURE_FLOOR
+    fields += floor
+    del floor
     flat = fields.reshape(shape[0], -1)
     flat -= flat.mean(axis=1, keepdims=True)
     scale = flat.std(axis=1, keepdims=True)
     scale[scale == 0] = 1.0
-    return (flat * (std / scale)).reshape(shape)
+    flat *= std / scale
+    return fields
 
 
 def _glyph_images(labels: np.ndarray, jitter: np.ndarray, side: int) -> np.ndarray:
@@ -378,20 +385,34 @@ def gen_spliced_image(seed: int, height: int = 64, width: int = 64
     if mask is None:
         raise ArgumentError("could not fit a spliced region inside the area bounds")
 
-    # one field per call: an (8, H, W) batch would change the draw order
-    host, donor, *tints = (_texture(rng, (1, height, width), 1.0)[0] for _ in range(8))
-    probe = np.stack([host + SPLICE_TINT * t for t in tints[:3]], axis=-1)
-    donor_rgb = np.stack(
-        [donor + SPLICE_TINT * t + offset_sign * SPLICE_OFFSET for t in tints[3:]], axis=-1
-    )
-    probe[mask] = donor_rgb[mask]
+    # one field per call (an (8, H, W) batch would change the draw order),
+    # each written into its probe channel as soon as it is drawn
+    def field():
+        return _texture(rng, (1, height, width), 1.0)[0]
+
+    host, donor = field(), field()
+    probe = np.empty((height, width, 3))
+    for c in range(3):
+        tinted = field()
+        tinted *= SPLICE_TINT
+        tinted += host
+        probe[:, :, c] = tinted
+    del host
+    for c in range(3):
+        tinted = field()
+        tinted *= SPLICE_TINT
+        tinted += donor
+        tinted += offset_sign * SPLICE_OFFSET
+        probe[mask, c] = tinted[mask]
     band = mask_boundary(mask)
-    yy, xx = np.mgrid[0:height, 0:width]
+    yy, xx = np.nonzero(band)
     # period-4 diagonal stripes: high-frequency against the smoothed texture
     # yet visible to a 3x3 gradient operator (a 1px checker would cancel)
     dither = (-1.0) ** ((xx + yy) // 2)
-    probe[band] += SPLICE_SEAM_DITHER * dither[band, None]
-    probe_u8 = np.clip(128.0 + SPLICE_GREY_SCALE * probe, 0, 255).astype(np.uint8)
+    probe[band] += SPLICE_SEAM_DITHER * dither[:, None]
+    probe *= SPLICE_GREY_SCALE
+    probe += 128.0
+    probe_u8 = np.clip(probe, 0, 255, out=probe).astype(np.uint8)
     surface = np.where(mask, 255, 0).astype(np.uint8)
     edge = np.where(band, 255, 0).astype(np.uint8)
     return probe_u8, surface, edge

@@ -19,12 +19,13 @@ _MASK = (1 << 64) - 1
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    z = z.copy()
-    z ^= z >> np.uint64(30)
+    """Avalanche-mix ``z`` in place, shifting through one scratch buffer."""
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
     z *= _MIX2
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
     return z
 
 
@@ -37,26 +38,45 @@ class SplitMix64:
 
     def next_u64(self, n: int) -> np.ndarray:
         """The next ``n`` raw 64-bit words."""
-        idx = np.arange(self._drawn + 1, self._drawn + n + 1, dtype=np.uint64)
+        z = np.arange(self._drawn + 1, self._drawn + n + 1, dtype=np.uint64)
         self._drawn += n
         with np.errstate(over="ignore"):
-            return _mix(self._base + idx * _GAMMA)
+            z *= _GAMMA
+            z += self._base
+            return _mix(z)
+
+    def _top53(self, n: int) -> np.ndarray:
+        """The top 53 bits of the next ``n`` words, as doubles."""
+        words = self.next_u64(n)
+        words >>= np.uint64(11)
+        return words.astype(float)
 
     def uniform(self, n: int) -> np.ndarray:
         """``n`` doubles uniform on [0, 1) with 53-bit resolution."""
-        return (self.next_u64(n) >> np.uint64(11)).astype(float) * 2.0**-53
+        bits = self._top53(n)
+        bits *= 2.0**-53
+        return bits
 
     def uniform_open(self, n: int) -> np.ndarray:
         """``n`` doubles uniform on (0, 1]; safe to pass through log()."""
-        bits = (self.next_u64(n) >> np.uint64(11)).astype(float)
-        return (bits + 1.0) * 2.0**-53
+        bits = self._top53(n)
+        bits += 1.0
+        bits *= 2.0**-53
+        return bits
 
     def normal(self, shape) -> np.ndarray:
         """Standard normals with the given shape, filled in C order."""
         n = int(np.prod(shape))
-        u1 = self.uniform_open(n)
+        # sqrt(-2 log u1) * cos(2 pi u2), each step in place; u1 is reduced
+        # before u2 is drawn, so the two never hold their raw words at once
+        out = self.uniform_open(n)
+        np.log(out, out=out)
+        out *= -2.0
+        np.sqrt(out, out=out)
         u2 = self.uniform(n)
-        out = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        u2 *= 2.0 * np.pi
+        np.cos(u2, out=u2)
+        out *= u2
         return out.reshape(shape)
 
     def integers(self, n: int, bound: int) -> np.ndarray:

@@ -83,7 +83,10 @@ class ConfusionCounts:
 
 
 def _as_image(image) -> np.ndarray:
-    image = np.asarray(image, dtype=float)
+    """``image`` as an (H, W, C) array; real numbers keep their dtype, the rest become floats."""
+    image = np.asarray(image)
+    if image.dtype.kind not in "biuf":
+        image = np.asarray(image, dtype=float)
     if image.ndim == 2:
         return image[:, :, None]
     if image.ndim == 3 and image.shape[2] in (1, 3):
@@ -118,18 +121,27 @@ def edge_mask(image) -> np.ndarray:
 
     Returns a (H, W) uint8 mask with values 0/255.
     """
-    image = _as_image(image)
+    image = _as_image(image).astype(float, copy=False)
     if image.size == 0:
         raise ArgumentError("cannot compute edges of an empty image")
     gray = _luma(image)
     padded = np.pad(gray, 1, mode="edge")
     gx = np.zeros_like(gray)
     gy = np.zeros_like(gray)
+    doubled = np.empty_like(gray)  # scratch for the two-weight taps
+    # taps in the reference order, accumulated in place; the zero taps are
+    # skipped, which can flip only the sign of a zero, and hypot ignores it
     for dy in range(3):
         for dx in range(3):
             window = padded[dy:dy + gray.shape[0], dx:dx + gray.shape[1]]
-            gx += _SOBEL_X[dy, dx] * window
-            gy += _SOBEL_X[dx, dy] * window
+            for acc, weight in ((gx, _SOBEL_X[dy, dx]), (gy, _SOBEL_X[dx, dy])):
+                if weight == 0:
+                    continue
+                term = window if abs(weight) == 1 else np.multiply(window, abs(weight), out=doubled)
+                if weight > 0:
+                    acc += term
+                else:
+                    acc -= term
     magnitude = np.hypot(gx, gy)
     if magnitude.max() == 0:
         return np.zeros(gray.shape, dtype=np.uint8)
@@ -155,8 +167,11 @@ def extract_patches(image, n: int, stride: int) -> PatchGrid:
     if stride < 1:
         raise ArgumentError(f"stride must be positive, got {stride}")
     windows = _windows(image, n, stride)                   # (rows, cols, c, n, n)
-    # one copy into C order: second_moment takes row means, whose bits follow the layout
-    columns = np.ascontiguousarray(np.moveaxis(windows, (0, 1), (3, 4)))
+    # one copy into C order, converted to float on the way (a uint8 probe is
+    # never widened whole): second_moment takes row means, whose bits follow the layout
+    view = np.moveaxis(windows, (0, 1), (3, 4))
+    columns = np.empty(view.shape)
+    np.copyto(columns, view)
     return PatchGrid(
         image_w=width,
         image_h=height,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,3 +31,14 @@ def principal_angles(f1, f2):
     q1, _ = np.linalg.qr(f1)
     q2, _ = np.linalg.qr(f2)
     return np.linalg.svd(q2 - q1 @ (q1.T @ q2), compute_uv=False)
+
+
+def traced_peak(fn) -> int:
+    """Traced peak of ``fn()`` above the memory traced when it starts, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

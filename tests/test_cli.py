@@ -2,7 +2,6 @@
 
 import shutil
 import time
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,6 +9,8 @@ import pytest
 
 from cpcapp import read_image, write_csv, write_image
 from cpcapp.cli import cli_dispatch
+
+from conftest import traced_peak
 
 
 def files_equal(a, b):
@@ -247,15 +248,12 @@ class TestSplicePipeline:
         for i in range(8):
             for name in (f"probe_{i:03d}.ppm", f"surface_{i:03d}.pgm"):
                 shutil.copy(every / name, few / name)
-        peaks = []
+        codes, peaks = [], []
         for train_dir in (few, every):
-            tracemalloc.start()
-            try:
-                assert cli_dispatch(["train-splice", "--train-dir", str(train_dir),
-                                     "--out", str(tmp_path / "model.txt")]) == 0
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(lambda: codes.append(cli_dispatch(
+                ["train-splice", "--train-dir", str(train_dir),
+                 "--out", str(tmp_path / "model.txt")]))))
+        assert codes == [0, 0]
         assert peaks[1] <= 1.2 * peaks[0], peaks
 
     def test_generate_deterministic(self, tmp_path):

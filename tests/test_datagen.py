@@ -22,6 +22,8 @@ from cpcapp import (
     sym_eig,
 )
 
+from conftest import traced_peak
+
 
 @pytest.mark.parametrize("gen", [gen_four_class, sample_haystack, gen_textured_digits])
 @pytest.mark.parametrize("n_fg, n_bg", [(0, 5), (-5, 5), (5, 0), (5, -5)])
@@ -279,6 +281,13 @@ class TestSplicedImage:
     def test_fitting_seeds_keep_their_bytes(self, seed, side, digests):
         arrays = gen_spliced_image(seed, side, side)
         assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == digests
+
+    def test_builds_probe_field_by_field(self):
+        # each texture field goes into the probe as it is drawn: the peak is
+        # a few H x W float fields, not all eight plus two stacked RGB copies
+        side = 512
+        peak = traced_peak(lambda: gen_spliced_image(5, side, side))
+        assert peak <= 14 * side * side * 8
 
     def test_sliver_polygon_falls_back_to_even_angles(self):
         # the drawn angles leave a 291 degree gap: at any scale the polygon

@@ -1,7 +1,5 @@
 """CSV and netpbm round trips plus model-file serialization."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -23,6 +21,8 @@ from cpcapp import (
     write_image,
     write_probability_map,
 )
+
+from conftest import traced_peak
 
 
 class TestCsv:
@@ -114,13 +114,9 @@ class TestCsvReadPaths:
         # parsed from the open stream: no list of the file's lines is kept
         path = tmp_path / "t.csv"
         write_csv(path, rng.standard_normal((200, 400)))
-        tracemalloc.start()
-        try:
-            data = read_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * data.values.nbytes
+        tables = []
+        peak = traced_peak(lambda: tables.append(read_csv(path)))
+        assert peak <= 1.5 * tables[0].values.nbytes
 
 
 class TestNetpbm:

@@ -23,7 +23,7 @@ from cpcapp import (
     transform,
 )
 
-from conftest import principal_angles
+from conftest import principal_angles, traced_peak
 
 
 def example1_pair(n=4000, seed=11):
@@ -157,17 +157,6 @@ class TestSweep:
         assert kept < m * m * 8  # views would keep 10 * m * m * 8 bytes
 
 
-def _peak_above_base(fit) -> float:
-    """Traced peak of ``fit()`` above the memory held when it starts, in bytes."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fit()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 class TestFitMemory:
     """Transient M x M arrays a fit allocates above its covariance pair."""
 
@@ -180,12 +169,12 @@ class TestFitMemory:
 
     def test_cpcapp_peak(self, pair):
         # the loaded background, its Cholesky factor and one solve buffer at a time
-        peak = _peak_above_base(lambda: fit_cpcapp(pair, 3))
+        peak = traced_peak(lambda: fit_cpcapp(pair, 3))
         assert peak <= 5 * self.M * self.M * 8
 
     def test_cpca_peak(self, pair):
         # the contrast matrix and its eigenvectors
-        peak = _peak_above_base(lambda: fit_cpca(pair, 3, 2.0))
+        peak = traced_peak(lambda: fit_cpca(pair, 3, 2.0))
         assert peak <= 3 * self.M * self.M * 8
 
 
@@ -306,6 +295,23 @@ class TestTransform:
 
         with pytest.raises(ShapeError):
             transform(bank, DataMatrix(values=rng.standard_normal((4, 10))))
+
+    @pytest.mark.parametrize("n", [1, 2, 4095, 4096, 4097, 8193, 16129])
+    def test_column_blocks_match_one_shot_product(self, rng, n):
+        # near-equal blocks never leave a single column (gemv) unless n = 1,
+        # so every block takes gemm and the bits equal the one-shot product
+        from cpcapp import FilterBank
+
+        m, k = 192, 6
+        f, _ = np.linalg.qr(rng.standard_normal((m, k)))
+        bank = FilterBank(method="pca", f=f, train_mean_bg=np.zeros(m),
+                          train_mean_fg=rng.standard_normal(m) + 128.0,
+                          eigenvalues=np.arange(float(k), 0.0, -1.0), loading=0.0)
+        data = DataMatrix(values=40.0 * rng.standard_normal((m, n)) + 128.0)
+        for use_train_mean in (False, True):
+            mean = bank.train_mean_fg if use_train_mean else data.values.mean(axis=1)
+            want = bank.f.T @ (data.values - mean[:, None])
+            assert transform(bank, data, use_train_mean).tobytes() == want.tobytes()
 
     def test_train_mean_reuse(self, rng):
         train = DataMatrix(values=rng.standard_normal((3, 50)) + 7.0)

@@ -25,6 +25,8 @@ from cpcapp import (
     score_patches,
 )
 
+from conftest import traced_peak
+
 
 def axis_bank(m, k=1):
     f = np.zeros((m, k))
@@ -56,6 +58,31 @@ class TestEdgeMask:
         with pytest.raises(ArgumentError):
             edge_mask(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 3), (16, 16, 3), (33, 20), (40, 31, 3)])
+    def test_matches_tap_loop(self, rng, shape):
+        for image in (rng.integers(0, 256, shape).astype(np.uint8),
+                      np.full(shape, 77, dtype=np.uint8)):
+            assert edge_mask(image).tobytes() == _loop_edge_mask(image).tobytes()
+
+
+def _loop_edge_mask(image):
+    """The 18-tap Sobel loop edge_mask replaced: every tap, zero weights included."""
+    from cpcapp.splicing import _SOBEL_X, _as_image, _luma, _otsu_threshold
+
+    gray = _luma(_as_image(image).astype(float))
+    padded = np.pad(gray, 1, mode="edge")
+    gx = np.zeros_like(gray)
+    gy = np.zeros_like(gray)
+    for dy in range(3):
+        for dx in range(3):
+            window = padded[dy:dy + gray.shape[0], dx:dx + gray.shape[1]]
+            gx += _SOBEL_X[dy, dx] * window
+            gy += _SOBEL_X[dx, dy] * window
+    magnitude = np.hypot(gx, gy)
+    if magnitude.max() == 0:
+        return np.zeros(gray.shape, dtype=np.uint8)
+    return np.where(magnitude > _otsu_threshold(magnitude), 255, 0).astype(np.uint8)
+
 
 class TestExtractPatches:
     def test_single_patch(self):
@@ -84,17 +111,15 @@ class TestExtractPatches:
             extract_patches(np.zeros((6, 6)), 8, 4)
 
     def test_builds_patch_matrix_with_one_copy(self):
-        import tracemalloc
-
-        image = np.zeros((128, 128, 3))  # already float: no conversion copy
-        tracemalloc.start()
-        try:
-            grid = extract_patches(image, 8, 4)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert grid.patches.values.flags.c_contiguous
-        assert peak < 1.25 * grid.patches.values.nbytes
+        # a float image needs no conversion; a uint8 one is converted while
+        # it is copied into the patch matrix, never as a whole float image
+        for dtype in (float, np.uint8):
+            image = np.zeros((128, 128, 3), dtype=dtype)
+            grids = []
+            peak = traced_peak(lambda: grids.append(extract_patches(image, 8, 4)))
+            values = grids[0].patches.values
+            assert values.flags.c_contiguous
+            assert peak < 1.25 * values.nbytes, dtype
 
     @pytest.mark.parametrize("stride, samples", [(4, 3), (0, 2)])
     def test_grid_rejects_patches_off_the_lattice(self, stride, samples):
@@ -277,6 +302,20 @@ class TestScorePatches:
         s1 = score_patches(bank, DataMatrix(values=values))
         s2 = score_patches(bank, DataMatrix(values=values[:, perm]))
         np.testing.assert_allclose(s2, s1[perm], atol=1e-12)
+
+    def test_projects_in_column_blocks(self, rng):
+        # a 512x512 probe gives 16129 patches, four transform blocks; the
+        # projection holds one centered block, not a centered patch matrix
+        from cpcapp.reducers import TRANSFORM_BLOCK
+
+        grid = extract_patches(rng.integers(0, 256, (512, 512, 3)).astype(np.uint8), 8, 4)
+        assert grid.patches.samples > 3 * TRANSFORM_BLOCK
+        f, _ = np.linalg.qr(rng.standard_normal((grid.patches.features, 6)))
+        bank = FilterBank(method="pca", f=f, train_mean_bg=np.zeros(f.shape[0]),
+                          train_mean_fg=np.zeros(f.shape[0]),
+                          eigenvalues=np.arange(6.0, 0.0, -1.0), loading=0.0)
+        peak = traced_peak(lambda: score_patches(bank, grid.patches))
+        assert peak <= 0.4 * grid.patches.values.nbytes
 
     def test_separates_boundary_from_background_patches(self):
         from cpcapp import SplitMix64, build_covariance_pair, fit_cpcapp
