@@ -6,15 +6,15 @@ treated as a header. Rows are comma-separated numbers in numpy's float
 syntax, written with 17 significant digits, which round-trips doubles
 exactly. Files must be ASCII; blank lines are skipped.
 
-A well-formed file is parsed straight from the open stream by one
-``np.loadtxt`` call, so a read holds about one table's worth of memory. Any
-other file (a header, a whitespace-only line, a bad cell) is walked line by
-line, which names the offending line.
+Every valid file is parsed by one ``np.loadtxt`` call over the open file's
+non-blank lines, so a read holds about one table's worth of memory. Only a
+file that fails that parse (a bad cell, a ragged row, a non-ASCII byte) is
+walked line by line, to name the offending line.
 """
 
 from __future__ import annotations
 
-import warnings
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,35 +66,27 @@ def _write_rows(fh, rows) -> None:
     np.savetxt(fh, rows, fmt=_FLOAT, delimiter=",")
 
 
-def _fast_rows(path) -> np.ndarray | None:
-    """The table of a header-free file in one pass, or None if it needs the walk."""
-    try:
-        with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    except ValueError:  # a bad cell or row, or a non-ASCII byte (UnicodeDecodeError)
-        return None
-    if not table.size or not np.all(np.isfinite(table)):
-        return None
-    return table
-
-
 def read_csv_table(path) -> CsvTable:
     """Parse a rectangular numeric CSV, keeping any header names."""
     path = str(path)
-    table = _fast_rows(path)
-    if table is not None:
-        return CsvTable(header=None, rows=table)
-    numbered = _numbered_lines(path)
     header = None
-    if numbered and numbered[0][0] == 1:
-        try:
-            _parse_rows(numbered[:1], path)
-        except ParseError:
-            header = [cell.strip() for cell in numbered.pop(0)[1].split(",")]
-    if not numbered:
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            first = fh.readline()
+            if first.strip():
+                try:
+                    _parse_rows([(1, first)], path)
+                except ParseError:
+                    header = [cell.strip() for cell in first.split(",")]
+            lines = itertools.chain([first] if header is None else [], fh)
+            rows = (line for line in lines if line.strip())
+            head = next(rows, None)
+            table = None if head is None else np.loadtxt(
+                itertools.chain([head], rows), delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # a bad cell or row, or a non-ASCII byte: the walk names its line
+        table = _parse_rows(_numbered_lines(path)[header is not None:], path)
+    if table is None:
         raise ParseError(f"{path}: no numeric rows found")
-    table = _parse_rows(numbered, path)
     if not np.all(np.isfinite(table)):
         raise ParseError(f"{path}: file contains non-finite values")
     if header is not None and len(header) != table.shape[1]:

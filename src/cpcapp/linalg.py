@@ -114,7 +114,9 @@ def diagonal_load(a, rho: float) -> np.ndarray:
     a = _as_square(a)
     if rho < 0:
         raise ArgumentError(f"loading factor must be non-negative, got {rho}")
-    return a + rho * np.eye(a.shape[0])
+    out = a + 0.0  # a copy that, like a + rho * I, turns off-diagonal -0.0 into 0.0
+    out.flat[::a.shape[0] + 1] += rho
+    return out
 
 
 def auto_loading(r_b) -> float:
@@ -135,8 +137,10 @@ def auto_loading(r_b) -> float:
     if not LOADING_SCALE * mean_diag >= np.finfo(float).tiny:
         raise DefinitenessError(f"background has no variance at float64 precision "
                                 f"(tr/M = {mean_diag:.3g}); rescale the data")
+    shifted = r_b.copy()
+    shifted.flat[::m + 1] -= EPS_FLOOR_SCALE * mean_diag
     try:
-        np.linalg.cholesky(r_b - EPS_FLOOR_SCALE * mean_diag * np.eye(m))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return LOADING_SCALE * mean_diag
     return 0.0

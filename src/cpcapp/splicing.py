@@ -26,7 +26,6 @@ SCORE_THRESHOLD = 0.5
 SPLICE_K = 6
 
 _LUMA = np.array([0.299, 0.587, 0.114])
-_SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,22 +125,15 @@ def edge_mask(image) -> np.ndarray:
         raise ArgumentError("cannot compute edges of an empty image")
     gray = _luma(image)
     padded = np.pad(gray, 1, mode="edge")
-    gx = np.zeros_like(gray)
-    gy = np.zeros_like(gray)
-    doubled = np.empty_like(gray)  # scratch for the two-weight taps
-    # taps in the reference order, accumulated in place; the zero taps are
-    # skipped, which can flip only the sign of a zero, and hypot ignores it
-    for dy in range(3):
-        for dx in range(3):
-            window = padded[dy:dy + gray.shape[0], dx:dx + gray.shape[1]]
-            for acc, weight in ((gx, _SOBEL_X[dy, dx]), (gy, _SOBEL_X[dx, dy])):
-                if weight == 0:
-                    continue
-                term = window if abs(weight) == 1 else np.multiply(window, abs(weight), out=doubled)
-                if weight > 0:
-                    acc += term
-                else:
-                    acc -= term
+    h, w = gray.shape
+
+    def t(dy, dx):
+        return padded[dy:dy + h, dx:dx + w]
+
+    # Sobel taps in the reference order; the zero taps are skipped, which can
+    # flip only the sign of a zero, and hypot ignores it
+    gx = t(0, 2) - t(0, 0) - 2 * t(1, 0) + 2 * t(1, 2) - t(2, 0) + t(2, 2)
+    gy = -t(0, 0) - 2 * t(0, 1) - t(0, 2) + t(2, 0) + 2 * t(2, 1) + t(2, 2)
     magnitude = np.hypot(gx, gy)
     if magnitude.max() == 0:
         return np.zeros(gray.shape, dtype=np.uint8)

@@ -31,7 +31,7 @@ class DataMatrix:
             raise ShapeError(f"sample matrix must be 2-D, got shape {values.shape}")
         if values.shape[1] < 1:
             raise ArgumentError("sample matrix needs at least one sample")
-        if not np.all(np.isfinite(values)):
+        if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise ArgumentError("sample matrix contains non-finite entries")
 
     @property

@@ -111,12 +111,19 @@ class TestCsvReadPaths:
             assert table.rows.tobytes() == np.array(want[1]).tobytes()
 
     def test_read_holds_about_one_table(self, tmp_path, rng):
-        # parsed from the open stream: no list of the file's lines is kept
+        # parsed from the open stream, with or without a header or a
+        # whitespace-only line: no list of the file's lines is kept
         path = tmp_path / "t.csv"
         write_csv(path, rng.standard_normal((200, 400)))
-        tables = []
-        peak = traced_peak(lambda: tables.append(read_csv(path)))
-        assert peak <= 1.5 * tables[0].values.nbytes
+        text = path.read_text()
+        header = ",".join(f"c{i}" for i in range(200)) + "\n"
+        variants = {"plain": text, "header": header + text,
+                    "whitespace-only line": text.replace("\n", "\n   \n", 1)}
+        for name, variant in variants.items():
+            path.write_text(variant)
+            tables = []
+            peak = traced_peak(lambda: tables.append(read_csv(path)))
+            assert peak <= 1.5 * tables[0].values.nbytes, name
 
 
 class TestNetpbm:

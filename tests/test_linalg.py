@@ -16,7 +16,7 @@ from cpcapp import (
     sym_eig,
 )
 
-from conftest import principal_angles, random_psd, random_spd
+from conftest import principal_angles, random_psd, random_spd, traced_peak
 
 
 class TestSymEig:
@@ -85,6 +85,19 @@ class TestDiagonalLoad:
 
     def test_noop(self):
         np.testing.assert_array_equal(diagonal_load(np.eye(3), 0.0), np.eye(3))
+
+    @pytest.mark.parametrize("rho", [0.0, 1e-6, 2.5])
+    def test_keeps_bytes_of_identity_sum(self, rng, rho):
+        a = rng.standard_normal((7, 7))
+        a[a > 0.5] = -0.0
+        assert diagonal_load(a, rho).tobytes() == (a + rho * np.eye(7)).tobytes()
+
+    def test_holds_one_matrix(self, rng):
+        # a copy with rho added on its diagonal, no identity matrix; at this
+        # size numpy does not reuse temporaries, so rho * I would cost two more
+        a = rng.standard_normal((100, 100))
+        peak = traced_peak(lambda: diagonal_load(a, 0.5))
+        assert peak <= 1.5 * a.nbytes
 
     def test_negative_rho(self):
         with pytest.raises(ArgumentError):

@@ -1,10 +1,15 @@
 """Fit/transform behavior across the three methods."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cpcapp
 from cpcapp import (
     ArgumentError,
     DataMatrix,
@@ -258,6 +263,38 @@ class TestFitCpcapp:
         reset_eig_count()
         fit_cpcapp(pair, 2)
         assert eig_count() == 1
+
+
+# Fits textured digits (seed 1, 400+400): cpca++ and the sweep over every
+# 8th point of the default grid, saved to the .npz named by argv[1].
+_THREAD_CHILD = """
+import sys
+import numpy as np
+import cpcapp as cp
+fg, bg, _ = cp.gen_textured_digits(1, 400, 400)
+pair = cp.build_covariance_pair(bg, fg.data)
+banks = cp.sweep_cpca(pair, 3, cp.default_alpha_grid()[::8])
+pick = int(np.argmax(cp.glrt_statistic(pair, np.stack([b.f for b in banks]))))
+np.savez(sys.argv[1], f_pp=cp.fit_cpcapp(pair, 3).f, f_sweep=banks[pick].f, pick=pick)
+"""
+
+
+class TestThreadCountDeterminism:
+    def test_one_and_two_blas_threads_agree(self, tmp_path):
+        # README: bytes may differ across BLAS thread counts, but not the fit
+        src = str(Path(cpcapp.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.npz"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-c", _THREAD_CHILD, str(out)],
+                           env=env, check=True, timeout=300)
+            runs.append(np.load(out))
+        one, two = runs
+        assert int(one["pick"]) == int(two["pick"])
+        for key in ("f_pp", "f_sweep"):
+            assert principal_angles(one[key], two[key]).max() <= 1e-6, key
 
 
 class TestTransform:

@@ -64,11 +64,20 @@ class TestEdgeMask:
                       np.full(shape, 77, dtype=np.uint8)):
             assert edge_mask(image).tobytes() == _loop_edge_mask(image).tobytes()
 
+    def test_peak_on_a_large_probe(self):
+        # the float RGB copy, luma, padded luma, gx, gy and their temporaries,
+        # then hypot: no scratch field beyond the two tap expressions
+        side = 512
+        probe = gen_spliced_image(5, side, side)[0]
+        peak = traced_peak(lambda: edge_mask(probe))
+        assert peak <= 9.5 * side * side * 8
+
 
 def _loop_edge_mask(image):
     """The 18-tap Sobel loop edge_mask replaced: every tap, zero weights included."""
-    from cpcapp.splicing import _SOBEL_X, _as_image, _luma, _otsu_threshold
+    from cpcapp.splicing import _as_image, _luma, _otsu_threshold
 
+    sobel_x = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
     gray = _luma(_as_image(image).astype(float))
     padded = np.pad(gray, 1, mode="edge")
     gx = np.zeros_like(gray)
@@ -76,8 +85,8 @@ def _loop_edge_mask(image):
     for dy in range(3):
         for dx in range(3):
             window = padded[dy:dy + gray.shape[0], dx:dx + gray.shape[1]]
-            gx += _SOBEL_X[dy, dx] * window
-            gy += _SOBEL_X[dx, dy] * window
+            gx += sobel_x[dy, dx] * window
+            gy += sobel_x[dx, dy] * window
     magnitude = np.hypot(gx, gy)
     if magnitude.max() == 0:
         return np.zeros(gray.shape, dtype=np.uint8)

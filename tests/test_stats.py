@@ -16,6 +16,8 @@ from cpcapp import (
     second_moment,
 )
 
+from conftest import traced_peak
+
 
 def longdouble_moments(values):
     """Mean and 1/N covariance of ``values`` in extended precision."""
@@ -55,6 +57,22 @@ class TestCenter:
     def test_rejects_empty(self):
         with pytest.raises(ArgumentError):
             DataMatrix(values=np.zeros((3, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, rng, bad):
+        values = rng.standard_normal((3, 5))
+        values[1, 2] = bad
+        with pytest.raises(ArgumentError, match="non-finite"):
+            DataMatrix(values=values)
+
+    def test_accepts_zero_features(self):
+        assert DataMatrix(values=np.zeros((0, 4))).samples == 4
+
+    def test_finiteness_check_holds_no_mask(self, rng):
+        # min and max instead of a bool array the size of the matrix
+        values = rng.standard_normal((192, 4096))
+        peak = traced_peak(lambda: DataMatrix(values=values))
+        assert peak <= 0.01 * values.nbytes
 
     def test_large_magnitude_data_centers(self, rng):
         # offset 5e8, spread 1e8: residual sums about the mean are at rounding level
@@ -155,6 +173,15 @@ class TestMoments:
 
 
 class TestBuildPair:
+    def test_peak_from_moments_is_four_covariances(self, rng):
+        # r_b and r_f, then the loading test's shifted copy and its Cholesky
+        # factor; no identity matrix is built
+        m = 200
+        bg, fg = (second_moment(DataMatrix(values=rng.standard_normal((m, n))))
+                  for n in (150, 300))
+        peak = traced_peak(lambda: build_covariance_pair(bg, fg))
+        assert peak <= 4.5 * m * m * 8
+
     def test_equal_partitions(self, rng):
         data = DataMatrix(values=rng.standard_normal((4, 9)))
         pair = build_covariance_pair(data, data)
