@@ -53,6 +53,7 @@ from .reducers import (
 from .rng import SplitMix64
 from .splicing import (
     ConfusionCounts,
+    Lattice,
     PatchGrid,
     ProbabilityMap,
     binarize_and_score,
@@ -63,6 +64,7 @@ from .splicing import (
     mcc_score,
     random_scorer_expected_f1,
     reconstruct_map,
+    score_lattice,
     score_patches,
 )
 from .stats import CovariancePair, DataMatrix, Moments, build_covariance_pair, second_moment

@@ -25,7 +25,8 @@ from .reducers import default_alpha_grid, fit_cpca, fit_cpcapp, fit_pca, sweep_c
 from .rng import SplitMix64
 from .splicing import BG_EDGE_MIN, FG_SPLICE_RANGE, PATCH_SIZE, PATCH_STRIDE, \
     SCORE_THRESHOLD, SPLICE_K, ProbabilityMap, binarize_and_score, edge_mask, \
-    extract_patches, f1_score, label_patches, mcc_score, reconstruct_map, score_patches
+    extract_patches, f1_score, label_patches, mcc_score, reconstruct_map, score_lattice, \
+    score_patches
 from .stats import DataMatrix, Moments, build_covariance_pair, second_moment
 
 
@@ -240,9 +241,8 @@ def _cmd_localize(args) -> int:
         raise ShapeError(f"model has M={bank.features} features, which is not c*n^2 "
                          f"for a probe of c={channels} channels")
     edge = edge_mask(probe)
-    grid = extract_patches(probe, n, args.stride)
-    scores = score_patches(bank, grid.patches)
-    prob_map = reconstruct_map(scores, grid, edge)
+    scores, lattice = score_lattice(bank, probe, n, args.stride)
+    prob_map = reconstruct_map(scores, lattice, edge)
     netpbm.write_probability_map(args.out, prob_map.values)
     return 0
 

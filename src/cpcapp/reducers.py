@@ -150,6 +150,28 @@ def fit_cpcapp(pair: CovariancePair, k: int) -> FilterBank:
     )
 
 
+def _splits(count: int, most: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` ranges cutting ``range(count)`` into the fewest near-equal parts of at most ``most``."""
+    parts = -(-count // most)
+    edges = [count * i // parts for i in range(parts + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _centering_mean(bank: FilterBank, data: DataMatrix, use_train_mean: bool) -> np.ndarray:
+    """The mean ``transform`` subtracts: the batch's own, or the stored foreground mean."""
+    if data.features != bank.features:
+        raise ShapeError(
+            f"data has {data.features} features but bank expects {bank.features}"
+        )
+    return bank.train_mean_fg if use_train_mean else data.values.mean(axis=1)
+
+
+def _project(bank: FilterBank, block: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``F^T (block - mean)``; ``block`` is a float scratch copy and is centered in place."""
+    block -= mean[:, None]
+    return bank.f.T @ block
+
+
 def transform(bank: FilterBank, data: DataMatrix, use_train_mean: bool = False) -> np.ndarray:
     """Project samples through the bank: the (K, N) array ``F^T (data - mean)``.
 
@@ -157,17 +179,10 @@ def transform(bank: FilterBank, data: DataMatrix, use_train_mean: bool = False) 
     ``use_train_mean=True`` to reuse the foreground mean stored at fit time
     (useful when a test batch is too small to estimate its own).
     """
-    if data.features != bank.features:
-        raise ShapeError(
-            f"data has {data.features} features but bank expects {bank.features}"
-        )
+    mean = _centering_mean(bank, data, use_train_mean)
     x = data.values
-    mean = (bank.train_mean_fg if use_train_mean else x.mean(axis=1))[:, None]
-    n = x.shape[1]
-    blocks = -(-n // TRANSFORM_BLOCK)
-    edges = [n * i // blocks for i in range(blocks + 1)]
-    out = np.empty((bank.k, n))
+    out = np.empty((bank.k, x.shape[1]))
     # column blocks hold one centered M x TRANSFORM_BLOCK copy, not one of all N
-    for lo, hi in zip(edges, edges[1:]):
-        out[:, lo:hi] = bank.f.T @ (x[:, lo:hi] - mean)
+    for lo, hi in _splits(x.shape[1], TRANSFORM_BLOCK):
+        out[:, lo:hi] = _project(bank, x[:, lo:hi].copy(), mean)
     return out

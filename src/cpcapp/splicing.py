@@ -1,9 +1,13 @@
 """Patch-based boundary localization: extract, label, score, reconstruct, score.
 
-A probe image is cut into overlapping patches; a fitted filter bank turns
-each patch into a squared projection norm, normalized per image to [0, 1];
-per-pixel averaging plus edge masking yields the boundary probability map,
-which is then tallied against ground truth with F1 and Matthews scores.
+A probe image is cut into overlapping patches on a strided lattice; a fitted
+filter bank turns each patch into a squared projection norm, normalized per
+image to [0, 1]; per-pixel averaging plus edge masking yields the boundary
+probability map, which is then tallied against ground truth with F1 and
+Matthews scores. Training extracts each probe's patch matrix
+(:func:`extract_patches`); localization scores a probe one band of lattice
+rows at a time (:func:`score_lattice`), so no patch matrix of the whole
+image is ever built.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .reducers import FilterBank, transform
+from .reducers import TRANSFORM_BLOCK, FilterBank, _centering_mean, _project, _splits
 from .stats import DataMatrix
 
 # Pipeline defaults; every one of these is overridable at the CLI.
@@ -26,24 +30,26 @@ SCORE_THRESHOLD = 0.5
 SPLICE_K = 6
 
 _LUMA = np.array([0.299, 0.587, 0.114])
+# edge_mask widens an RGB probe to float in row bands of about this many pixels
+_LUMA_BAND_PIXELS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
-class PatchGrid:
-    """Flattened n x n patches of one image, row-major over origins (i*stride, j*stride)."""
+class Lattice:
+    """The n x n windows of an image whose origins are (i*stride, j*stride), row-major."""
 
     image_w: int
     image_h: int
     n: int
     stride: int
-    channels: int
-    patches: DataMatrix          # (c*n*n, rows*cols), one flattened patch per column
 
     def __post_init__(self):
-        if self.patches.features != self.channels * self.n * self.n:
-            raise ShapeError("patch rows must equal channels * n^2")
-        if self.stride < 1 or self.patches.samples != self.rows * self.cols:
-            raise ShapeError("one patch per origin of a stride >= 1 lattice is required")
+        size = min(self.image_w, self.image_h)
+        if not 1 <= self.n <= size:
+            raise ArgumentError(f"patch size {self.n} is outside [1, {size}] "
+                                f"for {self.image_w}x{self.image_h}")
+        if self.stride < 1:
+            raise ArgumentError(f"stride must be positive, got {self.stride}")
 
     @property
     def rows(self) -> int:
@@ -52,6 +58,21 @@ class PatchGrid:
     @property
     def cols(self) -> int:
         return (self.image_w - self.n) // self.stride + 1
+
+
+@dataclass(frozen=True, eq=False)
+class PatchGrid(Lattice):
+    """Flattened n x n patches of one image, one column per lattice origin."""
+
+    channels: int
+    patches: DataMatrix          # (c*n*n, rows*cols), one flattened patch per column
+
+    def __post_init__(self):
+        if self.patches.features != self.channels * self.n * self.n:
+            raise ShapeError("patch rows must equal channels * n^2")
+        if self.stride < 1 or self.patches.samples != self.rows * self.cols:
+            raise ShapeError("one patch per origin of a stride >= 1 lattice is required")
+        super().__post_init__()
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,9 +115,16 @@ def _as_image(image) -> np.ndarray:
 
 
 def _luma(image: np.ndarray) -> np.ndarray:
+    """Float luma of an (H, W, C) image; RGB is widened to float one row band at a time."""
     if image.shape[2] == 1:
-        return image[:, :, 0]
-    return image @ _LUMA
+        return image[:, :, 0].astype(float, copy=False)
+    height, width = image.shape[:2]
+    gray = np.empty((height, width))
+    step = max(1, _LUMA_BAND_PIXELS // width)
+    # each row's product is the whole image's: per-channel sums would change its bits
+    for lo in range(0, height, step):
+        gray[lo:lo + step] = image[lo:lo + step].astype(float) @ _LUMA
+    return gray
 
 
 def _otsu_threshold(values: np.ndarray) -> float:
@@ -120,12 +148,11 @@ def edge_mask(image) -> np.ndarray:
 
     Returns a (H, W) uint8 mask with values 0/255.
     """
-    image = _as_image(image).astype(float, copy=False)
+    image = _as_image(image)
     if image.size == 0:
         raise ArgumentError("cannot compute edges of an empty image")
-    gray = _luma(image)
-    padded = np.pad(gray, 1, mode="edge")
-    h, w = gray.shape
+    h, w = image.shape[:2]
+    padded = np.pad(_luma(image), 1, mode="edge")
 
     def t(dy, dx):
         return padded[dy:dy + h, dx:dx + w]
@@ -134,9 +161,11 @@ def edge_mask(image) -> np.ndarray:
     # flip only the sign of a zero, and hypot ignores it
     gx = t(0, 2) - t(0, 0) - 2 * t(1, 0) + 2 * t(1, 2) - t(2, 0) + t(2, 2)
     gy = -t(0, 0) - 2 * t(0, 1) - t(0, 2) + t(2, 0) + 2 * t(2, 1) + t(2, 2)
-    magnitude = np.hypot(gx, gy)
+    del padded
+    magnitude = np.hypot(gx, gy, out=gx)
+    del gy
     if magnitude.max() == 0:
-        return np.zeros(gray.shape, dtype=np.uint8)
+        return np.zeros((h, w), dtype=np.uint8)
     level = _otsu_threshold(magnitude)
     return np.where(magnitude > level, 255, 0).astype(np.uint8)
 
@@ -144,6 +173,22 @@ def edge_mask(image) -> np.ndarray:
 def _windows(a: np.ndarray, n: int, stride: int) -> np.ndarray:
     """The (rows, cols, ..., n, n) view of the n x n windows on the stride lattice."""
     return np.lib.stride_tricks.sliding_window_view(a, (n, n), axis=(0, 1))[::stride, ::stride]
+
+
+def _patch_fields(image: np.ndarray, n: int, stride: int) -> np.ndarray:
+    """The (c, n, n, rows, cols) view of an (H, W, C) image's lattice: one field per feature."""
+    return np.moveaxis(_windows(image, n, stride), (0, 1), (3, 4))
+
+
+def _patch_columns(fields: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The patches of lattice rows ``[lo, hi)`` as float columns, channel-major.
+
+    One copy into C order, converted to float on the way (a uint8 probe is
+    never widened whole): row means and BLAS products follow the layout.
+    """
+    columns = np.empty(fields.shape[:3] + (hi - lo, fields.shape[4]))
+    np.copyto(columns, fields[..., lo:hi, :])
+    return columns.reshape(-1, (hi - lo) * fields.shape[4])
 
 
 def extract_patches(image, n: int, stride: int) -> PatchGrid:
@@ -154,27 +199,18 @@ def extract_patches(image, n: int, stride: int) -> PatchGrid:
     """
     image = _as_image(image)
     height, width, channels = image.shape
-    if not 1 <= n <= min(width, height):
-        raise ArgumentError(f"patch size {n} is outside [1, {min(width, height)}] for {width}x{height}")
-    if stride < 1:
-        raise ArgumentError(f"stride must be positive, got {stride}")
-    windows = _windows(image, n, stride)                   # (rows, cols, c, n, n)
-    # one copy into C order, converted to float on the way (a uint8 probe is
-    # never widened whole): second_moment takes row means, whose bits follow the layout
-    view = np.moveaxis(windows, (0, 1), (3, 4))
-    columns = np.empty(view.shape)
-    np.copyto(columns, view)
+    lattice = Lattice(image_w=width, image_h=height, n=n, stride=stride)
     return PatchGrid(
         image_w=width,
         image_h=height,
         n=n,
         stride=stride,
         channels=channels,
-        patches=DataMatrix(values=columns.reshape(-1, windows.shape[0] * windows.shape[1])),
+        patches=DataMatrix(values=_patch_columns(_patch_fields(image, n, stride), 0, lattice.rows)),
     )
 
 
-def label_patches(grid: PatchGrid, surface_mask, edge, fg_range=FG_SPLICE_RANGE,
+def label_patches(grid: Lattice, surface_mask, edge, fg_range=FG_SPLICE_RANGE,
                   bg_edge_min: float = BG_EDGE_MIN) -> tuple[np.ndarray, np.ndarray]:
     """Split patch indices into foreground and background training sets.
 
@@ -201,6 +237,23 @@ def label_patches(grid: PatchGrid, surface_mask, edge, fg_range=FG_SPLICE_RANGE,
     return np.flatnonzero(is_fg), np.flatnonzero(~is_fg & (frac == 0) & (edge_frac >= bg_edge_min))
 
 
+def _scores(bank: FilterBank, mean: np.ndarray, splits, block) -> np.ndarray:
+    """Max-normalized squared norms of ``F^T (x - mean)``, one block of samples at a time.
+
+    ``splits`` are consecutive ``[lo, hi)`` ranges covering every sample, and
+    ``block(lo, hi)`` returns a float scratch copy of those samples as
+    columns, which is centered in place and dropped once its squared norms
+    are kept. An all-zero projection yields all-zero scores.
+    """
+    v = np.empty(splits[-1][1])
+    for lo, hi in splits:
+        v[lo:hi] = np.sum(_project(bank, block(lo, hi), mean) ** 2, axis=0)
+    peak = v.max()
+    if peak == 0:
+        return np.zeros_like(v)
+    return v / peak
+
+
 def score_patches(bank: FilterBank, test: DataMatrix, use_train_mean: bool = False) -> np.ndarray:
     """Per-patch probabilities: squared projection norms, max-normalized.
 
@@ -208,42 +261,77 @@ def score_patches(bank: FilterBank, test: DataMatrix, use_train_mean: bool = Fal
     the bank, and each column's squared L2 norm is divided by the batch
     maximum. An all-zero projection yields all-zero scores.
     """
-    v = np.sum(transform(bank, test, use_train_mean=use_train_mean) ** 2, axis=0)
-    peak = v.max()
-    if peak == 0:
-        return np.zeros_like(v)
-    return v / peak
+    mean = _centering_mean(bank, test, use_train_mean)
+    x = test.values
+    return _scores(bank, mean, _splits(x.shape[1], TRANSFORM_BLOCK),
+                   lambda lo, hi: x[:, lo:hi].copy())
 
 
-def reconstruct_map(scores, grid: PatchGrid, edge) -> ProbabilityMap:
+def score_lattice(bank: FilterBank, image, n: int, stride: int) -> tuple[np.ndarray, Lattice]:
+    """``score_patches`` of every patch on the image's lattice, and that lattice.
+
+    Bit-identical to ``score_patches(bank, extract_patches(image, n,
+    stride).patches)``, but no patch matrix is built: each feature's mean
+    comes from a contiguous copy of its (rows, cols) field, and then the
+    patches are copied out, centered and projected one band of whole
+    lattice rows at a time.
+    """
+    image = _as_image(image)
+    height, width, channels = image.shape
+    lattice = Lattice(image_w=width, image_h=height, n=n, stride=stride)
+    if channels * n * n != bank.features:
+        raise ShapeError(f"bank expects {bank.features} features but {channels}-channel "
+                         f"{n}x{n} patches have {channels * n * n}")
+    if not (np.isfinite(image.min()) and np.isfinite(image.max())):
+        raise ArgumentError("image contains non-finite values")
+    cols = lattice.cols
+    fields = _patch_fields(image, n, stride)
+    field = np.empty(fields.shape[3:])
+    mean = np.empty(bank.features)
+    for i, index in enumerate(np.ndindex(fields.shape[:3])):
+        # a contiguous copy sums in the order x.mean(axis=1) takes along a patch row
+        np.copyto(field, fields[index])
+        mean[i] = field.mean()
+
+    # near-equal bands of whole rows; none is a single column unless there is
+    # one patch (a one-column product takes gemv, whose bits differ from gemm's)
+    splits = [(lo * cols, hi * cols)
+              for lo, hi in _splits(lattice.rows, max(1, TRANSFORM_BLOCK // cols))]
+    return _scores(bank, mean, splits,
+                   lambda lo, hi: _patch_columns(fields, lo // cols, hi // cols)), lattice
+
+
+def reconstruct_map(scores, lattice: Lattice, edge) -> ProbabilityMap:
     """Average patch scores onto pixels, then zero out non-edge pixels.
 
-    Each pixel receives the mean score of every patch covering it
-    (accumulated in patch-index order); pixels no patch covers, and pixels
-    outside the edge mask, are 0.
+    ``scores`` holds one value per origin of ``lattice``, row-major (a
+    :class:`PatchGrid` is a lattice too). Each pixel receives the mean score
+    of every patch covering it (accumulated in patch-index order); pixels no
+    patch covers, and pixels outside the edge mask, are 0.
     """
     scores = np.asarray(scores, dtype=float)
-    if scores.shape != (grid.patches.samples,):
+    rows, cols = lattice.rows, lattice.cols
+    if scores.shape != (rows * cols,):
         raise ArgumentError(
-            f"got {scores.shape[0] if scores.ndim else 0} scores for {grid.patches.samples} patches"
+            f"got {scores.shape[0] if scores.ndim else 0} scores for {rows * cols} patches"
         )
     edges = np.asarray(edge) > 0
-    if edges.shape != (grid.image_h, grid.image_w):
-        raise ShapeError("edge mask dimensions must match the patch grid's image")
-    acc = np.zeros((grid.image_h, grid.image_w))
-    cover = np.zeros((grid.image_h, grid.image_w))
-    lattice = scores.reshape(grid.rows, grid.cols)
-    s = grid.stride
+    if edges.shape != (lattice.image_h, lattice.image_w):
+        raise ShapeError("edge mask dimensions must match the lattice's image")
+    acc = np.zeros((lattice.image_h, lattice.image_w))
+    cover = np.zeros((lattice.image_h, lattice.image_w))
+    per_origin = scores.reshape(rows, cols)
+    s = lattice.stride
     # Pixel (r*s + dy, c*s + dx) takes patch (r, c) at offset (dy, dx); taking
     # the offsets in descending order adds each pixel's patches by patch index.
-    for dy in range(grid.n - 1, -1, -1):
-        for dx in range(grid.n - 1, -1, -1):
-            cell = np.s_[dy:dy + grid.rows * s:s, dx:dx + grid.cols * s:s]
-            acc[cell] += lattice
+    for dy in range(lattice.n - 1, -1, -1):
+        for dx in range(lattice.n - 1, -1, -1):
+            cell = np.s_[dy:dy + rows * s:s, dx:dx + cols * s:s]
+            acc[cell] += per_origin
             cover[cell] += 1.0
     np.divide(acc, cover, out=acc, where=cover > 0)
     acc *= edges
-    return ProbabilityMap(width=grid.image_w, height=grid.image_h, values=acc)
+    return ProbabilityMap(width=lattice.image_w, height=lattice.image_h, values=acc)
 
 
 def binarize_and_score(prob_map: ProbabilityMap, truth, threshold: float = SCORE_THRESHOLD) -> ConfusionCounts:

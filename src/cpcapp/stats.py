@@ -52,7 +52,8 @@ class Moments:
     scatter: np.ndarray   # (M, M)
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.scatter)):
+        scatter = self.scatter
+        if scatter.size and not (np.isfinite(scatter.min()) and np.isfinite(scatter.max())):
             raise ArgumentError("second moment overflows float64; rescale the data")
 
     @property

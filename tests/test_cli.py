@@ -7,7 +7,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cpcapp import read_image, write_csv, write_image
+from cpcapp import FilterBank, edge_mask, extract_patches, gen_spliced_image, load_model, \
+    read_image, reconstruct_map, save_model, score_patches, write_csv, write_image, \
+    write_probability_map
 from cpcapp.cli import cli_dispatch
 
 from conftest import traced_peak
@@ -207,6 +209,41 @@ class TestSplicePipeline:
         assert cli_dispatch(["localize", "--model", str(model),
                              "--image", str(data / "probe_000.ppm"), "--out", str(pmap)]) == 0
         assert read_image(pmap).shape == (64, 64)
+
+    @staticmethod
+    def _random_model(path, m, seed=3):
+        f, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, 3)))
+        save_model(path, FilterBank(method="pca", f=f, train_mean_bg=np.zeros(m),
+                                    train_mean_fg=np.zeros(m),
+                                    eigenvalues=np.array([3.0, 2.0, 1.0]), loading=0.0))
+
+    def test_localize_grey_probe(self, tmp_path):
+        # a model of M = n^2 features localizes a grey (P5) probe with n x n patches
+        probe = gen_spliced_image(4, 48, 40)[0][:, :, 1]
+        write_image(tmp_path / "probe.pgm", probe)
+        model = tmp_path / "model.txt"
+        self._random_model(model, 36)
+        assert cli_dispatch(["localize", "--model", str(model), "--image",
+                             str(tmp_path / "probe.pgm"), "--out", str(tmp_path / "map.pgm"),
+                             "--stride", "3"]) == 0
+        grid = extract_patches(probe, 6, 3)
+        bank, _ = load_model(model)
+        want = reconstruct_map(score_patches(bank, grid.patches), grid, edge_mask(probe))
+        write_probability_map(tmp_path / "want.pgm", want.values)
+        assert files_equal(tmp_path / "map.pgm", tmp_path / "want.pgm")
+
+    def test_localize_peak_on_a_large_probe(self, tmp_path):
+        # no patch matrix: the edge mask sets the peak, then one band of patches
+        side = 512
+        write_image(tmp_path / "probe.ppm", gen_spliced_image(5, side, side)[0])
+        model = tmp_path / "model.txt"
+        self._random_model(model, 192)
+        codes = []
+        peak = traced_peak(lambda: codes.append(cli_dispatch(
+            ["localize", "--model", str(model), "--image", str(tmp_path / "probe.ppm"),
+             "--out", str(tmp_path / "map.pgm")])))
+        assert codes == [0]
+        assert peak <= 6 * side * side * 8
 
     def test_train_rejects_grey_probe_among_colour_probes(self, tmp_path, capfd):
         data = tmp_path / "imgs"

@@ -10,6 +10,7 @@ from cpcapp import (
     ConfusionCounts,
     DataMatrix,
     FilterBank,
+    Lattice,
     PatchGrid,
     ProbabilityMap,
     ShapeError,
@@ -22,8 +23,10 @@ from cpcapp import (
     mcc_score,
     random_scorer_expected_f1,
     reconstruct_map,
+    score_lattice,
     score_patches,
 )
+from cpcapp.reducers import TRANSFORM_BLOCK
 
 from conftest import traced_peak
 
@@ -34,6 +37,13 @@ def axis_bank(m, k=1):
         f[i, i] = 1.0
     return FilterBank(method="pca", f=f, train_mean_bg=np.zeros(m),
                       train_mean_fg=np.zeros(m), eigenvalues=np.zeros(k), loading=0.0)
+
+
+def random_bank(rng, m, k=6):
+    """A bank of min(k, m) random orthonormal filters over m features."""
+    f, _ = np.linalg.qr(rng.standard_normal((m, min(k, m))))
+    return FilterBank(method="pca", f=f, train_mean_bg=np.zeros(m), train_mean_fg=np.zeros(m),
+                      eigenvalues=np.arange(f.shape[1], 0.0, -1.0), loading=0.0)
 
 
 class TestEdgeMask:
@@ -58,27 +68,33 @@ class TestEdgeMask:
         with pytest.raises(ArgumentError):
             edge_mask(np.zeros((0, 0)))
 
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 3), (16, 16, 3), (33, 20), (40, 31, 3)])
+    # (257, 300, 3) widens its luma in two row bands
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 3), (16, 16, 3), (33, 20), (40, 31, 3),
+                                       (257, 300, 3)])
     def test_matches_tap_loop(self, rng, shape):
         for image in (rng.integers(0, 256, shape).astype(np.uint8),
                       np.full(shape, 77, dtype=np.uint8)):
             assert edge_mask(image).tobytes() == _loop_edge_mask(image).tobytes()
 
     def test_peak_on_a_large_probe(self):
-        # the float RGB copy, luma, padded luma, gx, gy and their temporaries,
-        # then hypot: no scratch field beyond the two tap expressions
+        # luma is widened in row bands, never as a whole float RGB copy; the
+        # peak is the padded luma, gx, gy and one tap temporary, and hypot
+        # writes into gx once the padded luma is released
         side = 512
         probe = gen_spliced_image(5, side, side)[0]
+        assert edge_mask(probe).tobytes() == _loop_edge_mask(probe).tobytes()
         peak = traced_peak(lambda: edge_mask(probe))
-        assert peak <= 9.5 * side * side * 8
+        assert peak <= 4.5 * side * side * 8
 
 
 def _loop_edge_mask(image):
-    """The 18-tap Sobel loop edge_mask replaced: every tap, zero weights included."""
-    from cpcapp.splicing import _as_image, _luma, _otsu_threshold
+    """The 18-tap Sobel loop edge_mask replaced: every tap, zero weights included,
+    on the luma of the whole image widened to float at once."""
+    from cpcapp.splicing import _LUMA, _as_image, _otsu_threshold
 
     sobel_x = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
-    gray = _luma(_as_image(image).astype(float))
+    image = _as_image(image).astype(float)
+    gray = image[:, :, 0] if image.shape[2] == 1 else image @ _LUMA
     padded = np.pad(gray, 1, mode="edge")
     gx = np.zeros_like(gray)
     gy = np.zeros_like(gray)
@@ -182,19 +198,22 @@ def _loop_map(scores, shape, n, stride, edge):
     return acc * (np.asarray(edge) > 0)
 
 
+LATTICE_CASES = [
+    ((32, 32, 3), 8, 4),
+    ((37, 53), 8, 3),      # stride divides neither extent
+    ((37, 53, 3), 5, 7),   # stride > n: uncovered columns between patches
+    ((24, 30), 8, 1),
+    ((29, 31, 3), 3, 5),
+    ((37, 53), 37, 1),     # one patch row spanning the full height
+    ((9, 11, 3), 1, 1),
+    ((20, 44), 8, 8),
+]
+
+
 class TestLatticeMatchesPatchLoops:
     """Byte equality of the lattice code with the per-patch loops it replaced."""
 
-    @pytest.mark.parametrize("shape, n, stride", [
-        ((32, 32, 3), 8, 4),
-        ((37, 53), 8, 3),      # stride divides neither extent
-        ((37, 53, 3), 5, 7),   # stride > n: uncovered columns between patches
-        ((24, 30), 8, 1),
-        ((29, 31, 3), 3, 5),
-        ((37, 53), 37, 1),     # one patch row spanning the full height
-        ((9, 11, 3), 1, 1),
-        ((20, 44), 8, 8),
-    ])
+    @pytest.mark.parametrize("shape, n, stride", LATTICE_CASES)
     def test_patches_labels_and_map(self, rng, shape, n, stride):
         image = rng.integers(0, 256, size=shape).astype(np.uint8)
         surface = np.zeros(shape[:2], dtype=np.uint8)
@@ -231,6 +250,76 @@ class TestLatticeMatchesPatchLoops:
         pmap = reconstruct_map(scores, grid, edge)
         want = _loop_map(scores, surface.shape, 8, 4, edge)
         assert pmap.values.tobytes() == want.tobytes()
+
+
+def _patch_matrix_chain(bank, image, n, stride, edge):
+    """The path score_lattice replaced: extract the patch matrix, score it, reconstruct."""
+    grid = extract_patches(image, n, stride)
+    scores = score_patches(bank, grid.patches)
+    return scores, reconstruct_map(scores, grid, edge)
+
+
+class TestScoreLattice:
+    """Byte equality of banded scoring with the patch-matrix chain."""
+
+    def _check(self, rng, image, n, stride):
+        channels = 1 if image.ndim == 2 else image.shape[2]
+        bank = random_bank(rng, channels * n * n)
+        edge = (rng.random(image.shape[:2]) < 0.3).astype(np.uint8) * 255
+        scores, lattice = score_lattice(bank, image, n, stride)
+        want_scores, want_map = _patch_matrix_chain(bank, image, n, stride, edge)
+        assert scores.tobytes() == want_scores.tobytes()
+        assert reconstruct_map(scores, lattice, edge).values.tobytes() == want_map.values.tobytes()
+        return lattice
+
+    @pytest.mark.parametrize("dtype", [np.uint8, float])
+    @pytest.mark.parametrize("shape, n, stride", LATTICE_CASES)
+    def test_matches_patch_matrix_chain(self, rng, shape, n, stride, dtype):
+        image = 255 * rng.random(shape) if dtype is float else rng.integers(0, 256, shape,
+                                                                             dtype=np.uint8)
+        self._check(rng, image, n, stride)
+
+    @pytest.mark.parametrize("shape, n, stride, rows, cols", [
+        ((300, 300), 8, 4, 74, 74),      # two bands of whole rows
+        ((4200, 3), 3, 1, 4198, 1),      # one-column lattice in two bands
+        ((40, 8), 8, 1, 33, 1),
+        ((8, 8), 8, 4, 1, 1),            # one patch
+        ((9, 9, 3), 9, 2, 1, 1),
+    ])
+    def test_band_edges(self, rng, shape, n, stride, rows, cols):
+        lattice = self._check(rng, rng.integers(0, 256, shape, dtype=np.uint8), n, stride)
+        assert (lattice.rows, lattice.cols) == (rows, cols)
+
+    def test_spliced_probe(self, rng):
+        probe = gen_spliced_image(11)[0]
+        assert self._check(rng, probe, 8, 4).rows == 15
+
+    def test_holds_one_band_of_patches(self, rng):
+        # a 512x512 probe has 16129 patches; only one band of at most
+        # TRANSFORM_BLOCK of them is copied out at a time
+        probe = gen_spliced_image(5, 512, 512)[0]
+        bank = random_bank(rng, 192)
+        peak = traced_peak(lambda: score_lattice(bank, probe, 8, 4))
+        assert peak <= 1.15 * bank.features * TRANSFORM_BLOCK * 8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_probe(self, rng, bad):
+        image = 255 * rng.random((16, 16))
+        image[3, 4] = bad
+        for score in (lambda: score_lattice(axis_bank(64), image, 8, 4),
+                      lambda: score_patches(axis_bank(64), extract_patches(image, 8, 4).patches)):
+            with pytest.raises(ArgumentError, match="non-finite"):
+                score()
+
+    @pytest.mark.parametrize("n, stride, message", [(9, 4, r"patch size 9 is outside \[1, 8\]"),
+                                                    (8, 0, "stride must be positive")])
+    def test_rejects_lattice_off_the_image(self, n, stride, message):
+        with pytest.raises(ArgumentError, match=message):
+            score_lattice(axis_bank(n * n), np.zeros((8, 8)), n, stride)
+
+    def test_rejects_bank_of_other_patch_size(self):
+        with pytest.raises(ShapeError, match="expects 64 features"):
+            score_lattice(axis_bank(64), np.zeros((8, 8, 3)), 8, 4)
 
 
 class TestLabelPatches:
@@ -315,14 +404,9 @@ class TestScorePatches:
     def test_projects_in_column_blocks(self, rng):
         # a 512x512 probe gives 16129 patches, four transform blocks; the
         # projection holds one centered block, not a centered patch matrix
-        from cpcapp.reducers import TRANSFORM_BLOCK
-
         grid = extract_patches(rng.integers(0, 256, (512, 512, 3)).astype(np.uint8), 8, 4)
         assert grid.patches.samples > 3 * TRANSFORM_BLOCK
-        f, _ = np.linalg.qr(rng.standard_normal((grid.patches.features, 6)))
-        bank = FilterBank(method="pca", f=f, train_mean_bg=np.zeros(f.shape[0]),
-                          train_mean_fg=np.zeros(f.shape[0]),
-                          eigenvalues=np.arange(6.0, 0.0, -1.0), loading=0.0)
+        bank = random_bank(rng, grid.patches.features)
         peak = traced_peak(lambda: score_patches(bank, grid.patches))
         assert peak <= 0.4 * grid.patches.values.nbytes
 
@@ -380,6 +464,14 @@ class TestReconstructMap:
         pmap = reconstruct_map(scores, grid, edge)
         assert np.all(pmap.values[edge == 0] == 0)
         assert np.all(pmap.values <= (edge > 0).astype(float) + 1e-12)
+
+    def test_takes_the_lattice_alone(self, rng):
+        grid = extract_patches(np.zeros((37, 53)), 8, 3)
+        lattice = Lattice(image_w=53, image_h=37, n=8, stride=3)
+        edge = (rng.random((37, 53)) < 0.5).astype(np.uint8) * 255
+        scores = rng.random(grid.patches.samples)
+        assert (reconstruct_map(scores, lattice, edge).values.tobytes()
+                == reconstruct_map(scores, grid, edge).values.tobytes())
 
     def test_rejects_count_mismatch(self):
         grid = extract_patches(np.zeros((8, 8)), 8, 4)

@@ -9,6 +9,7 @@ from cpcapp import (
     ArgumentError,
     DataMatrix,
     DefinitenessError,
+    Moments,
     ShapeError,
     build_covariance_pair,
     gen_haystack,
@@ -160,6 +161,22 @@ class TestMoments:
         hi = second_moment(DataMatrix(values=np.full((2, 3), 1e160)))
         with pytest.raises(ArgumentError, match="overflows"):
             lo.merge(hi)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scatter(self, bad):
+        scatter = np.eye(4)
+        scatter[2, 1] = bad
+        with pytest.raises(ArgumentError, match="overflows"):
+            Moments(n=5, mean=np.zeros(4), scatter=scatter)
+
+    def test_finiteness_check_holds_no_mask(self, rng):
+        # min and max instead of a bool array the size of the scatter
+        scatter = rng.standard_normal((784, 784))
+        peak = traced_peak(lambda: Moments(n=10, mean=np.zeros(784), scatter=scatter))
+        assert peak <= 0.01 * scatter.nbytes
+
+    def test_accepts_zero_features(self):
+        assert second_moment(DataMatrix(values=np.zeros((0, 4)))).scatter.shape == (0, 0)
 
     def test_pair_from_moments_matches_pair_from_samples(self, rng):
         bg, fg = rng.standard_normal((4, 30)), rng.standard_normal((4, 25)) + 3.0
