@@ -8,7 +8,7 @@ F1/MCC scoring.
 """
 
 from .bench import BenchReport, run_bench
-from .csvio import CsvTable, read_csv, read_csv_table, write_csv
+from .csvio import read_csv, write_csv
 from .datagen import (
     LabeledDataset,
     analytic_four_class_covariances,

@@ -16,10 +16,9 @@ import numpy as np
 from .datagen import gen_four_class, gen_textured_digits, sample_haystack
 from .errors import ArgumentError
 from .linalg import eig_count, reset_eig_count
-from .reducers import default_alpha_grid, fit_cpcapp, fit_pca, sweep_cpca
+from .reducers import METHODS, default_alpha_grid, fit_cpcapp, fit_pca, sweep_cpca
 from .stats import build_covariance_pair
 
-BENCH_METHODS = ("pca", "cpca", "cpca++")
 TIMING_REPEATS = 5
 
 
@@ -32,7 +31,7 @@ class BenchReport:
 
     def format(self) -> str:
         lines = [f"dataset: {self.dataset}", f"{'method':<8} {'seconds':>12} {'eigs':>6}"]
-        for method in BENCH_METHODS:
+        for method in METHODS:
             if method in self.seconds:
                 lines.append(
                     f"{method:<8} {self.seconds[method]:>12.6f} {self.eig_counts[method]:>6d}"
@@ -54,16 +53,18 @@ def _bench_data(kind: str, seed: int, n_fg: int, n_bg: int):
     raise ArgumentError(f"cannot benchmark dataset kind {kind!r}")
 
 
-def run_bench(kind: str, seed: int, n_fg: int, n_bg: int, methods=BENCH_METHODS, alphas=None,
-              k: int = 2, repeats: int = TIMING_REPEATS) -> BenchReport:
+def run_bench(kind: str, seed: int, n_fg: int, n_bg: int, methods=METHODS, alphas=None,
+              k: int = 2) -> BenchReport:
     """Fit each method on identical inputs; report times and eig counts.
 
-    The methods' repeats are interleaved round-robin and the minimum
-    wall-clock of each kept, so scheduler noise at microsecond scales and
-    bursts of machine load fall on every method alike.
+    The methods' ``TIMING_REPEATS`` repeats are interleaved round-robin and
+    the minimum wall-clock of each kept, so scheduler noise at microsecond
+    scales and bursts of machine load fall on every method alike.
     """
+    if not methods:
+        raise ArgumentError("no methods to benchmark")
     for method in methods:
-        if method not in BENCH_METHODS:
+        if method not in METHODS:
             raise ArgumentError(f"unknown method {method!r}")
     if alphas is None:
         alphas = default_alpha_grid()
@@ -78,7 +79,7 @@ def run_bench(kind: str, seed: int, n_fg: int, n_bg: int, methods=BENCH_METHODS,
     }
     seconds = dict.fromkeys(methods, float("inf"))
     counts: dict[str, int] = {}
-    for _ in range(max(1, repeats)):
+    for _ in range(TIMING_REPEATS):
         for method in methods:
             reset_eig_count()
             start = time.perf_counter()

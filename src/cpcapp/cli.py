@@ -21,7 +21,8 @@ from .datagen import TABLE_COUNTS, gen_four_class, gen_haystack, gen_spliced_ima
 from .errors import ArgumentError, CpcappError, ShapeError
 from .factorization import FactorModel, denoise, glrt_statistic, recover_w
 from .model_io import load_model, save_model
-from .reducers import default_alpha_grid, fit_cpca, fit_cpcapp, fit_pca, sweep_cpca, transform
+from .reducers import METHODS, default_alpha_grid, fit_cpca, fit_cpcapp, fit_pca, sweep_cpca, \
+    transform
 from .rng import SplitMix64
 from .splicing import BG_EDGE_MIN, FG_SPLICE_RANGE, PATCH_SIZE, PATCH_STRIDE, \
     SCORE_THRESHOLD, SPLICE_K, ProbabilityMap, binarize_and_score, edge_mask, \
@@ -71,7 +72,7 @@ def _build_parser() -> _Parser:
     fit = sub.add_parser("fit", help="fit a reduction model on CSV data")
     fit.add_argument("--fg", required=True)
     fit.add_argument("--bg")
-    fit.add_argument("--method", choices=["pca", "cpca", "cpca++"], required=True)
+    fit.add_argument("--method", choices=METHODS, required=True)
     fit.add_argument("-k", type=int, default=2)
     fit.add_argument("--alpha", type=float, default=None)
     fit.add_argument("--alpha-grid", default=None)
@@ -121,7 +122,7 @@ def _build_parser() -> _Parser:
     ben.add_argument("--n-bg", type=int, default=None)
     ben.add_argument("-k", type=int, default=2)
     ben.add_argument("--alpha-grid", default="default")
-    ben.add_argument("--methods", default="pca,cpca,cpca++")
+    ben.add_argument("--methods", default=",".join(METHODS))
     return parser
 
 
@@ -265,14 +266,13 @@ def _cmd_train_splice(args) -> int:
         mask_path = train_dir / probe_path.name.replace("probe_", "surface_").replace(".ppm", ".pgm")
         if not mask_path.exists():
             raise CpcappError(f"missing surface mask {mask_path}")
-        probe = netpbm.read_image(probe_path)
-        surface = netpbm.read_image(mask_path)
-        edge = edge_mask(probe)
-        grid = extract_patches(probe, args.n, args.stride)
-        fg_idx, bg_idx = label_patches(
-            grid, surface, edge, fg_range=(args.fg_lo, args.fg_hi), bg_edge_min=args.bg_edge_min
-        )
-        try:
+        try:  # every shape error names its probe
+            probe = netpbm.read_image(probe_path)
+            surface = netpbm.read_image(mask_path)
+            edge = edge_mask(probe)
+            grid = extract_patches(probe, args.n, args.stride)
+            fg_idx, bg_idx = label_patches(grid, surface, edge, fg_range=(args.fg_lo, args.fg_hi),
+                                           bg_edge_min=args.bg_edge_min)
             fg = _pool(fg, grid.patches.values[:, fg_idx])
             bg = _pool(bg, grid.patches.values[:, bg_idx])
         except ShapeError as exc:

@@ -2,9 +2,10 @@
 
 Files are sample-major (one row per sample); the in-memory convention is
 feature-major, so reading transposes. A single non-numeric first row is
-treated as a header. Rows are comma-separated numbers in numpy's float
-syntax, written with 17 significant digits, which round-trips doubles
-exactly. Files must be ASCII; blank lines are skipped.
+treated as a header: its names are not kept, but it must have one cell per
+column. Rows are comma-separated numbers in numpy's float syntax, written
+with 17 significant digits, which round-trips doubles exactly. Files must be
+ASCII; blank lines are skipped.
 
 Every valid file is parsed by one ``np.loadtxt`` call over the open file's
 non-blank lines, so a read holds about one table's worth of memory. Only a
@@ -15,7 +16,6 @@ walked line by line, to name the offending line.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,14 +23,6 @@ from .errors import ParseError
 from .stats import DataMatrix
 
 _FLOAT = "%.17g"  # 17 significant digits round-trip every double
-
-
-@dataclass(frozen=True, eq=False)
-class CsvTable:
-    """A parsed file: optional column names plus sample-major rows."""
-
-    header: list[str] | None
-    rows: np.ndarray  # (n_samples, n_columns) float64
 
 
 def _numbered_lines(path) -> list[tuple[int, str]]:
@@ -66,10 +58,10 @@ def _write_rows(fh, rows) -> None:
     np.savetxt(fh, rows, fmt=_FLOAT, delimiter=",")
 
 
-def read_csv_table(path) -> CsvTable:
-    """Parse a rectangular numeric CSV, keeping any header names."""
+def read_csv(path) -> DataMatrix:
+    """Load a rectangular numeric CSV as an uncentered sample matrix (rows are samples)."""
     path = str(path)
-    header = None
+    header_cells = None  # cells of a non-numeric first line
     try:
         with open(path, "r", encoding="ascii") as fh:
             first = fh.readline()
@@ -77,26 +69,21 @@ def read_csv_table(path) -> CsvTable:
                 try:
                     _parse_rows([(1, first)], path)
                 except ParseError:
-                    header = [cell.strip() for cell in first.split(",")]
-            lines = itertools.chain([first] if header is None else [], fh)
+                    header_cells = len(first.split(","))
+            lines = itertools.chain([first] if header_cells is None else [], fh)
             rows = (line for line in lines if line.strip())
             head = next(rows, None)
             table = None if head is None else np.loadtxt(
                 itertools.chain([head], rows), delimiter=",", comments=None, ndmin=2)
     except ValueError:  # a bad cell or row, or a non-ASCII byte: the walk names its line
-        table = _parse_rows(_numbered_lines(path)[header is not None:], path)
+        table = _parse_rows(_numbered_lines(path)[header_cells is not None:], path)
     if table is None:
         raise ParseError(f"{path}: no numeric rows found")
-    if not np.all(np.isfinite(table)):
+    if table.size and not (np.isfinite(table.min()) and np.isfinite(table.max())):
         raise ParseError(f"{path}: file contains non-finite values")
-    if header is not None and len(header) != table.shape[1]:
-        raise ParseError(f"{path}: header has {len(header)} names for {table.shape[1]} columns")
-    return CsvTable(header=header, rows=table)
-
-
-def read_csv(path) -> DataMatrix:
-    """Load a rectangular numeric CSV as an uncentered sample matrix (rows are samples)."""
-    return DataMatrix(values=read_csv_table(path).rows.T)
+    if header_cells is not None and header_cells != table.shape[1]:
+        raise ParseError(f"{path}: header has {header_cells} names for {table.shape[1]} columns")
+    return DataMatrix(values=table.T)
 
 
 def write_csv(path, values) -> None:

@@ -4,7 +4,8 @@ All three produce a :class:`FilterBank` whose columns project samples onto a
 K-dimensional discriminative (or maximum-variance) subspace. The sweep-free
 method solves one background-whitened eigenproblem instead of scanning a
 contrast parameter, so it costs a single eigendecomposition regardless of
-grid size.
+grid size. :func:`transform` applies a bank, centering each batch with its
+own mean.
 """
 
 from __future__ import annotations
@@ -157,30 +158,24 @@ def _splits(count: int, most: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def _centering_mean(bank: FilterBank, data: DataMatrix, use_train_mean: bool) -> np.ndarray:
-    """The mean ``transform`` subtracts: the batch's own, or the stored foreground mean."""
-    if data.features != bank.features:
-        raise ShapeError(
-            f"data has {data.features} features but bank expects {bank.features}"
-        )
-    return bank.train_mean_fg if use_train_mean else data.values.mean(axis=1)
-
-
 def _project(bank: FilterBank, block: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """``F^T (block - mean)``; ``block`` is a float scratch copy and is centered in place."""
     block -= mean[:, None]
     return bank.f.T @ block
 
 
-def transform(bank: FilterBank, data: DataMatrix, use_train_mean: bool = False) -> np.ndarray:
+def transform(bank: FilterBank, data: DataMatrix) -> np.ndarray:
     """Project samples through the bank: the (K, N) array ``F^T (data - mean)``.
 
-    By default each batch is centered with its own mean; pass
-    ``use_train_mean=True`` to reuse the foreground mean stored at fit time
-    (useful when a test batch is too small to estimate its own).
+    The batch is centered with its own mean. A patch's splice score is its
+    column's squared norm (:func:`~cpcapp.splicing.score_patches`).
     """
-    mean = _centering_mean(bank, data, use_train_mean)
+    if data.features != bank.features:
+        raise ShapeError(
+            f"data has {data.features} features but bank expects {bank.features}"
+        )
     x = data.values
+    mean = x.mean(axis=1)
     out = np.empty((bank.k, x.shape[1]))
     # column blocks hold one centered M x TRANSFORM_BLOCK copy, not one of all N
     for lo, hi in _splits(x.shape[1], TRANSFORM_BLOCK):

@@ -4,10 +4,11 @@ A probe image is cut into overlapping patches on a strided lattice; a fitted
 filter bank turns each patch into a squared projection norm, normalized per
 image to [0, 1]; per-pixel averaging plus edge masking yields the boundary
 probability map, which is then tallied against ground truth with F1 and
-Matthews scores. Training extracts each probe's patch matrix
-(:func:`extract_patches`); localization scores a probe one band of lattice
-rows at a time (:func:`score_lattice`), so no patch matrix of the whole
-image is ever built.
+Matthews scores. A patch's score is its column's squared norm in the
+bank's centered projection, :func:`~cpcapp.reducers.transform`. Training
+extracts each probe's patch matrix (:func:`extract_patches`); localization
+scores a probe one band of lattice rows at a time (:func:`score_lattice`),
+so no patch matrix of the whole image is ever built.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .reducers import TRANSFORM_BLOCK, FilterBank, _centering_mean, _project, _splits
+from .reducers import TRANSFORM_BLOCK, FilterBank, _project, _splits, transform
 from .stats import DataMatrix
 
 # Pipeline defaults; every one of these is overridable at the CLI.
@@ -237,34 +238,23 @@ def label_patches(grid: Lattice, surface_mask, edge, fg_range=FG_SPLICE_RANGE,
     return np.flatnonzero(is_fg), np.flatnonzero(~is_fg & (frac == 0) & (edge_frac >= bg_edge_min))
 
 
-def _scores(bank: FilterBank, mean: np.ndarray, splits, block) -> np.ndarray:
-    """Max-normalized squared norms of ``F^T (x - mean)``, one block of samples at a time.
-
-    ``splits`` are consecutive ``[lo, hi)`` ranges covering every sample, and
-    ``block(lo, hi)`` returns a float scratch copy of those samples as
-    columns, which is centered in place and dropped once its squared norms
-    are kept. An all-zero projection yields all-zero scores.
-    """
-    v = np.empty(splits[-1][1])
-    for lo, hi in splits:
-        v[lo:hi] = np.sum(_project(bank, block(lo, hi), mean) ** 2, axis=0)
+def _max_normalized(v: np.ndarray) -> np.ndarray:
+    """``v`` divided by its maximum; all zeros when the maximum is 0."""
     peak = v.max()
     if peak == 0:
         return np.zeros_like(v)
     return v / peak
 
 
-def score_patches(bank: FilterBank, test: DataMatrix, use_train_mean: bool = False) -> np.ndarray:
+def score_patches(bank: FilterBank, test: DataMatrix) -> np.ndarray:
     """Per-patch probabilities: squared projection norms, max-normalized.
 
-    The test batch is centered (its own mean by default), projected through
-    the bank, and each column's squared L2 norm is divided by the batch
-    maximum. An all-zero projection yields all-zero scores.
+    Each column's squared L2 norm of :func:`~cpcapp.reducers.transform` (the
+    batch centered with its own mean and projected through the bank) is
+    divided by the batch maximum. An all-zero projection yields all-zero
+    scores.
     """
-    mean = _centering_mean(bank, test, use_train_mean)
-    x = test.values
-    return _scores(bank, mean, _splits(x.shape[1], TRANSFORM_BLOCK),
-                   lambda lo, hi: x[:, lo:hi].copy())
+    return _max_normalized(np.sum(transform(bank, test) ** 2, axis=0))
 
 
 def score_lattice(bank: FilterBank, image, n: int, stride: int) -> tuple[np.ndarray, Lattice]:
@@ -293,12 +283,13 @@ def score_lattice(bank: FilterBank, image, n: int, stride: int) -> tuple[np.ndar
         np.copyto(field, fields[index])
         mean[i] = field.mean()
 
+    v = np.empty(lattice.rows * cols)
     # near-equal bands of whole rows; none is a single column unless there is
     # one patch (a one-column product takes gemv, whose bits differ from gemm's)
-    splits = [(lo * cols, hi * cols)
-              for lo, hi in _splits(lattice.rows, max(1, TRANSFORM_BLOCK // cols))]
-    return _scores(bank, mean, splits,
-                   lambda lo, hi: _patch_columns(fields, lo // cols, hi // cols)), lattice
+    for lo, hi in _splits(lattice.rows, max(1, TRANSFORM_BLOCK // cols)):
+        v[lo * cols:hi * cols] = np.sum(
+            _project(bank, _patch_columns(fields, lo, hi), mean) ** 2, axis=0)
+    return _max_normalized(v), lattice
 
 
 def reconstruct_map(scores, lattice: Lattice, edge) -> ProbabilityMap:

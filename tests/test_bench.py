@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cpcapp import ArgumentError, run_bench
+from cpcapp import ArgumentError, bench, run_bench
 
 
 @pytest.fixture(scope="module")
@@ -38,3 +38,11 @@ class TestRunBench:
     def test_rejects_unknown_method(self):
         with pytest.raises(ArgumentError):
             run_bench("four-class", 0, 50, 50, methods=("pca", "nope"))
+
+    def test_rejects_empty_method_list_before_drawing_data(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("data drawn for an empty method list")
+
+        monkeypatch.setattr(bench, "_bench_data", draw)
+        with pytest.raises(ArgumentError, match="no methods"):
+            run_bench("four-class", 0, 50, 50, methods=())

@@ -257,6 +257,18 @@ class TestSplicePipeline:
         assert code == 2
         assert "probe_001.ppm" in err and "features" in err
 
+    def test_train_names_probe_whose_mask_does_not_fit(self, tmp_path, capfd):
+        data = tmp_path / "imgs"
+        assert cli_dispatch(["generate", "spliced-image", "--seed", "5",
+                             "--count", "3", "--out", str(data)]) == 0
+        mask = data / "surface_001.pgm"
+        write_image(mask, read_image(mask)[:30, :32])
+        code = cli_dispatch(["train-splice", "--train-dir", str(data),
+                             "--out", str(tmp_path / "model.txt")])
+        err = capfd.readouterr().err
+        assert code == 2
+        assert "probe_001.ppm" in err and "mask dimensions must match" in err
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--fg-lo", "nan", "(nan, 0.7)"),
         ("--fg-lo", "-3", "(-3.0, 0.7)"),
@@ -336,6 +348,12 @@ class TestGenerateAndBench:
         out = capfd.readouterr().out
         assert code == 0
         assert "cpca++" in out and "speedup" in out
+
+    def test_bench_rejects_empty_method_list(self, capfd):
+        code = cli_dispatch(["bench", "--methods", ","])
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.out == "" and "no methods" in captured.err
 
 
 class TestDenoiseCommand:

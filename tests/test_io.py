@@ -12,7 +12,6 @@ from cpcapp import (
     fit_pca,
     load_model,
     read_csv,
-    read_csv_table,
     read_image,
     read_probability_map,
     recover_w,
@@ -39,15 +38,6 @@ class TestCsv:
         data = read_csv(path)
         assert data.samples == 2
 
-    def test_header_names_retained(self, tmp_path):
-        from cpcapp import read_csv_table
-
-        path = tmp_path / "d.csv"
-        path.write_text("a,b\n1,2\n3,4\n")
-        table = read_csv_table(path)
-        assert table.header == ["a", "b"]
-        np.testing.assert_array_equal(table.rows, [[1.0, 2.0], [3.0, 4.0]])
-
     def test_round_trip_bit_exact(self, tmp_path, rng):
         values = rng.standard_normal((5, 9)) * np.exp(rng.standard_normal((5, 9)) * 8)
         path = tmp_path / "rt.csv"
@@ -68,28 +58,28 @@ class TestCsv:
             read_csv(path)
 
     def test_non_ascii_byte_is_parse_error(self, tmp_path):
-        from cpcapp import read_csv_table
-
         path = tmp_path / "bad.csv"
         path.write_bytes(b"1,2\n3,\xe9\n")
         with pytest.raises(ParseError, match="not an ASCII text file"):
-            read_csv_table(path)
+            read_csv(path)
 
 
 # Inputs around the one-pass read's fallback to the line walk, each with the
-# table (header, rows) or the ParseError message of the line-walk reader.
+# sample-major rows or the ParseError message of the line-walk reader.
 CSV_EDGES = {
-    "whitespace-only line": (b"1,2\n   \n3,4\n", (None, [[1.0, 2.0], [3.0, 4.0]])),
-    "form-feed line": (b"1,2\n\x0c\n3,4\n", (None, [[1.0, 2.0], [3.0, 4.0]])),
-    "leading blank line": (b"\n1,2\n3,4\n", (None, [[1.0, 2.0], [3.0, 4.0]])),
-    "header": (b"a, b\n1,2\n3,4\n", (["a", "b"], [[1.0, 2.0], [3.0, 4.0]])),
+    "whitespace-only line": (b"1,2\n   \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "form-feed line": (b"1,2\n\x0c\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "leading blank line": (b"\n1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "header": (b"a, b\n1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
     "header after a blank line": (b"\na,b\n1,2\n", ":2: non-numeric cell in data row"),
     "header only": (b"a,b\n", ": no numeric rows found"),
+    "header too wide": (b"a,b,c\n1,2\n", ": header has 3 names for 2 columns"),
     "empty file": (b"", ": no numeric rows found"),
     "blank lines only": (b"\n \n", ": no numeric rows found"),
     "non-ASCII byte": (b"1,2\n3,\xe94\n", ": not an ASCII text file (byte 0xe9)"),
-    "carriage returns": (b"1,2\r3,4\r", (None, [[1.0, 2.0], [3.0, 4.0]])),
+    "carriage returns": (b"1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),
     "non-finite value": (b"1,nan\n", ": file contains non-finite values"),
+    "infinite value": (b"-inf,2\n", ": file contains non-finite values"),
     "ragged row": (b"1,2\n3\n", ":2: row has 1 cells, expected 2"),
 }
 
@@ -103,12 +93,10 @@ class TestCsvReadPaths:
         path.write_bytes(data)
         if isinstance(want, str):
             with pytest.raises(ParseError) as info:
-                read_csv_table(path)
+                read_csv(path)
             assert str(info.value) == f"{path}{want}"
         else:
-            table = read_csv_table(path)
-            assert table.header == want[0]
-            assert table.rows.tobytes() == np.array(want[1]).tobytes()
+            assert read_csv(path).values.tobytes() == np.array(want).T.tobytes()
 
     def test_read_holds_about_one_table(self, tmp_path, rng):
         # parsed from the open stream, with or without a header or a

@@ -23,6 +23,7 @@ from cpcapp import (
     gen_four_class,
     gen_haystack,
     reset_eig_count,
+    score_patches,
     sweep_cpca,
     sym_eig,
     transform,
@@ -345,20 +346,11 @@ class TestTransform:
                           train_mean_fg=rng.standard_normal(m) + 128.0,
                           eigenvalues=np.arange(float(k), 0.0, -1.0), loading=0.0)
         data = DataMatrix(values=40.0 * rng.standard_normal((m, n)) + 128.0)
-        for use_train_mean in (False, True):
-            mean = bank.train_mean_fg if use_train_mean else data.values.mean(axis=1)
-            want = bank.f.T @ (data.values - mean[:, None])
-            assert transform(bank, data, use_train_mean).tobytes() == want.tobytes()
-
-    def test_train_mean_reuse(self, rng):
-        train = DataMatrix(values=rng.standard_normal((3, 50)) + 7.0)
-        bank = fit_pca(train, 2)
-        test = DataMatrix(values=rng.standard_normal((3, 6)) + 7.0)
-        reused = transform(bank, test, use_train_mean=True)
-        manual = bank.f.T @ (test.values - bank.train_mean_fg[:, None])
-        np.testing.assert_array_equal(reused, manual)
-        own = transform(bank, test)
-        assert not np.allclose(own, reused)
+        want = bank.f.T @ (data.values - data.values.mean(axis=1)[:, None])
+        assert transform(bank, data).tobytes() == want.tobytes()
+        norms = np.sum(want ** 2, axis=0)
+        scores = norms / norms.max() if norms.max() else norms  # one sample is its own mean
+        assert score_patches(bank, data).tobytes() == scores.tobytes()
 
 
 class TestDefaults:

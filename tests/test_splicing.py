@@ -376,22 +376,25 @@ class TestLabelPatches:
 
 class TestScorePatches:
     def test_single_patch_self_normalizes(self):
+        # the batch mean is 0, so the one patch off the mean scores exactly 1
         bank = axis_bank(4)
-        data = DataMatrix(values=np.array([[3.0], [0.0], [0.0], [0.0]]))
-        scores = score_patches(bank, data, use_train_mean=True)
-        np.testing.assert_array_equal(scores, [1.0])
+        data = DataMatrix(values=np.array([[3.0, -1.0, -1.0, -1.0]] + 3 * [[0.0] * 4]))
+        scores = score_patches(bank, data)
+        np.testing.assert_array_equal(scores, [1.0, 1 / 9, 1 / 9, 1 / 9])
+        # a lone patch is its own mean: nothing is left to score
+        np.testing.assert_array_equal(score_patches(bank, DataMatrix(values=data.values[:, :1])),
+                                      [0.0])
 
     def test_direct_formula(self):
         bank = axis_bank(2)
-        data = DataMatrix(values=np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 5.0]]))
-        scores = score_patches(bank, data, use_train_mean=True)
-        np.testing.assert_allclose(scores, [1.0, 0.25, 0.0])
+        data = DataMatrix(values=np.array([[2.0, -1.0, 0.0, -1.0], [0.0, 0.0, 5.0, -5.0]]))
+        scores = score_patches(bank, data)
+        np.testing.assert_allclose(scores, [1.0, 0.25, 0.0, 0.25])
 
     def test_zero_projection_gives_zeros(self):
         bank = axis_bank(3)
-        data = DataMatrix(values=np.zeros((3, 4)))
-        np.testing.assert_array_equal(score_patches(bank, data, use_train_mean=True),
-                                      np.zeros(4))
+        data = DataMatrix(values=np.full((3, 4), 7.0))  # centered with its own mean: zeros
+        np.testing.assert_array_equal(score_patches(bank, data), np.zeros(4))
 
     def test_permutation_equivariance(self, rng):
         bank = axis_bank(5, k=2)
