@@ -194,26 +194,25 @@ def sample_haystack(seed: int, n_fg: int, n_bg: int) -> tuple[DataMatrix, DataMa
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
-def _smooth(field: np.ndarray, axis: int) -> np.ndarray:
-    """TEXTURE_PASSES reflect-padded binomial convolutions along one axis.
+def _smooth(field: np.ndarray, axis: int) -> None:
+    """TEXTURE_PASSES reflect-padded binomial convolutions along one axis, in place.
 
-    Each pass gathers the reflect padding into one reused buffer and
-    multiply-accumulates the taps, in order, through one scratch buffer.
+    Each pass gathers the reflect padding into one reused buffer, then
+    multiply-accumulates the taps, in order, back into ``field`` through one
+    scratch buffer.
     """
     size = field.shape[axis]
     reflect_idx = np.pad(np.arange(size), _BINOMIAL5.size // 2, mode="reflect")
     padded = np.take(field, reflect_idx, axis=axis)
-    out = np.empty_like(field)
     term = np.empty_like(field)
     tap = [slice(None)] * field.ndim
     for p in range(TEXTURE_PASSES):
         if p:
-            np.take(out, reflect_idx, axis=axis, out=padded, mode="clip")
-        out.fill(0.0)  # from zeros, not the first tap: 0.0 + -0.0 is +0.0
+            np.take(field, reflect_idx, axis=axis, out=padded, mode="clip")
+        field.fill(0.0)  # from zeros, not the first tap: 0.0 + -0.0 is +0.0
         for j, w in enumerate(_BINOMIAL5):
             tap[axis] = slice(j, j + size)
-            out += np.multiply(w, padded[tuple(tap)], out=term)
-    return out
+            field += np.multiply(w, padded[tuple(tap)], out=term)
 
 
 def _texture(rng: SplitMix64, shape: tuple[int, int, int], std: float) -> np.ndarray:
@@ -222,7 +221,9 @@ def _texture(rng: SplitMix64, shape: tuple[int, int, int], std: float) -> np.nda
     Draw order: the smoothed fields, then their unsmoothed noise floor. A
     constant field is centered but left unscaled.
     """
-    fields = _smooth(_smooth(rng.normal(shape), axis=1), axis=2)
+    fields = rng.normal(shape)
+    _smooth(fields, axis=1)
+    _smooth(fields, axis=2)
     floor = rng.normal(shape)
     floor *= TEXTURE_FLOOR
     fields += floor
@@ -275,13 +276,13 @@ def gen_textured_digits(seed: int, n_fg: int, n_bg: int
     glyphs = GLYPH_AMP * _glyph_images(labels, jitter, DIGIT_SIDE)
     fg_tex = _texture(rng, (n_fg, DIGIT_SIDE, DIGIT_SIDE), TEXTURE_STD)
     bg_tex = _texture(rng, (n_bg, DIGIT_SIDE, DIGIT_SIDE), TEXTURE_STD)
-    composite = fg_tex + glyphs
+    fg_tex += glyphs
 
     def to_cols(imgs):
         return DataMatrix(values=imgs.reshape(imgs.shape[0], -1).T)
 
     return (
-        LabeledDataset(data=to_cols(composite), labels=labels),
+        LabeledDataset(data=to_cols(fg_tex), labels=labels),
         to_cols(bg_tex),
         to_cols(glyphs),
     )
@@ -292,9 +293,16 @@ def gen_textured_digits(seed: int, n_fg: int, n_bg: int
 # ---------------------------------------------------------------------------
 
 def _polygon_mask(height: int, width: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Even-odd rasterization of a polygon over pixel centers."""
-    px, py = np.meshgrid(np.arange(width) + 0.5, np.arange(height) + 0.5)
+    """Even-odd rasterization of a polygon over pixel centers.
+
+    Each edge's crossing test and crossing abscissa depend on the row only,
+    so they are formed over a column of pixel-center y and compared with a
+    row of pixel-center x.
+    """
+    px = np.arange(width) + 0.5
+    py = (np.arange(height) + 0.5)[:, None]
     inside = np.zeros((height, width), dtype=bool)
+    left = np.empty((height, width), dtype=bool)
     j = len(xs) - 1
     for i in range(len(xs)):
         denom = ys[j] - ys[i]
@@ -303,7 +311,9 @@ def _polygon_mask(height: int, width: int, xs: np.ndarray, ys: np.ndarray) -> np
             continue
         crosses = (ys[i] > py) != (ys[j] > py)
         x_at = (xs[j] - xs[i]) * (py - ys[i]) / denom + xs[i]
-        inside ^= crosses & (px < x_at)
+        np.less(px, x_at, out=left)
+        left &= crosses
+        inside ^= left
         j = i
     return inside
 
@@ -364,7 +374,10 @@ def gen_spliced_image(seed: int, height: int = 64, width: int = 64
     evenly spaced from the first angle. A height or width below 1 raises
     ArgumentError before anything is drawn. Draw order: vertex count,
     vertex angles, vertex radii, center x/y, target area, offset sign, then
-    the host, donor, three host-tint and three donor-tint fields.
+    the host, donor, three host-tint and three donor-tint fields. The fields
+    keep that order in the stream but are computed in channel order, each
+    from its own stream position: the host and donor first, then per
+    channel its host tint and its donor tint.
     """
     if height < 1 or width < 1:
         raise ArgumentError(f"image size {width}x{height} must be at least 1x1")
@@ -385,34 +398,34 @@ def gen_spliced_image(seed: int, height: int = 64, width: int = 64
     if mask is None:
         raise ArgumentError("could not fit a spliced region inside the area bounds")
 
-    # one field per call (an (8, H, W) batch would change the draw order),
-    # each written into its probe channel as soon as it is drawn
-    def field():
-        return _texture(rng, (1, height, width), 1.0)[0]
+    # field j is one _texture call at its own stream position, 4 H W words
+    # apart; the probe is built one channel at a time from the fields it needs
+    start = rng.position
 
-    host, donor = field(), field()
-    probe = np.empty((height, width, 3))
-    for c in range(3):
-        tinted = field()
-        tinted *= SPLICE_TINT
-        tinted += host
-        probe[:, :, c] = tinted
-    del host
-    for c in range(3):
-        tinted = field()
-        tinted *= SPLICE_TINT
-        tinted += donor
-        tinted += offset_sign * SPLICE_OFFSET
-        probe[mask, c] = tinted[mask]
+    def field(j):
+        return _texture(rng.at(start + 4 * height * width * j), (1, height, width), 1.0)[0]
+
+    base = field(0)  # the host outside the mask, the donor inside it
+    np.copyto(base, field(1), where=mask)
     band = mask_boundary(mask)
     yy, xx = np.nonzero(band)
     # period-4 diagonal stripes: high-frequency against the smoothed texture
     # yet visible to a 3x3 gradient operator (a 1px checker would cancel)
-    dither = (-1.0) ** ((xx + yy) // 2)
-    probe[band] += SPLICE_SEAM_DITHER * dither[:, None]
-    probe *= SPLICE_GREY_SCALE
-    probe += 128.0
-    probe_u8 = np.clip(probe, 0, 255, out=probe).astype(np.uint8)
+    seam = SPLICE_SEAM_DITHER * (-1.0) ** ((xx + yy) // 2)
+    probe_u8 = np.empty((height, width, 3), dtype=np.uint8)
+    for c in range(3):
+        channel = field(2 + c)  # host tint
+        channel *= SPLICE_TINT
+        donor_tint = field(5 + c)
+        donor_tint *= SPLICE_TINT
+        np.copyto(channel, donor_tint, where=mask)
+        del donor_tint
+        channel += base
+        np.add(channel, offset_sign * SPLICE_OFFSET, out=channel, where=mask)
+        channel[band] += seam
+        channel *= SPLICE_GREY_SCALE
+        channel += 128.0
+        probe_u8[:, :, c] = np.clip(channel, 0, 255, out=channel)
     surface = np.where(mask, 255, 0).astype(np.uint8)
     edge = np.where(band, 255, 0).astype(np.uint8)
     return probe_u8, surface, edge

@@ -6,6 +6,14 @@ vectorizes and a given seed produces identical draws on every platform.
 Uniforms take the top 53 bits; each normal consumes two words through the
 cosine branch of Box-Muller. Draw order is documented per generator so
 fixtures stay stable.
+
+Because word i depends only on the seed and i, any stretch of the stream can
+be read at its own position: ``at(p)`` is a view whose first word is word p,
+equal to what a sequential stream gives after drawing p words. The draws
+use this to work in blocks. ``normal(n)`` reads its n u1 words and then its n
+u2 words as before, but runs Box-Muller ``NORMAL_BLOCK`` values at a time,
+each block reading its u1 and u2 words at their stream positions; uniforms
+fill their output block by block too. Only the output array is full size.
 """
 
 from __future__ import annotations
@@ -16,6 +24,9 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK = (1 << 64) - 1
+
+# Values per Box-Muller block, and words per uniform block.
+NORMAL_BLOCK = 1 << 14
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -36,20 +47,45 @@ class SplitMix64:
         self._base = np.uint64(seed & _MASK)
         self._drawn = 0
 
-    def next_u64(self, n: int) -> np.ndarray:
-        """The next ``n`` raw 64-bit words."""
-        z = np.arange(self._drawn + 1, self._drawn + n + 1, dtype=np.uint64)
-        self._drawn += n
+    @property
+    def position(self) -> int:
+        """Words drawn so far: the stream position of the next word."""
+        return self._drawn
+
+    def at(self, position: int) -> SplitMix64:
+        """A new view of the same stream whose next word is word ``position``."""
+        view = SplitMix64(int(self._base))
+        view._drawn = position
+        return view
+
+    def _words(self, position: int, n: int) -> np.ndarray:
+        """The ``n`` words from stream position ``position`` on."""
+        z = np.arange(position + 1, position + n + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
             z *= _GAMMA
             z += self._base
             return _mix(z)
 
+    def _top53_into(self, position: int, out: np.ndarray) -> None:
+        """Write the top 53 bits of the words from ``position`` on into ``out``."""
+        for lo in range(0, out.size, NORMAL_BLOCK):
+            block = out[lo:lo + NORMAL_BLOCK]
+            words = self._words(position + lo, block.size)
+            words >>= np.uint64(11)
+            block[...] = words
+
     def _top53(self, n: int) -> np.ndarray:
         """The top 53 bits of the next ``n`` words, as doubles."""
-        words = self.next_u64(n)
-        words >>= np.uint64(11)
-        return words.astype(float)
+        bits = np.empty(n)
+        self._top53_into(self._drawn, bits)
+        self._drawn += n
+        return bits
+
+    def next_u64(self, n: int) -> np.ndarray:
+        """The next ``n`` raw 64-bit words."""
+        words = self._words(self._drawn, n)
+        self._drawn += n
+        return words
 
     def uniform(self, n: int) -> np.ndarray:
         """``n`` doubles uniform on [0, 1) with 53-bit resolution."""
@@ -65,18 +101,33 @@ class SplitMix64:
         return bits
 
     def normal(self, shape) -> np.ndarray:
-        """Standard normals with the given shape, filled in C order."""
+        """Standard normals with the given shape, filled in C order.
+
+        The n values read n u1 words, then n u2 words. They are formed
+        ``NORMAL_BLOCK`` at a time: values ``lo:hi`` read their u1 words at
+        stream positions ``start + lo`` on and their u2 words at
+        ``start + n + lo`` on.
+        """
         n = int(np.prod(shape))
-        # sqrt(-2 log u1) * cos(2 pi u2), each step in place; u1 is reduced
-        # before u2 is drawn, so the two never hold their raw words at once
-        out = self.uniform_open(n)
-        np.log(out, out=out)
-        out *= -2.0
-        np.sqrt(out, out=out)
-        u2 = self.uniform(n)
-        u2 *= 2.0 * np.pi
-        np.cos(u2, out=u2)
-        out *= u2
+        start = self._drawn
+        self._drawn += 2 * n
+        out = np.empty(n)
+        u2 = np.empty(min(n, NORMAL_BLOCK))
+        for lo in range(0, n, NORMAL_BLOCK):
+            # sqrt(-2 log u1) * cos(2 pi u2), each step in place
+            r = out[lo:lo + NORMAL_BLOCK]
+            self._top53_into(start + lo, r)
+            r += 1.0
+            r *= 2.0**-53
+            np.log(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            c = u2[:r.size]
+            self._top53_into(start + n + lo, c)
+            c *= 2.0**-53
+            c *= 2.0 * np.pi
+            np.cos(c, out=c)
+            r *= c
         return out.reshape(shape)
 
     def integers(self, n: int, bound: int) -> np.ndarray:

@@ -314,6 +314,17 @@ class TestSplicePipeline:
             assert files_equal(a / name, b / name)
 
 
+def test_generate_peak_on_a_large_probe(tmp_path):
+    # the probe is built one channel at a time and written as uint8
+    side = 512
+    codes = []
+    peak = traced_peak(lambda: codes.append(cli_dispatch(
+        ["generate", "spliced-image", "--seed", "5", "--count", "1", "--height", str(side),
+         "--width", str(side), "--out", str(tmp_path)])))
+    assert codes == [0]
+    assert peak <= 7 * side * side * 8
+
+
 class TestGenerateAndBench:
     @pytest.mark.filterwarnings("error")  # rejected before any arithmetic on the empty image
     @pytest.mark.parametrize("flags, message", [

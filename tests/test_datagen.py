@@ -214,6 +214,55 @@ def _loop_boundary(mask):
                      for y in range(h)], dtype=bool)
 
 
+def _loop_polygon(height, width, xs, ys):
+    """Per-pixel even-odd reference with the same crossing arithmetic."""
+    out = np.zeros((height, width), dtype=bool)
+    for y in range(height):
+        for x in range(width):
+            px, py = x + 0.5, y + 0.5
+            inside = False
+            j = len(xs) - 1
+            for i in range(len(xs)):
+                denom = ys[j] - ys[i]
+                if denom != 0 and (ys[i] > py) != (ys[j] > py):
+                    inside ^= bool(px < (xs[j] - xs[i]) * (py - ys[i]) / denom + xs[i])
+                j = i
+            out[y, x] = inside
+    return out
+
+
+class TestPolygonMask:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 3), (17, 23)])
+    def test_matches_per_pixel_reference(self, shape):
+        height, width = shape
+        rng = np.random.default_rng(height * 100 + width)
+        for verts in (3, 4, 7, 12):
+            for _ in range(4):
+                # vertices up to half the image beyond each side
+                xs = rng.uniform(-0.5, 1.5, verts) * width
+                ys = rng.uniform(-0.5, 1.5, verts) * height
+                np.testing.assert_array_equal(datagen._polygon_mask(height, width, xs, ys),
+                                              _loop_polygon(height, width, xs, ys))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (11, 8)])
+    def test_horizontal_edges_and_pixel_center_vertices(self, shape):
+        height, width = shape
+        rng = np.random.default_rng(width)
+        for _ in range(8):
+            # rows on the pixel-center lattice make horizontal edges and
+            # vertices level with pixel centers
+            ys = rng.integers(-1, height + 2, 6) + 0.5
+            xs = rng.integers(-2, width + 3, 6) + rng.choice([0.0, 0.5], 6)
+            np.testing.assert_array_equal(datagen._polygon_mask(height, width, xs, ys),
+                                          _loop_polygon(height, width, xs, ys))
+
+    def test_square_covers_its_pixels(self):
+        xs, ys = np.array([2.0, 6.0, 6.0, 2.0]), np.array([1.0, 1.0, 4.0, 4.0])
+        want = np.zeros((6, 8), dtype=bool)
+        want[1:4, 2:6] = True
+        np.testing.assert_array_equal(datagen._polygon_mask(6, 8, xs, ys), want)
+
+
 class TestMaskBoundary:
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (7, 13), (24, 24)])
     def test_matches_per_pixel_reference(self, shape):
@@ -283,11 +332,27 @@ class TestSplicedImage:
         assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == digests
 
     def test_builds_probe_field_by_field(self):
-        # each texture field goes into the probe as it is drawn: the peak is
-        # a few H x W float fields, not all eight plus two stacked RGB copies
+        # one channel at a time: the host/donor base, the channel, and one
+        # texture field being drawn, plus the uint8 probe and the masks
         side = 512
         peak = traced_peak(lambda: gen_spliced_image(5, side, side))
-        assert peak <= 14 * side * side * 8
+        assert peak <= 6.5 * side * side * 8
+
+    def test_fit_polygon_holds_no_coordinate_fields(self):
+        # a row of x and a column of y: the bisection holds boolean masks only
+        side = 512
+        angles = np.sort(SplitMix64(1).uniform(8)) * 2 * np.pi
+        radii = np.full(8, 0.95)
+        masks = []
+        peak = traced_peak(lambda: masks.append(
+            datagen._fit_polygon(side, side, angles, radii, 256.0, 256.0, 0.14)))
+        assert masks[0] is not None
+        assert peak <= side * side * 8
+
+    def test_texture_smooths_in_place(self):
+        side = 512
+        peak = traced_peak(lambda: datagen._texture(SplitMix64(2), (1, side, side), 1.0))
+        assert peak <= 3.3 * side * side * 8
 
     def test_sliver_polygon_falls_back_to_even_angles(self):
         # the drawn angles leave a 291 degree gap: at any scale the polygon

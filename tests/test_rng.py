@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from cpcapp import SplitMix64
+from cpcapp.rng import NORMAL_BLOCK
+
+from conftest import traced_peak
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -69,7 +72,8 @@ class TestInPlaceDraws:
     """The in-place draws equal the allocating expressions, bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 9, 0xDEADBEEF, MASK])
-    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10_007])
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10_007, NORMAL_BLOCK - 1, NORMAL_BLOCK,
+                                   NORMAL_BLOCK + 1, 2 * NORMAL_BLOCK + 1])
     def test_match_allocating_expressions(self, seed, n):
         words = allocating_words(seed, 5 * n)
         block = [words[i * n:(i + 1) * n] for i in range(5)]
@@ -85,3 +89,48 @@ class TestInPlaceDraws:
         got = [stream.next_u64(n), stream.uniform(n), stream.uniform_open(n), stream.normal(n)]
         for name, g, w in zip(("next_u64", "uniform", "uniform_open", "normal"), got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+    def test_normal_holds_only_its_output(self):
+        # Box-Muller runs block by block: no full-size word or u2 array
+        n = 512 * 512
+        peak = traced_peak(lambda: SplitMix64(3).normal(n))
+        assert peak <= 1.6 * n * 8
+
+
+class TestPositionalReads:
+    """A view at position p reads exactly what a sequential stream reads there."""
+
+    @pytest.mark.parametrize("seed", [0, 7, MASK])
+    def test_words_at_a_position(self, seed):
+        words = allocating_words(seed, 3 * NORMAL_BLOCK)
+        stream = SplitMix64(seed)
+        for p, n in ((0, 5), (1, 1), (17, 40), (NORMAL_BLOCK - 3, 9), (2 * NORMAL_BLOCK, 100)):
+            view = stream.at(p)
+            assert view.position == p
+            assert view.next_u64(n).tobytes() == words[p:p + n].tobytes()
+            assert view.position == p + n
+        assert stream.position == 0  # views leave the stream they came from alone
+
+    def test_position_counts_every_draw(self):
+        stream = SplitMix64(4)
+        stream.next_u64(3)
+        stream.uniform(5)
+        stream.uniform_open(2)
+        stream.normal((3, 4))
+        stream.integers(6, 9)
+        assert stream.position == 3 + 5 + 2 + 2 * 12 + 6
+        assert stream.at(stream.position).uniform(4).tobytes() == stream.uniform(4).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 5), (1, NORMAL_BLOCK + 7)])
+    def test_fields_out_of_order_equal_fields_in_order(self, shape):
+        # fields of 2n words each, as a generator lays them out after a header
+        n = int(np.prod(shape))
+        stream = SplitMix64(11)
+        header = stream.uniform(9)
+        in_order = [stream.normal(shape) for _ in range(4)]
+        replay = SplitMix64(11)
+        assert replay.uniform(9).tobytes() == header.tobytes()
+        start = replay.position
+        for j in (2, 0, 3, 1):
+            got = replay.at(start + 2 * n * j).normal(shape)
+            assert got.tobytes() == in_order[j].tobytes(), j
