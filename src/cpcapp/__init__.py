@@ -19,6 +19,7 @@ from .datagen import (
     gen_textured_digits,
     oracle_four_class_filters,
     sample_haystack,
+    sample_tables,
 )
 from .errors import (
     ArgumentError,

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import gen_four_class, gen_textured_digits, sample_haystack
+from .datagen import sample_tables
 from .errors import ArgumentError
 from .linalg import eig_count, reset_eig_count
 from .reducers import METHODS, default_alpha_grid, fit_cpcapp, fit_pca, sweep_cpca
-from .stats import build_covariance_pair
+from .stats import DataMatrix, build_covariance_pair
 
 TIMING_REPEATS = 5
 
@@ -27,7 +27,13 @@ class BenchReport:
     dataset: str
     seconds: dict[str, float]     # per-method wall-clock for one fit
     eig_counts: dict[str, int]    # per-method symmetric eigendecompositions
-    speedup: float | None         # time_cpca / time_cpcapp when both ran
+
+    @property
+    def speedup(self) -> float | None:
+        """time_cpca / time_cpcapp when both ran."""
+        if "cpca" in self.seconds and "cpca++" in self.seconds:
+            return self.seconds["cpca"] / self.seconds["cpca++"]
+        return None
 
     def format(self) -> str:
         lines = [f"dataset: {self.dataset}", f"{'method':<8} {'seconds':>12} {'eigs':>6}"]
@@ -39,18 +45,6 @@ class BenchReport:
         if self.speedup is not None:
             lines.append(f"speedup cpca/cpca++: {self.speedup:.2f}x")
         return "\n".join(lines)
-
-
-def _bench_data(kind: str, seed: int, n_fg: int, n_bg: int):
-    if kind == "four-class":
-        fg, bg = gen_four_class(seed, n_fg, n_bg)
-        return fg.data, bg
-    if kind == "textured-digits":
-        fg, bg, _ = gen_textured_digits(seed, n_fg, n_bg)
-        return fg.data, bg
-    if kind == "haystack":
-        return sample_haystack(seed, n_fg, n_bg)
-    raise ArgumentError(f"cannot benchmark dataset kind {kind!r}")
 
 
 def run_bench(kind: str, seed: int, n_fg: int, n_bg: int, methods=METHODS, alphas=None,
@@ -69,7 +63,9 @@ def run_bench(kind: str, seed: int, n_fg: int, n_bg: int, methods=METHODS, alpha
     if alphas is None:
         alphas = default_alpha_grid()
     alphas = np.asarray(list(alphas), dtype=float)
-    fg_data, bg_data = _bench_data(kind, seed, n_fg, n_bg)
+    tables = sample_tables(kind, seed, n_fg, n_bg)
+    fg_data, bg_data = DataMatrix(values=tables["fg"]), DataMatrix(values=tables["bg"])
+    del tables  # the kind's other tables are not benchmarked
     pair = build_covariance_pair(bg_data, fg_data)
 
     fits = {
@@ -86,8 +82,5 @@ def run_bench(kind: str, seed: int, n_fg: int, n_bg: int, methods=METHODS, alpha
             fits[method]()
             seconds[method] = min(seconds[method], max(time.perf_counter() - start, 1e-12))
             counts[method] = eig_count()
-    speedup = None
-    if "cpca" in seconds and "cpca++" in seconds:
-        speedup = seconds["cpca"] / seconds["cpca++"]
     descriptor = f"{kind} seed={seed} n_fg={n_fg} n_bg={n_bg} k={k} alphas={len(alphas)}"
-    return BenchReport(dataset=descriptor, seconds=seconds, eig_counts=counts, speedup=speedup)
+    return BenchReport(dataset=descriptor, seconds=seconds, eig_counts=counts)

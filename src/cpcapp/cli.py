@@ -16,8 +16,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import csvio, netpbm
-from .datagen import TABLE_COUNTS, gen_four_class, gen_haystack, gen_spliced_image, \
-    gen_textured_digits, sample_haystack
+from .datagen import TABLE_COUNTS, gen_spliced_image, sample_tables
 from .errors import ArgumentError, CpcappError, ShapeError
 from .factorization import FactorModel, denoise, glrt_statistic, recover_w
 from .model_io import load_model, save_model
@@ -29,6 +28,10 @@ from .splicing import BG_EDGE_MIN, FG_SPLICE_RANGE, PATCH_SIZE, PATCH_STRIDE, \
     extract_patches, f1_score, label_patches, mcc_score, reconstruct_map, score_lattice, \
     score_patches
 from .stats import DataMatrix, Moments, build_covariance_pair, second_moment
+
+
+# Probes ``generate spliced-image`` writes when --count is not given.
+IMAGE_COUNT = 25
 
 
 class UsageError(Exception):
@@ -63,19 +66,20 @@ def _build_parser() -> _Parser:
     gen.add_argument("kind", choices=[*TABLE_COUNTS, "spliced-image"])
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--n-fg", type=int, default=None)
-    gen.add_argument("--n-bg", type=int, default=None)
-    gen.add_argument("--count", type=int, default=25, help="images to emit (spliced-image)")
-    gen.add_argument("--width", type=int, default=64)
-    gen.add_argument("--height", type=int, default=64)
+    gen.add_argument("--n-fg", type=int, default=None, help="table kinds only")
+    gen.add_argument("--n-bg", type=int, default=None, help="table kinds only")
+    gen.add_argument("--count", type=int, default=None,
+                     help=f"spliced-image only; default {IMAGE_COUNT}")
+    gen.add_argument("--width", type=int, default=None, help="spliced-image only; default 64")
+    gen.add_argument("--height", type=int, default=None, help="spliced-image only; default 64")
 
     fit = sub.add_parser("fit", help="fit a reduction model on CSV data")
     fit.add_argument("--fg", required=True)
     fit.add_argument("--bg")
     fit.add_argument("--method", choices=METHODS, required=True)
     fit.add_argument("-k", type=int, default=2)
-    fit.add_argument("--alpha", type=float, default=None)
-    fit.add_argument("--alpha-grid", default=None)
+    fit.add_argument("--alpha", type=float, default=None, help="cpca only")
+    fit.add_argument("--alpha-grid", default=None, help="cpca only")
     fit.add_argument("--out", required=True)
 
     tra = sub.add_parser("transform", help="project CSV samples through a model")
@@ -133,51 +137,49 @@ def _counts(args, kind: str) -> tuple[int, int]:
             args.n_bg if args.n_bg is not None else n_bg)
 
 
+def _reject_flags(args, flags, target: str) -> None:
+    """A UsageError naming the first of ``flags`` given: none of them applies to ``target``."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise UsageError(f"{flag} does not apply to {target}")
+
+
 def _cmd_generate(args) -> int:
     kind = args.kind
-    if kind == "spliced-image" and args.count < 1:
-        raise ArgumentError(f"--count must be at least 1, got {args.count}")
     out = Path(args.out)
+    if kind != "spliced-image":
+        _reject_flags(args, ("--count", "--width", "--height"), kind)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, values in sample_tables(kind, args.seed, *_counts(args, kind)).items():
+            csvio.write_csv(out / f"{name}.csv", values)
+        return 0
+    _reject_flags(args, ("--n-fg", "--n-bg"), kind)
+    count = IMAGE_COUNT if args.count is None else args.count
+    if count < 1:
+        raise ArgumentError(f"--count must be at least 1, got {count}")
+    # gen_spliced_image's own defaults fill the sizes not given
+    size = {dim: v for dim in ("height", "width") if (v := getattr(args, dim)) is not None}
     out.mkdir(parents=True, exist_ok=True)
-    if kind == "four-class":
-        fg, bg = gen_four_class(args.seed, *_counts(args, kind))
-        csvio.write_csv(out / "fg.csv", fg.data.values)
-        csvio.write_csv(out / "bg.csv", bg.values)
-        csvio.write_csv(out / "labels.csv", fg.labels[None, :].astype(float))
-    elif kind == "haystack":
-        fg, bg = sample_haystack(args.seed, *_counts(args, kind))
-        r_b, r_f, c_dir, a_dir = gen_haystack()
-        csvio.write_csv(out / "rb.csv", r_b)
-        csvio.write_csv(out / "rf.csv", r_f)
-        csvio.write_csv(out / "directions.csv", np.column_stack([c_dir, a_dir]).T)
-        csvio.write_csv(out / "fg.csv", fg.values)
-        csvio.write_csv(out / "bg.csv", bg.values)
-    elif kind == "textured-digits":
-        fg, bg, clean = gen_textured_digits(args.seed, *_counts(args, kind))
-        csvio.write_csv(out / "fg.csv", fg.data.values)
-        csvio.write_csv(out / "bg.csv", bg.values)
-        csvio.write_csv(out / "clean.csv", clean.values)
-        csvio.write_csv(out / "labels.csv", fg.labels[None, :].astype(float))
-    else:  # spliced-image
-        seeds = SplitMix64(args.seed).spawn_seeds(args.count)
-        for i, seed in enumerate(seeds):
-            probe, surface, edge = gen_spliced_image(seed, args.height, args.width)
-            netpbm.write_image(out / f"probe_{i:03d}.ppm", probe)
-            netpbm.write_image(out / f"surface_{i:03d}.pgm", surface)
-            netpbm.write_image(out / f"edge_{i:03d}.pgm", edge)
+    for i, seed in enumerate(SplitMix64(args.seed).spawn_seeds(count)):
+        probe, surface, edge = gen_spliced_image(seed, **size)
+        netpbm.write_image(out / f"probe_{i:03d}.ppm", probe)
+        netpbm.write_image(out / f"surface_{i:03d}.pgm", surface)
+        netpbm.write_image(out / f"edge_{i:03d}.pgm", edge)
     return 0
 
 
 def _cmd_fit(args) -> int:
-    if args.alpha is not None and args.alpha_grid is not None:
+    if args.method != "cpca":
+        _reject_flags(args, ("--alpha", "--alpha-grid"), f"method {args.method}")
+    elif args.alpha is not None and args.alpha_grid is not None:
         raise UsageError("--alpha and --alpha-grid are mutually exclusive")
+    if args.method != "pca" and args.bg is None:
+        raise UsageError(f"--bg is required for method {args.method}")
     fg = csvio.read_csv(args.fg)
     if args.method == "pca":
         bank = fit_pca(fg, args.k)
         save_model(args.out, bank)
         return 0
-    if args.bg is None:
-        raise UsageError(f"--bg is required for method {args.method}")
     # each table is reduced to its moments as soon as it is read, and only the
     # pair's covariances live on into the fit
     fg = second_moment(fg)
@@ -236,13 +238,8 @@ def _cmd_denoise(args) -> int:
 def _cmd_localize(args) -> int:
     bank, _ = load_model(args.model)
     probe = netpbm.read_image(args.image)
-    channels = 1 if probe.ndim == 2 else probe.shape[2]
-    n = math.isqrt(bank.features // channels)  # the model's M is c*n^2
-    if channels * n * n != bank.features:
-        raise ShapeError(f"model has M={bank.features} features, which is not c*n^2 "
-                         f"for a probe of c={channels} channels")
     edge = edge_mask(probe)
-    scores, lattice = score_lattice(bank, probe, n, args.stride)
+    scores, lattice = score_lattice(bank, probe, args.stride)
     prob_map = reconstruct_map(scores, lattice, edge)
     netpbm.write_probability_map(args.out, prob_map.values)
     return 0
@@ -288,8 +285,7 @@ def _cmd_train_splice(args) -> int:
 def _cmd_eval(args) -> int:
     pred = netpbm.read_probability_map(args.pred)
     truth = netpbm.read_image(args.truth)
-    prob_map = ProbabilityMap(width=pred.shape[1], height=pred.shape[0], values=pred)
-    counts = binarize_and_score(prob_map, truth, args.threshold)
+    counts = binarize_and_score(ProbabilityMap(values=pred), truth, args.threshold)
     print(f"F1={f1_score(counts)} MCC={mcc_score(counts)}")
     return 0
 

@@ -61,6 +61,23 @@ TABLE_COUNTS = {
 }
 
 
+def sample_tables(kind: str, seed: int, n_fg: int, n_bg: int) -> dict[str, np.ndarray]:
+    """A sampled kind's feature-major tables by name, in write order: the generators' own arrays."""
+    if kind == "four-class":
+        fg, bg = gen_four_class(seed, n_fg, n_bg)
+        return {"fg": fg.data.values, "bg": bg.values, "labels": fg.labels[None, :]}
+    if kind == "haystack":
+        fg, bg = sample_haystack(seed, n_fg, n_bg)
+        r_b, r_f, c_dir, a_dir = gen_haystack()
+        return {"rb": r_b, "rf": r_f, "directions": np.column_stack([c_dir, a_dir]).T,
+                "fg": fg.values, "bg": bg.values}
+    if kind == "textured-digits":
+        fg, bg, clean = gen_textured_digits(seed, n_fg, n_bg)
+        return {"fg": fg.data.values, "bg": bg.values, "clean": clean.values,
+                "labels": fg.labels[None, :]}
+    raise ArgumentError(f"unknown table kind {kind!r}; expected one of {', '.join(TABLE_COUNTS)}")
+
+
 def _check_counts(n_fg: int, n_bg: int) -> None:
     if n_fg < 1 or n_bg < 1:
         raise ArgumentError("sample counts must be at least 1")

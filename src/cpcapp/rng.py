@@ -74,13 +74,6 @@ class SplitMix64:
             words >>= np.uint64(11)
             block[...] = words
 
-    def _top53(self, n: int) -> np.ndarray:
-        """The top 53 bits of the next ``n`` words, as doubles."""
-        bits = np.empty(n)
-        self._top53_into(self._drawn, bits)
-        self._drawn += n
-        return bits
-
     def next_u64(self, n: int) -> np.ndarray:
         """The next ``n`` raw 64-bit words."""
         words = self._words(self._drawn, n)
@@ -89,14 +82,9 @@ class SplitMix64:
 
     def uniform(self, n: int) -> np.ndarray:
         """``n`` doubles uniform on [0, 1) with 53-bit resolution."""
-        bits = self._top53(n)
-        bits *= 2.0**-53
-        return bits
-
-    def uniform_open(self, n: int) -> np.ndarray:
-        """``n`` doubles uniform on (0, 1]; safe to pass through log()."""
-        bits = self._top53(n)
-        bits += 1.0
+        bits = np.empty(n)
+        self._top53_into(self._drawn, bits)
+        self._drawn += n
         bits *= 2.0**-53
         return bits
 
@@ -114,7 +102,8 @@ class SplitMix64:
         out = np.empty(n)
         u2 = np.empty(min(n, NORMAL_BLOCK))
         for lo in range(0, n, NORMAL_BLOCK):
-            # sqrt(-2 log u1) * cos(2 pi u2), each step in place
+            # sqrt(-2 log u1) * cos(2 pi u2), each step in place; u1 lies on
+            # (0, 1], so the log is finite
             r = out[lo:lo + NORMAL_BLOCK]
             self._top53_into(start + lo, r)
             r += 1.0

@@ -65,12 +65,11 @@ class Lattice:
 class PatchGrid(Lattice):
     """Flattened n x n patches of one image, one column per lattice origin."""
 
-    channels: int
     patches: DataMatrix          # (c*n*n, rows*cols), one flattened patch per column
 
     def __post_init__(self):
-        if self.patches.features != self.channels * self.n * self.n:
-            raise ShapeError("patch rows must equal channels * n^2")
+        if self.n < 1 or self.patches.features % (self.n * self.n):
+            raise ShapeError("patch rows must be a multiple of n^2")
         if self.stride < 1 or self.patches.samples != self.rows * self.cols:
             raise ShapeError("one patch per origin of a stride >= 1 lattice is required")
         super().__post_init__()
@@ -80,13 +79,11 @@ class PatchGrid(Lattice):
 class ProbabilityMap:
     """Per-pixel boundary probabilities in [0, 1]."""
 
-    width: int
-    height: int
     values: np.ndarray  # (height, width)
 
     def __post_init__(self):
-        if self.values.shape != (self.height, self.width):
-            raise ShapeError("probability map dims do not match values array")
+        if self.values.ndim != 2:
+            raise ShapeError(f"probability map must be 2-D, got shape {self.values.shape}")
         if self.values.size and not (0 <= self.values.min() and self.values.max() <= 1):
             raise ArgumentError("probabilities must lie in [0, 1]")
 
@@ -199,14 +196,13 @@ def extract_patches(image, n: int, stride: int) -> PatchGrid:
     are ordered row-major over their origins ``(i * stride, j * stride)``.
     """
     image = _as_image(image)
-    height, width, channels = image.shape
+    height, width = image.shape[:2]
     lattice = Lattice(image_w=width, image_h=height, n=n, stride=stride)
     return PatchGrid(
         image_w=width,
         image_h=height,
         n=n,
         stride=stride,
-        channels=channels,
         patches=DataMatrix(values=_patch_columns(_patch_fields(image, n, stride), 0, lattice.rows)),
     )
 
@@ -257,21 +253,23 @@ def score_patches(bank: FilterBank, test: DataMatrix) -> np.ndarray:
     return _max_normalized(np.sum(transform(bank, test) ** 2, axis=0))
 
 
-def score_lattice(bank: FilterBank, image, n: int, stride: int) -> tuple[np.ndarray, Lattice]:
+def score_lattice(bank: FilterBank, image, stride: int) -> tuple[np.ndarray, Lattice]:
     """``score_patches`` of every patch on the image's lattice, and that lattice.
 
-    Bit-identical to ``score_patches(bank, extract_patches(image, n,
-    stride).patches)``, but no patch matrix is built: each feature's mean
-    comes from a contiguous copy of its (rows, cols) field, and then the
-    patches are copied out, centered and projected one band of whole
-    lattice rows at a time.
+    The bank fixes the patch size: its M features are c*n^2 for an image of
+    c channels, and any other M raises ShapeError. Bit-identical to
+    ``score_patches(bank, extract_patches(image, n, stride).patches)``, but
+    no patch matrix is built: each feature's mean comes from a contiguous
+    copy of its (rows, cols) field, and then the patches are copied out,
+    centered and projected one band of whole lattice rows at a time.
     """
     image = _as_image(image)
     height, width, channels = image.shape
-    lattice = Lattice(image_w=width, image_h=height, n=n, stride=stride)
+    n = math.isqrt(bank.features // channels)
     if channels * n * n != bank.features:
-        raise ShapeError(f"bank expects {bank.features} features but {channels}-channel "
-                         f"{n}x{n} patches have {channels * n * n}")
+        raise ShapeError(f"model has M={bank.features} features, which is not c*n^2 "
+                         f"for a probe of c={channels} channels")
+    lattice = Lattice(image_w=width, image_h=height, n=n, stride=stride)
     if not (np.isfinite(image.min()) and np.isfinite(image.max())):
         raise ArgumentError("image contains non-finite values")
     cols = lattice.cols
@@ -322,7 +320,7 @@ def reconstruct_map(scores, lattice: Lattice, edge) -> ProbabilityMap:
             cover[cell] += 1.0
     np.divide(acc, cover, out=acc, where=cover > 0)
     acc *= edges
-    return ProbabilityMap(width=lattice.image_w, height=lattice.image_h, values=acc)
+    return ProbabilityMap(values=acc)
 
 
 def binarize_and_score(prob_map: ProbabilityMap, truth, threshold: float = SCORE_THRESHOLD) -> ConfusionCounts:

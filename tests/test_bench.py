@@ -43,6 +43,6 @@ class TestRunBench:
         def draw(*args):
             raise AssertionError("data drawn for an empty method list")
 
-        monkeypatch.setattr(bench, "_bench_data", draw)
+        monkeypatch.setattr(bench, "sample_tables", draw)
         with pytest.raises(ArgumentError, match="no methods"):
             run_bench("four-class", 0, 50, 50, methods=())

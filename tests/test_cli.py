@@ -1,12 +1,15 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
+import importlib.util
 import shutil
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import cpcapp
 from cpcapp import FilterBank, edge_mask, extract_patches, gen_spliced_image, load_model, \
     read_image, reconstruct_map, save_model, score_patches, write_csv, write_image, \
     write_probability_map
@@ -81,6 +84,26 @@ class TestFit:
                              "--alpha-grid", grid, "--out", str(tmp_path / "m.txt")])
         assert code == 1
         assert "0 < lo < hi < inf" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("method", ["pca", "cpca++"])
+    @pytest.mark.parametrize("flag, value", [("--alpha", "3"), ("--alpha-grid", "1:2:3")])
+    def test_alpha_flags_only_for_cpca(self, tmp_path, capfd, four_class_csvs, method, flag,
+                                       value):
+        fg, bg = four_class_csvs
+        model = tmp_path / "model.txt"
+        code = cli_dispatch(["fit", "--fg", str(fg), "--bg", str(bg), "--method", method,
+                             flag, value, "--out", str(model)])
+        assert code == 1
+        assert f"{flag} does not apply to method {method}" in capfd.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("method", ["cpca", "cpca++"])
+    def test_missing_background_flag_before_any_read(self, tmp_path, capfd, method):
+        # the foreground file does not exist: the missing flag is reported, not the file
+        code = cli_dispatch(["fit", "--fg", str(tmp_path / "absent.csv"), "--method", method,
+                             "--out", str(tmp_path / "model.txt")])
+        assert code == 1
+        assert f"--bg is required for method {method}" in capfd.readouterr().err
 
     def test_pca_needs_no_background(self, tmp_path, four_class_csvs):
         fg, _ = four_class_csvs
@@ -340,6 +363,31 @@ class TestGenerateAndBench:
         assert message in capfd.readouterr().err
 
     @pytest.mark.parametrize("kind", ["four-class", "haystack", "textured-digits"])
+    @pytest.mark.parametrize("flag, value", [("--count", "0"), ("--count", "3"),
+                                             ("--width", "8"), ("--height", "8")])
+    def test_generate_rejects_image_flags_for_tables(self, tmp_path, capfd, kind, flag, value):
+        code = cli_dispatch(["generate", kind, flag, value, "--out", str(tmp_path)])
+        assert code == 1
+        assert f"{flag} does not apply to {kind}" in capfd.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--n-fg", "--n-bg"])
+    def test_generate_rejects_table_flags_for_images(self, tmp_path, capfd, flag):
+        code = cli_dispatch(["generate", "spliced-image", "--count", "1", flag, "10",
+                             "--out", str(tmp_path)])
+        assert code == 1
+        assert f"{flag} does not apply to spliced-image" in capfd.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_generate_image_defaults(self, tmp_path):
+        # 25 probes of 64x64 when neither --count nor a size is given
+        assert cli_dispatch(["generate", "spliced-image", "--seed", "2",
+                             "--out", str(tmp_path)]) == 0
+        probes = sorted(tmp_path.glob("probe_*.ppm"))
+        assert len(probes) == 25
+        assert read_image(probes[-1]).shape == (64, 64, 3)
+
+    @pytest.mark.parametrize("kind", ["four-class", "haystack", "textured-digits"])
     def test_generate_rejects_zero_samples(self, tmp_path, capfd, kind):
         code = cli_dispatch(["generate", kind, "--n-fg", "0", "--out", str(tmp_path)])
         assert code == 2
@@ -442,3 +490,35 @@ class TestDenoiseCommand:
                              "--in", str(tmp_path / "fg.csv"),
                              "--out", str(tmp_path / "o.pgm")])
         assert code == 2
+
+
+def test_traced_pass_feeds_every_observer(tmp_path):
+    # the benchmark's tracer wraps the library and reads arguments and results
+    # of its calls; a signature it no longer understands fails here, not only
+    # in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    imgs, data = tmp_path / "imgs", tmp_path / "data"
+    steps = [
+        ["generate", "spliced-image", "--seed", "3", "--count", "4", "--width", "48",
+         "--height", "48", "--out", str(imgs)],
+        ["train-splice", "--train-dir", str(imgs), "--out", str(tmp_path / "splice.txt")],
+        ["localize", "--model", str(tmp_path / "splice.txt"), "--image",
+         str(imgs / "probe_003.ppm"), "--out", str(tmp_path / "map.pgm")],
+        ["generate", "textured-digits", "--seed", "3", "--n-fg", "60", "--n-bg", "60",
+         "--out", str(data)],
+        ["fit", "--fg", str(data / "fg.csv"), "--bg", str(data / "bg.csv"),
+         "--method", "cpca++", "--out", str(tmp_path / "digits.txt")],
+    ]
+    tracer = tracer_mod.Tracer(cpcapp)
+    codes = []
+    with tracer.installed():
+        for argv in steps:
+            with tracer.span(f"cli.{argv[0]}"):
+                codes.append(cli_dispatch(argv))
+    assert codes == [0] * len(steps)
+    for counter in ("splicing.patches", "splicing.labeled_patches", "stats.second_moment.gflop",
+                    "rng.words", "csvio.read_csv.bytes"):
+        assert tracer.counters[counter] > 0, counter

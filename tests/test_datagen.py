@@ -32,6 +32,40 @@ def test_sample_counts_below_one_rejected(gen, n_fg, n_bg):
         gen(0, n_fg, n_bg)
 
 
+class TestSampleTables:
+    def test_names_order_and_arrays(self):
+        fg, bg = gen_four_class(3, 20, 15)
+        hay_fg, hay_bg = sample_haystack(3, 20, 15)
+        r_b, r_f, c_dir, a_dir = gen_haystack()
+        dig_fg, dig_bg, clean = gen_textured_digits(3, 20, 15)
+        want = {
+            "four-class": [("fg", fg.data.values), ("bg", bg.values),
+                           ("labels", fg.labels[None, :])],
+            "haystack": [("rb", r_b), ("rf", r_f), ("directions", np.stack([c_dir, a_dir])),
+                         ("fg", hay_fg.values), ("bg", hay_bg.values)],
+            "textured-digits": [("fg", dig_fg.data.values), ("bg", dig_bg.values),
+                                ("clean", clean.values), ("labels", dig_fg.labels[None, :])],
+        }
+        assert list(want) == list(datagen.TABLE_COUNTS)
+        for kind, tables in want.items():
+            got = datagen.sample_tables(kind, 3, 20, 15)
+            assert list(got) == [name for name, _ in tables], kind
+            for name, values in tables:
+                assert got[name].shape == values.shape, (kind, name)
+                assert got[name].tobytes() == values.tobytes(), (kind, name)
+
+    def test_returns_the_generators_arrays(self):
+        fg, bg = gen_four_class(3, 20, 15)
+        with mock.patch.object(datagen, "gen_four_class", return_value=(fg, bg)):
+            got = datagen.sample_tables("four-class", 3, 20, 15)
+        assert got["fg"] is fg.data.values and got["bg"] is bg.values
+        assert np.shares_memory(got["labels"], fg.labels)
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ArgumentError, match="unknown table kind 'spliced-image'"):
+            datagen.sample_tables("spliced-image", 0, 5, 5)
+
+
 class TestRng:
     def test_known_stream_reproducible(self):
         a = SplitMix64(12345).next_u64(4)

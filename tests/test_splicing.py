@@ -149,8 +149,14 @@ class TestExtractPatches:
     @pytest.mark.parametrize("stride, samples", [(4, 3), (0, 2)])
     def test_grid_rejects_patches_off_the_lattice(self, stride, samples):
         with pytest.raises(ShapeError, match="one patch per origin"):
-            PatchGrid(image_w=12, image_h=8, n=8, stride=stride, channels=1,
+            PatchGrid(image_w=12, image_h=8, n=8, stride=stride,
                       patches=DataMatrix(values=np.zeros((64, samples))))
+
+    @pytest.mark.parametrize("rows", [63, 65, 96])
+    def test_grid_rejects_rows_off_whole_patches(self, rows):
+        with pytest.raises(ShapeError, match="multiple of n"):
+            PatchGrid(image_w=12, image_h=8, n=8, stride=4,
+                      patches=DataMatrix(values=np.zeros((rows, 2))))
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_rejects_nonpositive_patch_size(self, n):
@@ -266,7 +272,7 @@ class TestScoreLattice:
         channels = 1 if image.ndim == 2 else image.shape[2]
         bank = random_bank(rng, channels * n * n)
         edge = (rng.random(image.shape[:2]) < 0.3).astype(np.uint8) * 255
-        scores, lattice = score_lattice(bank, image, n, stride)
+        scores, lattice = score_lattice(bank, image, stride)
         want_scores, want_map = _patch_matrix_chain(bank, image, n, stride, edge)
         assert scores.tobytes() == want_scores.tobytes()
         assert reconstruct_map(scores, lattice, edge).values.tobytes() == want_map.values.tobytes()
@@ -299,14 +305,14 @@ class TestScoreLattice:
         # TRANSFORM_BLOCK of them is copied out at a time
         probe = gen_spliced_image(5, 512, 512)[0]
         bank = random_bank(rng, 192)
-        peak = traced_peak(lambda: score_lattice(bank, probe, 8, 4))
+        peak = traced_peak(lambda: score_lattice(bank, probe, 4))
         assert peak <= 1.15 * bank.features * TRANSFORM_BLOCK * 8
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_probe(self, rng, bad):
         image = 255 * rng.random((16, 16))
         image[3, 4] = bad
-        for score in (lambda: score_lattice(axis_bank(64), image, 8, 4),
+        for score in (lambda: score_lattice(axis_bank(64), image, 4),
                       lambda: score_patches(axis_bank(64), extract_patches(image, 8, 4).patches)):
             with pytest.raises(ArgumentError, match="non-finite"):
                 score()
@@ -315,11 +321,24 @@ class TestScoreLattice:
                                                     (8, 0, "stride must be positive")])
     def test_rejects_lattice_off_the_image(self, n, stride, message):
         with pytest.raises(ArgumentError, match=message):
-            score_lattice(axis_bank(n * n), np.zeros((8, 8)), n, stride)
+            score_lattice(axis_bank(n * n), np.zeros((8, 8)), stride)
 
     def test_rejects_bank_of_other_patch_size(self):
-        with pytest.raises(ShapeError, match="expects 64 features"):
-            score_lattice(axis_bank(64), np.zeros((8, 8, 3)), 8, 4)
+        message = r"model has M=64 features, which is not c\*n\^2 for a probe of c=3 channels"
+        with pytest.raises(ShapeError, match=message):
+            score_lattice(axis_bank(64), np.zeros((8, 8, 3)), 4)
+
+    @pytest.mark.parametrize("features, shape, channels", [
+        (64, (2, 2, 3), 3),     # a grey 8x8 model on an RGB probe
+        (192, (4, 4), 1),       # an RGB 8x8 model on a grey probe
+    ])
+    def test_rejects_model_of_other_channel_count(self, features, shape, channels):
+        # the probes are too small for the patch size isqrt(M // c): the shape
+        # check raises before any lattice is built
+        message = (rf"model has M={features} features, which is not c\*n\^2 "
+                   rf"for a probe of c={channels} channels")
+        with pytest.raises(ShapeError, match=message):
+            score_lattice(axis_bank(features), np.zeros(shape), 4)
 
 
 class TestLabelPatches:
@@ -533,20 +552,20 @@ class TestMetrics:
 class TestBinarize:
     def test_perfect_prediction(self):
         truth = (np.arange(64).reshape(8, 8) % 3 == 0).astype(np.uint8) * 255
-        pmap = ProbabilityMap(width=8, height=8, values=(truth > 0).astype(float))
+        pmap = ProbabilityMap(values=(truth > 0).astype(float))
         c = binarize_and_score(pmap, truth, 0.5)
         assert c.fp == 0 and c.fn == 0
 
     def test_inverted_prediction(self):
         truth = (np.arange(64).reshape(8, 8) % 3 == 0).astype(np.uint8) * 255
-        pmap = ProbabilityMap(width=8, height=8, values=1.0 - (truth > 0).astype(float))
+        pmap = ProbabilityMap(values=1.0 - (truth > 0).astype(float))
         c = binarize_and_score(pmap, truth, 0.5)
         assert c.tp == 0 and c.tn == 0
 
     def test_matches_pixel_loop_oracle(self, rng):
         values = rng.random((16, 16))
         truth = (rng.random((16, 16)) < 0.3).astype(np.uint8) * 255
-        pmap = ProbabilityMap(width=16, height=16, values=values)
+        pmap = ProbabilityMap(values=values)
         c = binarize_and_score(pmap, truth, 0.4)
         tp = tn = fp = fn = 0
         for i in range(16):
@@ -564,10 +583,15 @@ class TestBinarize:
         values = np.zeros((4, 4))
         values[2, 3] = bad
         with pytest.raises(ArgumentError, match=r"\[0, 1\]"):
-            ProbabilityMap(width=4, height=4, values=values)
+            ProbabilityMap(values=values)
+
+    @pytest.mark.parametrize("shape", [(16,), (2, 4, 4), ()])
+    def test_map_rejects_values_not_2d(self, shape):
+        with pytest.raises(ShapeError, match="must be 2-D"):
+            ProbabilityMap(values=np.zeros(shape))
 
     def test_rejects_dim_mismatch(self):
-        pmap = ProbabilityMap(width=4, height=4, values=np.zeros((4, 4)))
+        pmap = ProbabilityMap(values=np.zeros((4, 4)))
         with pytest.raises(ShapeError):
             binarize_and_score(pmap, np.zeros((5, 5)), 0.5)
 
