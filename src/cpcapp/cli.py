@@ -125,7 +125,7 @@ def _build_parser() -> _Parser:
     ben.add_argument("--n-fg", type=int, default=None)
     ben.add_argument("--n-bg", type=int, default=None)
     ben.add_argument("-k", type=int, default=2)
-    ben.add_argument("--alpha-grid", default="default")
+    ben.add_argument("--alpha-grid", default=None, help="cpca only; default: the default grid")
     ben.add_argument("--methods", default=",".join(METHODS))
     return parser
 
@@ -173,7 +173,9 @@ def _cmd_fit(args) -> int:
         _reject_flags(args, ("--alpha", "--alpha-grid"), f"method {args.method}")
     elif args.alpha is not None and args.alpha_grid is not None:
         raise UsageError("--alpha and --alpha-grid are mutually exclusive")
-    if args.method != "pca" and args.bg is None:
+    if args.method == "pca":
+        _reject_flags(args, ("--bg",), "method pca")
+    elif args.bg is None:
         raise UsageError(f"--bg is required for method {args.method}")
     fg = csvio.read_csv(args.fg)
     if args.method == "pca":
@@ -292,8 +294,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bench(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    if "cpca" not in methods:
+        _reject_flags(args, ("--alpha-grid",), f"methods {','.join(methods)}")
     report = bench_mod.run_bench(args.kind, args.seed, *_counts(args, args.kind),
-                                 methods=methods, alphas=_parse_alpha_grid(args.alpha_grid),
+                                 methods=methods,
+                                 alphas=_parse_alpha_grid(args.alpha_grid or "default"),
                                  k=args.k)
     print(report.format())
     return 0

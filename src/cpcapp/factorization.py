@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefinitenessError, RankError, ShapeError
-from .linalg import diagonal_load
+from .linalg import diagonal_load, whitener
 from .reducers import FilterBank
 from .stats import CovariancePair
 
@@ -77,23 +77,26 @@ def glrt_statistic(pair: CovariancePair, w) -> float | np.ndarray:
     pair's second moments, with its loading applied to ``R_b``. Always >= 1
     up to rounding, and invariant to right-multiplying ``w`` by any
     invertible K x K matrix. ``w`` is one ``(M, K)`` basis (a float comes
-    back) or a stack ``(..., M, K)`` (statistics of shape ``(...)``); each of
-    the two matrices is solved once, against all the bases side by side.
+    back) or a stack ``(..., M, K)`` (statistics of shape ``(...)``). Each of
+    the two matrices ``A`` is Cholesky-factored once, ``A = L L^T``, and
+    ``W^T A^-1 W`` is taken as the Gram matrix of ``L^-1 W`` for all the
+    bases side by side, so it is positive semidefinite by construction.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim < 2 or w.shape[-2] != pair.features:
         raise ShapeError("basis rows must match the pair's feature count")
     if np.any(np.linalg.matrix_rank(w) < w.shape[-1]):
         raise RankError("candidate basis is rank deficient")
-    r_b = diagonal_load(pair.r_b, pair.loading)
     columns = np.moveaxis(w, -2, 0)  # (M, ..., K)
 
-    def projected(a):  # W^T a^-1 W for every basis, from one solve
-        solved = np.linalg.solve(a, columns.reshape(pair.features, -1))
-        return np.swapaxes(w, -1, -2) @ np.moveaxis(solved.reshape(columns.shape), 0, -2)
+    def projected(a, name):  # W^T (a + loading I)^-1 W for every basis, from one factor
+        half = whitener(a, pair.loading, name) @ columns.reshape(pair.features, -1)
+        half = np.moveaxis(half.reshape(columns.shape), 0, -2)  # L^-1 W, (..., M, K)
+        return np.swapaxes(half, -1, -2) @ half
 
-    sign_n, logdet_n = np.linalg.slogdet(projected(r_b))
-    sign_d, logdet_d = np.linalg.slogdet(projected(pair.n_f / pair.n_b * pair.r_f + r_b))
+    sign_n, logdet_n = np.linalg.slogdet(projected(pair.r_b, "background covariance"))
+    sign_d, logdet_d = np.linalg.slogdet(
+        projected(pair.n_f / pair.n_b * pair.r_f + pair.r_b, "pooled covariance"))
     if np.any(sign_n <= 0) or np.any(sign_d <= 0):
         raise DefinitenessError("projected covariances lost positive definiteness")
     return np.exp(logdet_n - logdet_d)

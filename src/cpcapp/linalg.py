@@ -9,9 +9,11 @@ The number of symmetric eigendecompositions performed is counted in a
 module-level counter so callers can verify how many decompositions a fitting
 routine actually spends (see :func:`eig_count` / :func:`reset_eig_count`).
 It counts every :func:`sym_eig` call, which is the only place the package
-runs a symmetric eigensolver: the loading decision uses a Cholesky test and
-the detection statistic uses linear solves. The counter is the one piece of
-shared state here; read it from a single thread when instrumenting.
+runs a symmetric eigensolver: the loading decision uses a Cholesky test, and
+whitening (:func:`q_eig`, the detection statistic) multiplies by the inverse
+of a Cholesky factor (:func:`whitener`). No general linear solve is run. The
+counter is the one piece of shared state here; read it from a single thread
+when instrumenting.
 """
 
 from __future__ import annotations
@@ -30,6 +32,11 @@ SYMMETRY_RTOL = 1e-9
 # using rho = LOADING_SCALE * tr/M.
 EPS_FLOOR_SCALE = 1e-10
 LOADING_SCALE = 1e-6
+
+# Rows per band of the in-place symmetrization, and the largest triangular
+# block inverted by LAPACK rather than split further.
+BAND_ROWS = 64
+TRI_INV_LEAF = 64
 
 _eig_count = 0
 
@@ -109,6 +116,69 @@ def sym_eig(a, k: int) -> EigenResult:
     return EigenResult(values=values[order], vectors=_fix_signs(vectors[:, order]))
 
 
+def symmetrize_(a: np.ndarray) -> np.ndarray:
+    """Overwrite a square ``a`` with ``(a + a^T) / 2`` and return it.
+
+    Bit-identical to the out-of-place expression: each entry pair is summed
+    and halved once. Works in bands of ``BAND_ROWS`` rows: a band's strip
+    right of the diagonal takes the mean of itself and the mirrored strip
+    below, which then copies it back, so numpy's scratch is at most a few
+    bands, never an M x M copy.
+    """
+    m = a.shape[0]
+    for lo in range(0, m, BAND_ROWS):
+        hi = min(lo + BAND_ROWS, m)
+        block = a[lo:hi, lo:hi]
+        block += block.T  # numpy buffers the overlapping operand
+        block /= 2.0
+        upper, lower = a[lo:hi, hi:], a[hi:, lo:hi]
+        upper += lower.T
+        upper /= 2.0
+        lower[...] = upper.T
+    return a
+
+
+def _tri_inv(l: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix, by 2 x 2 blocks.
+
+    ``inv([[A, 0], [C, D]]) = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]``; blocks of
+    at most ``TRI_INV_LEAF`` rows go to ``np.linalg.inv``, whose upper
+    triangle is cleared, so the result's upper triangle is exactly zero.
+    """
+    m = l.shape[0]
+    if m <= TRI_INV_LEAF:
+        leaf = np.linalg.inv(l)
+        for i in range(m - 1):  # not np.tril, whose numpy code no other fit step pages in
+            leaf[i, i + 1:] = 0.0
+        return leaf
+    h = m // 2
+    out = np.zeros_like(l)
+    out[:h, :h] = _tri_inv(l[:h, :h])
+    out[h:, h:] = _tri_inv(l[h:, h:])
+    out[h:, :h] = out[h:, h:] @ (l[h:, :h] @ out[:h, :h])
+    out[h:, :h] *= -1.0
+    return out
+
+
+def whitener(a, loading: float = 0.0, name: str = "matrix") -> np.ndarray:
+    """``L^-1`` for the Cholesky factor ``L L^T = a + loading * I``.
+
+    ``L^-1`` whitens the loaded matrix: ``L^-1 (a + loading I) L^-T = I``.
+    The loaded copy is freed once factored and the factor once inverted, so
+    besides ``a`` no more than two M x M arrays and the block scratch of the
+    inverse are alive at once. A matrix that is not positive definite after
+    loading raises :class:`DefinitenessError`.
+    """
+    chol = diagonal_load(a, loading)
+    try:
+        chol = np.linalg.cholesky(chol)
+    except np.linalg.LinAlgError as exc:
+        raise DefinitenessError(
+            f"{name} is not positive definite; apply diagonal loading first"
+        ) from exc
+    return _tri_inv(chol)
+
+
 def diagonal_load(a, rho: float) -> np.ndarray:
     """Return ``a + rho * I``."""
     a = _as_square(a)
@@ -146,14 +216,17 @@ def auto_loading(r_b) -> float:
     return 0.0
 
 
-def q_eig(r_b, r_f, k: int) -> EigenResult:
-    """Top-k eigenpairs of the background-whitened product ``r_b^-1 r_f``.
+def q_eig(r_b, r_f, k: int, loading: float = 0.0) -> EigenResult:
+    """Top-k eigenpairs of the background-whitened product ``(r_b + loading I)^-1 r_f``.
 
     Solved through a symmetric congruence: with the Cholesky factor
-    ``r_b = L L^T``, the symmetric matrix ``S = L^-1 r_f L^-T`` shares the
-    (real, non-negative) spectrum of the product, and each symmetric
-    eigenvector x maps back to an eigenvector ``v = L^-T x`` of the product.
-    Returned vectors are unit-norm with the deterministic sign convention.
+    ``r_b + loading I = L L^T``, the symmetric matrix ``S = (L^-1 r_f) L^-T``
+    shares the (real, non-negative) spectrum of the product, and each
+    symmetric eigenvector x maps back to an eigenvector ``v = L^-T x`` of the
+    product. ``L`` is inverted once (:func:`whitener`) and no general solve
+    runs; the loaded copy of ``r_b`` and ``L`` itself are freed before the
+    eigensolve. Returned vectors are unit-norm with the deterministic sign
+    convention.
     """
     r_b = _as_square(r_b, "background covariance")
     r_f = _as_square(r_f, "foreground covariance")
@@ -164,18 +237,10 @@ def q_eig(r_b, r_f, k: int) -> EigenResult:
         raise ArgumentError(f"k must be in [1, {m}], got {k}")
     _require_symmetric(r_b, "background covariance")
     _require_symmetric(r_f, "foreground covariance")
-    try:
-        chol = np.linalg.cholesky(r_b)
-    except np.linalg.LinAlgError as exc:
-        raise DefinitenessError(
-            "background covariance is not positive definite; apply diagonal loading first"
-        ) from exc
-    half = np.linalg.solve(chol, r_f)          # L^-1 r_f
-    s = np.linalg.solve(chol, half.T)          # L^-1 (L^-1 r_f)^T = L^-1 r_f L^-T
-    del half
-    s = s + s.T                                # symmetrized in one buffer
-    s /= 2.0
+    l_inv = whitener(r_b, loading, "background covariance")
+    s = symmetrize_((l_inv @ r_f) @ l_inv.T)  # L^-1 r_f is freed before the symmetrization
     res = sym_eig(s, k)
-    vectors = np.linalg.solve(chol.T, res.vectors)
+    del s
+    vectors = l_inv.T @ res.vectors
     vectors /= np.linalg.norm(vectors, axis=0)
     return EigenResult(values=res.values, vectors=_fix_signs(vectors))

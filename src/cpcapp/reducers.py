@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DefinitenessError, ShapeError
-from .linalg import diagonal_load, q_eig, sym_eig
+from .linalg import q_eig, sym_eig
 from .stats import CovariancePair, DataMatrix, second_moment
 
 METHODS = ("pca", "cpca", "cpca++")
@@ -140,7 +140,7 @@ def fit_cpcapp(pair: CovariancePair, k: int) -> FilterBank:
     """
     if not np.trace(pair.r_f) > 0:
         raise DefinitenessError("foreground has no variance (zero-trace covariance)")
-    res = q_eig(diagonal_load(pair.r_b, pair.loading), pair.r_f, k)
+    res = q_eig(pair.r_b, pair.r_f, k, loading=pair.loading)
     return FilterBank(
         method="cpca++",
         f=res.vectors,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .linalg import auto_loading
+from .linalg import auto_loading, symmetrize_
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,9 +78,8 @@ class Moments:
                        + np.outer(delta, delta * (self.n * other.n / n)))
 
     def covariance(self) -> np.ndarray:
-        """``scatter / n``, symmetrized; symmetric PSD."""
-        r = self.scatter / self.n
-        return (r + r.T) / 2.0
+        """``scatter / n``, symmetrized in place; symmetric PSD."""
+        return symmetrize_(self.scatter / self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +125,9 @@ def build_covariance_pair(bg: DataMatrix | Moments, fg: DataMatrix | Moments) ->
     Either partition may be a sample matrix or moments pooled beforehand.
     The loading factor keeps the background matrix invertible when it is
     rank deficient (fewer background samples than features, say); it is
-    recorded on the pair rather than folded into ``r_b``.
+    recorded on the pair rather than folded into ``r_b``. It is chosen before
+    ``r_f`` is formed, so the loading test's scratch never coexists with both
+    covariances.
     """
     bg, fg = (x if isinstance(x, Moments) else second_moment(x) for x in (bg, fg))
     if bg.features != fg.features:
@@ -134,5 +135,6 @@ def build_covariance_pair(bg: DataMatrix | Moments, fg: DataMatrix | Moments) ->
             f"background has {bg.features} features but foreground has {fg.features}"
         )
     r_b = bg.covariance()
-    return CovariancePair(r_b=r_b, r_f=fg.covariance(), loading=auto_loading(r_b),
+    loading = auto_loading(r_b)
+    return CovariancePair(r_b=r_b, r_f=fg.covariance(), loading=loading,
                           n_b=bg.n, n_f=fg.n, mean_b=bg.mean, mean_f=fg.mean)

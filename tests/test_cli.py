@@ -59,14 +59,17 @@ class TestFit:
                              "--out", str(tmp_path / "m.txt")])
         assert code == 1
 
-    def test_sweep_scores_grid_with_two_solves(self, tmp_path, four_class_csvs):
-        # one solve per matrix of the detection statistic, for the whole grid
+    def test_sweep_scores_grid_with_two_factorizations(self, tmp_path, four_class_csvs):
+        # no general solve; one Cholesky factor per matrix of the detection
+        # statistic for the whole grid, after the loading test's one
         fg, bg = four_class_csvs
-        with mock.patch("numpy.linalg.solve", wraps=np.linalg.solve) as solve:
+        with mock.patch("numpy.linalg.solve", wraps=np.linalg.solve) as solve, \
+                mock.patch("numpy.linalg.cholesky", wraps=np.linalg.cholesky) as cholesky:
             code = cli_dispatch(["fit", "--fg", str(fg), "--bg", str(bg), "--method", "cpca",
                                  "--alpha-grid", "0.1:10:5", "--out", str(tmp_path / "m.txt")])
         assert code == 0
-        assert solve.call_count == 2
+        assert solve.call_count == 0
+        assert cholesky.call_count == 1 + 2
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha_is_data_error(self, tmp_path, capfd, four_class_csvs, alpha):
@@ -110,6 +113,16 @@ class TestFit:
         model = tmp_path / "pca.txt"
         assert cli_dispatch(["fit", "--fg", str(fg), "--method", "pca", "-k", "2",
                              "--out", str(model)]) == 0
+
+    def test_pca_rejects_background_before_any_read(self, tmp_path, capfd, four_class_csvs):
+        # the background file does not exist: the flag is reported, not the file
+        fg, _ = four_class_csvs
+        model = tmp_path / "pca.txt"
+        code = cli_dispatch(["fit", "--fg", str(fg), "--bg", str(tmp_path / "absent.csv"),
+                             "--method", "pca", "--out", str(model)])
+        assert code == 1
+        assert "--bg does not apply to method pca" in capfd.readouterr().err
+        assert not model.exists()
 
     def test_cpcapp_model_feeds_transform_and_score(self, tmp_path, four_class_csvs):
         fg, bg = four_class_csvs
@@ -407,6 +420,14 @@ class TestGenerateAndBench:
         out = capfd.readouterr().out
         assert code == 0
         assert "cpca++" in out and "speedup" in out
+
+    @pytest.mark.parametrize("methods", ["pca", "pca,cpca++"])
+    def test_bench_alpha_grid_needs_cpca(self, capfd, methods):
+        code = cli_dispatch(["bench", "--methods", methods, "--alpha-grid", "1:2:3"])
+        captured = capfd.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"--alpha-grid does not apply to methods {methods}" in captured.err
 
     def test_bench_rejects_empty_method_list(self, capfd):
         code = cli_dispatch(["bench", "--methods", ","])

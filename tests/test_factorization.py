@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cpcapp import (
     CovariancePair,
@@ -172,8 +173,8 @@ class TestStackedGlrt:
         if k > 1:
             assert stacked.tobytes() == per_basis.tobytes()
         else:
-            # LAPACK solves a single right-hand side by another route (trsv,
-            # not trsm), so one-column bases solved side by side differ in ulps
+            # a one-column product takes gemv, not gemm, so one-column bases
+            # whitened side by side differ in ulps
             np.testing.assert_allclose(stacked, per_basis, rtol=1e-12)
 
     def test_single_basis_gives_float(self, rng):
@@ -201,6 +202,37 @@ class TestStackedGlrt:
         for w in (rng.standard_normal(8), rng.standard_normal((4, 7, 2))):
             with pytest.raises(ShapeError):
                 glrt_statistic(pair, w)
+
+
+class TestGlrtAgainstScipy:
+    """The statistic against ``cho_solve`` on the same loaded matrices.
+
+    Both forms are backward stable in the two Cholesky factorizations, so
+    each log-determinant errs by about ``m eps cond(A)`` per dimension of the
+    basis; the bound is twice that, summed over the two matrices A.
+    """
+
+    @pytest.mark.parametrize("n_b", [5, 40], ids=["loaded", "full-rank"])
+    def test_matches_cho_solve(self, n_b):
+        m, g, k = 12, 4, 3
+        gen = np.random.default_rng(n_b)
+        pair = build_covariance_pair(DataMatrix(values=gen.standard_normal((m, n_b))),
+                                     DataMatrix(values=gen.standard_normal((m, 30))))
+        assert (pair.loading > 0) == (n_b < m)
+        loaded = pair.r_b + pair.loading * np.eye(m)
+        mats = (loaded, pair.n_f / pair.n_b * pair.r_f + loaded)
+        factors = [scipy.linalg.cho_factor(a) for a in mats]
+
+        def reference(w):
+            numer, denom = (np.linalg.slogdet(w.T @ scipy.linalg.cho_solve(f, w))[1]
+                            for f in factors)
+            return np.exp(numer - denom)
+
+        ws = gen.standard_normal((g, m, k))
+        eps = np.finfo(float).eps
+        rtol = 2 * k * m * eps * sum(np.linalg.cond(a) for a in mats)
+        np.testing.assert_allclose(glrt_statistic(pair, ws), [reference(w) for w in ws],
+                                   rtol=rtol)
 
 
 class TestFactorizationCount:

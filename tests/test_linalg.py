@@ -1,8 +1,13 @@
 """Eigen-machinery contracts, with scipy's general solver as the cross-check."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
+
+import cpcapp
 
 from cpcapp import (
     ArgumentError,
@@ -15,6 +20,7 @@ from cpcapp import (
     reset_eig_count,
     sym_eig,
 )
+from cpcapp.linalg import BAND_ROWS, TRI_INV_LEAF, _tri_inv, symmetrize_, whitener
 
 from conftest import principal_angles, random_psd, random_spd, traced_peak
 
@@ -205,45 +211,160 @@ class TestQEig:
 
 
 class TestQEigAgainstScipy:
-    """``q_eig(r_b, r_f, k)`` against ``scipy.linalg.eigh(r_f, r_b)`` (LAPACK sygvd).
+    """``q_eig(r_b, r_f, k, loading)`` against ``scipy.linalg.eigh(r_f, B)`` (LAPACK sygvd).
 
-    ``r_b`` has condition number 10^c for c = 0..10; ``r_f`` is a fixed-size
-    Wishart matrix (condition about 30). With A = r_f, B = r_b, both solvers are
-    backward stable: each returns the exact answer for A + dA, B + dB with
-    ||dA|| <= p(m) eps ||A||, ||dB|| <= p(m) eps ||B||, taking p(m) = m. The
-    tolerances are their first-order consequences, doubled because both
-    solvers err:
+    ``B = r_b + loading * I`` is the loaded background. ``r_f`` is a
+    fixed-size Wishart matrix (condition about 30). With A = r_f, both solvers
+    are backward stable: each returns the exact answer for A + dA, B + dB
+    with ||dA|| <= p(m) eps ||A||, ||dB|| <= p(m) eps ||B||, taking p(m) = m.
+    The tolerances are their first-order consequences, doubled because both
+    solvers err; ``||B|| ||B^-1|| = cond(B)`` is what they grow with:
 
     - eigenvalues (Weyl's inequality for the whitened pencil):
       |l_i - l'_i| <= 2 m eps (||A|| + |l_i| ||B||) ||B^-1||;
     - top-k subspace (LAPACK Users' Guide, section 4.10.1):
-      sin(theta_max) <= 2 m eps ||A|| ||B^-1|| kappa(B)^(1/2) / (l_k - l_{k+1}).
+      sin(theta_max) <= 2 m eps ||A|| ||B^-1|| cond(B)^(1/2) / (l_k - l_{k+1}).
     """
 
     M, K = 40, 4
 
-    @pytest.mark.parametrize("log_kappa", range(11))
-    @pytest.mark.parametrize("seed", range(2))
-    def test_top_k_agree_within_conditioning_bounds(self, log_kappa, seed):
+    def assert_agrees(self, gen, r_b, loading):
         m, k = self.M, self.K
-        gen = np.random.default_rng([log_kappa, seed])
-        q, _ = np.linalg.qr(gen.standard_normal((m, m)))
-        r_b = (q * np.logspace(0, -log_kappa, m)) @ q.T
-        r_b = (r_b + r_b.T) / 2
         g = gen.standard_normal((m, 2 * m))
         r_f = g @ g.T / (2 * m)
-        res = q_eig(r_b, r_f, k)
-        values, vectors = scipy.linalg.eigh(r_f, r_b)
+        res = q_eig(r_b, r_f, k, loading=loading)
+        b = r_b + loading * np.eye(m)
+        values, vectors = scipy.linalg.eigh(r_f, b)
         values, vectors = values[::-1], vectors[:, ::-1]
 
         eps = np.finfo(float).eps
-        a_norm, b_norm = np.linalg.norm(r_f, 2), np.linalg.norm(r_b, 2)
-        b_inv_norm = np.linalg.norm(np.linalg.inv(r_b), 2)
+        a_norm, b_norm = np.linalg.norm(r_f, 2), np.linalg.norm(b, 2)
+        b_inv_norm = np.linalg.norm(np.linalg.inv(b), 2)
         value_tol = 2 * m * eps * (a_norm + values[:k] * b_norm) * b_inv_norm
         assert np.all(np.abs(res.values - values[:k]) <= value_tol)
         angle_tol = (2 * m * eps * a_norm * b_inv_norm * np.sqrt(b_norm * b_inv_norm)
                      / (values[k - 1] - values[k]))
         assert principal_angles(res.vectors, vectors[:, :k]).max() <= angle_tol
+
+    @pytest.mark.parametrize("log_kappa", range(11))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_top_k_agree_within_conditioning_bounds(self, log_kappa, seed):
+        # full rank, cond(r_b) = 10^log_kappa, no loading
+        m = self.M
+        gen = np.random.default_rng([log_kappa, seed])
+        q, _ = np.linalg.qr(gen.standard_normal((m, m)))
+        r_b = (q * np.logspace(0, -log_kappa, m)) @ q.T
+        self.assert_agrees(gen, (r_b + r_b.T) / 2, 0.0)
+
+    @pytest.mark.parametrize("rank", [1, 10, 20, 39])
+    def test_loaded_rank_deficient_background(self, rank):
+        # the loading auto_loading picks makes cond(B) about 1e6 * M / rank
+        gen = np.random.default_rng(rank)
+        g = gen.standard_normal((self.M, rank))
+        r_b = g @ g.T / rank
+        loading = auto_loading(r_b)
+        assert loading > 0
+        self.assert_agrees(gen, r_b, loading)
+
+    def test_loading_argument_matches_a_loaded_copy(self, rng):
+        r_b = random_psd(rng, 9, rank=4)
+        r_f = random_psd(rng, 9)
+        loaded = q_eig(diagonal_load(r_b, 0.1), r_f, 3)
+        own = q_eig(r_b, r_f, 3, loading=0.1)
+        assert own.values.tobytes() == loaded.values.tobytes()
+        assert own.vectors.tobytes() == loaded.vectors.tobytes()
+
+
+class TestTriInv:
+    """The block inverse of a lower-triangular matrix, leaves by ``np.linalg.inv``.
+
+    Block triangular inversion is backward stable in the sense
+    ``||L X - I|| <= p(m) eps ||L|| ||X||`` (Higham, Accuracy and Stability
+    of Numerical Algorithms, section 14.2), taking p(m) = m.
+    """
+
+    @pytest.mark.parametrize("m", [1, TRI_INV_LEAF - 1, TRI_INV_LEAF, TRI_INV_LEAF + 1,
+                                   2 * TRI_INV_LEAF + 1, 784])
+    @pytest.mark.parametrize("jitter", [1e-3, 1.0])
+    def test_inverts_a_cholesky_factor(self, rng, m, jitter):
+        l = np.linalg.cholesky(random_spd(rng, m, jitter=jitter))
+        inv = _tri_inv(l)
+        assert inv.shape == (m, m)
+        assert not np.triu(inv, 1).any()
+        eps = np.finfo(float).eps
+        resid = np.linalg.norm(l @ inv - np.eye(m), 2)
+        assert resid <= m * eps * np.linalg.norm(l, 2) * np.linalg.norm(inv, 2)
+
+    def test_whitener_whitens_the_loaded_matrix(self, rng):
+        r_b = random_psd(rng, 70, rank=30)
+        l_inv = whitener(r_b, 0.5)
+        whitened = l_inv @ diagonal_load(r_b, 0.5) @ l_inv.T
+        np.testing.assert_allclose(whitened, np.eye(70), atol=1e-12)
+
+    def test_whitener_rejects_indefinite(self):
+        with pytest.raises(DefinitenessError, match="pooled covariance is not positive"):
+            whitener(np.diag([1.0, -1.0]), 0.5, "pooled covariance")
+
+
+class TestSymmetrize:
+    @pytest.mark.parametrize("m", [1, BAND_ROWS - 1, BAND_ROWS, BAND_ROWS + 1,
+                                   2 * BAND_ROWS + 1])
+    def test_bit_identical_to_out_of_place_mean(self, rng, m):
+        a = rng.standard_normal((m, m))
+        a[rng.random((m, m)) < 0.2] = -0.0
+        a[rng.random((m, m)) < 0.1] = 0.0
+        # signed zeros on and across the band edges: -0.0 paired with -0.0 stays
+        # -0.0, paired with +0.0 becomes +0.0
+        edge = min(BAND_ROWS, m - 1)
+        a[edge, 0] = a[0, edge] = -0.0
+        a[m - 1, edge - 1] = -0.0
+        a[edge - 1, m - 1] = 0.0
+        expected = (a + a.T) / 2
+        out = symmetrize_(a)
+        assert out is a
+        assert out.tobytes() == expected.tobytes()
+
+    def test_holds_no_square_copy(self, rng):
+        m = 400
+        a = rng.standard_normal((m, m))
+        assert traced_peak(lambda: symmetrize_(a)) <= 2 * BAND_ROWS * m * 8
+
+
+def _general_solves(source: str) -> list[int]:
+    """Line numbers of ``np.linalg.solve``/``numpy.linalg.solve`` uses in ``source``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "solve"
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+              and any(alias.name == "solve" for alias in node.names)):
+            lines.append(node.lineno)
+    return lines
+
+
+class TestNoGeneralSolve:
+    """Whitening multiplies by an inverted Cholesky factor; no LU solve runs.
+
+    A general solve re-factors what the Cholesky factor already gives, and
+    its 2 M x M LAPACK buffer raises glibc's dynamic mmap threshold, which
+    then keeps every later covariance-sized array on a heap that is not
+    trimmed.
+    """
+
+    def test_package_calls_no_general_solve(self):
+        package = Path(cpcapp.__file__).parent
+        found = {path.name: lines for path in sorted(package.glob("*.py"))
+                 if (lines := _general_solves(path.read_text()))}
+        assert found == {}
+
+    @pytest.mark.parametrize("source", [
+        "import numpy as np\nx = np.linalg.solve(a, b)",
+        "import numpy\nf = numpy.linalg.solve",
+        "from numpy.linalg import inv, solve",
+    ])
+    def test_check_finds_a_solve(self, source):
+        assert _general_solves(source)
 
 
 class TestEigenResultValidation:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import cpcapp
 from cpcapp import (
@@ -174,9 +175,10 @@ class TestFitMemory:
                                      DataMatrix(values=rng.standard_normal((self.M, 600))))
 
     def test_cpcapp_peak(self, pair):
-        # the loaded background, its Cholesky factor and one solve buffer at a time
+        # L^-1 with L^-1 r_f and S while S is formed, then L^-1, S and the
+        # eigenvectors; the loaded background and L are freed once used
         peak = traced_peak(lambda: fit_cpcapp(pair, 3))
-        assert peak <= 5 * self.M * self.M * 8
+        assert peak <= 3.5 * self.M * self.M * 8
 
     def test_cpca_peak(self, pair):
         # the contrast matrix and its eigenvectors
@@ -267,17 +269,42 @@ class TestFitCpcapp:
 
 
 # Fits textured digits (seed 1, 400+400): cpca++ and the sweep over every
-# 8th point of the default grid, saved to the .npz named by argv[1].
+# 8th point of the default grid. Saves both fits' filters, the pick, and the
+# symmetric matrix each fit diagonalizes (S = L^-1 r_f L^-T for cpca++, with
+# L^-1; the picked contrast matrix for the sweep) with its eigvalsh spectrum,
+# to the .npz named by argv[1].
 _THREAD_CHILD = """
 import sys
 import numpy as np
 import cpcapp as cp
+from cpcapp.linalg import symmetrize_, whitener
 fg, bg, _ = cp.gen_textured_digits(1, 400, 400)
 pair = cp.build_covariance_pair(bg, fg.data)
-banks = cp.sweep_cpca(pair, 3, cp.default_alpha_grid()[::8])
+alphas = cp.default_alpha_grid()[::8]
+banks = cp.sweep_cpca(pair, 3, alphas)
 pick = int(np.argmax(cp.glrt_statistic(pair, np.stack([b.f for b in banks]))))
-np.savez(sys.argv[1], f_pp=cp.fit_cpcapp(pair, 3).f, f_sweep=banks[pick].f, pick=pick)
+l_inv = whitener(pair.r_b, pair.loading)
+s = symmetrize_((l_inv @ pair.r_f) @ l_inv.T)
+c = pair.r_f - alphas[pick] * pair.r_b
+np.savez(sys.argv[1], f_pp=cp.fit_cpcapp(pair, 3).f, f_sweep=banks[pick].f, pick=pick,
+         l_inv=l_inv, s=s, c=c, eig_s=np.linalg.eigvalsh(s), eig_c=np.linalg.eigvalsh(c))
 """
+
+
+def davis_kahan(a1, a2, values, k):
+    """Bound on the largest principal sine between top-k eigenvector spans of a1 and a2.
+
+    ``values`` is ``eigvalsh(a1)``. The sin-theta theorem of Davis & Kahan
+    (1970) gives ``sin(theta) <= ||E|| / delta``. ``E`` is ``a2 - a1`` plus
+    each eigensolver's backward error (taken as ``m eps ||a1||`` per solve).
+    ``delta`` is the eigengap ``l_k - l_{k+1}`` of ``a1`` less ``||E||``
+    (Weyl), which separates the kept spectrum of one from the rest of the other.
+    """
+    m = a1.shape[0]
+    e = np.linalg.norm(a1 - a2, 2) + 2 * m * np.finfo(float).eps * np.abs(values).max()
+    delta = values[-k] - values[-k - 1] - e
+    assert delta > 0, "eigengap closed by the perturbation"
+    return e / delta
 
 
 class TestThreadCountDeterminism:
@@ -293,9 +320,23 @@ class TestThreadCountDeterminism:
                            env=env, check=True, timeout=300)
             runs.append(np.load(out))
         one, two = runs
+        k = one["f_pp"].shape[1]
         assert int(one["pick"]) == int(two["pick"])
-        for key in ("f_pp", "f_sweep"):
-            assert principal_angles(one[key], two[key]).max() <= 1e-6, key
+        # the sweep's filters are the contrast matrix's eigenvectors
+        assert (principal_angles(one["f_sweep"], two["f_sweep"]).max()
+                <= davis_kahan(one["c"], two["c"], one["eig_c"], k))
+        # cpca++: S's eigenvectors x = L^T f, then the back-map f = L^-T x. With
+        # G = L1^T L2^-T - I, span(f2) = L1^-T span((I + G) x2), and a map T
+        # grows a principal sine by at most cond(T)
+        x1, x2 = (scipy.linalg.solve_triangular(run["l_inv"].T, run["f_pp"])
+                  for run in (one, two))
+        sine_x = davis_kahan(one["s"], two["s"], one["eig_s"], k)
+        assert principal_angles(x1, x2).max() <= sine_x
+        g = np.linalg.norm(scipy.linalg.solve_triangular(one["l_inv"].T, two["l_inv"].T)
+                           - np.eye(x1.shape[0]), 2)
+        assert g < 1
+        sine_f = np.linalg.cond(one["l_inv"]) * (sine_x + g / (1 - g))
+        assert principal_angles(one["f_pp"], two["f_pp"]).max() <= sine_f
 
 
 class TestTransform:

@@ -190,14 +190,15 @@ class TestMoments:
 
 
 class TestBuildPair:
-    def test_peak_from_moments_is_four_covariances(self, rng):
-        # r_b and r_f, then the loading test's shifted copy and its Cholesky
-        # factor; no identity matrix is built
+    def test_peak_from_moments_is_three_covariances(self, rng):
+        # r_b, then the loading test's shifted copy and its Cholesky factor,
+        # both freed before r_f is formed; each covariance is symmetrized in
+        # place and no identity matrix is built
         m = 200
         bg, fg = (second_moment(DataMatrix(values=rng.standard_normal((m, n))))
                   for n in (150, 300))
         peak = traced_peak(lambda: build_covariance_pair(bg, fg))
-        assert peak <= 4.5 * m * m * 8
+        assert peak <= 3.5 * m * m * 8
 
     def test_equal_partitions(self, rng):
         data = DataMatrix(values=rng.standard_normal((4, 9)))
