@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
 import importlib.util
+import io
 import shutil
 import time
 from pathlib import Path
@@ -11,8 +12,8 @@ import pytest
 
 import cpcapp
 from cpcapp import FilterBank, edge_mask, extract_patches, gen_spliced_image, load_model, \
-    read_image, reconstruct_map, save_model, score_patches, write_csv, write_image, \
-    write_probability_map
+    read_csv, read_image, reconstruct_map, sample_tables, save_model, score_patches, transform, \
+    write_csv, write_image, write_probability_map
 from cpcapp.cli import cli_dispatch
 
 from conftest import traced_peak
@@ -139,6 +140,32 @@ class TestFit:
                              "--out", str(w_path)]) == 0
         scores = [float(v) for v in w_path.read_text().strip().splitlines()]
         assert len(scores) == 80 and max(scores) == 1.0 and min(scores) >= 0.0
+
+
+def _savetxt(rows) -> str:
+    """numpy's own writer at the file format's settings: the reference rows."""
+    fh = io.StringIO()
+    np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+    return fh.getvalue()
+
+
+def test_written_rows_match_numpy_savetxt(tmp_path):
+    out = tmp_path / "digits"
+    assert cli_dispatch(["generate", "textured-digits", "--seed", "4", "--out", str(out),
+                         "--n-fg", "60", "--n-bg", "50"]) == 0
+    tables = sample_tables("textured-digits", 4, 60, 50)
+    for name, values in tables.items():
+        assert (out / f"{name}.csv").read_text() == _savetxt(values.T), name
+    model, projected = tmp_path / "model.txt", tmp_path / "projected.csv"
+    assert cli_dispatch(["fit", "--fg", str(out / "fg.csv"), "--bg", str(out / "bg.csv"),
+                         "--method", "cpca++", "-k", "3", "--out", str(model)]) == 0
+    assert cli_dispatch(["transform", "--model", str(model), "--in", str(out / "fg.csv"),
+                         "--out", str(projected)]) == 0
+    bank, w = load_model(model)
+    assert projected.read_text() == _savetxt(transform(bank, read_csv(out / "fg.csv")).T)
+    rows = "".join(model.read_text().splitlines(keepends=True)[2:])
+    assert rows == (_savetxt([bank.train_mean_bg, bank.train_mean_fg])
+                    + _savetxt([bank.eigenvalues]) + _savetxt(bank.f) + "W\n" + _savetxt(w))
 
 
 class TestErrors:

@@ -1,12 +1,19 @@
 """CSV and netpbm round trips plus model-file serialization."""
 
+import ast
+import io
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cpcapp
 from cpcapp import (
     DataMatrix,
     ParseError,
     build_covariance_pair,
+    csvio,
     fit_cpca,
     fit_cpcapp,
     fit_pca,
@@ -63,6 +70,15 @@ class TestCsv:
         with pytest.raises(ParseError, match="not an ASCII text file"):
             read_csv(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_not_written(self, tmp_path, value):
+        path = tmp_path / "out.csv"
+        values = np.ones((3, 4))
+        values[1, 2] = value
+        with pytest.raises(ParseError, match="non-finite"):
+            write_csv(path, values)
+        assert not path.exists()
+
 
 # Inputs around the one-pass read's fallback to the line walk, each with the
 # sample-major rows or the ParseError message of the line-walk reader.
@@ -112,6 +128,104 @@ class TestCsvReadPaths:
             tables = []
             peak = traced_peak(lambda: tables.append(read_csv(path)))
             assert peak <= 1.5 * tables[0].values.nbytes, name
+
+
+def _written(rows) -> str:
+    fh = io.StringIO()
+    csvio._write_rows(fh, np.asarray(rows, dtype=float))
+    return fh.getvalue()
+
+
+def _oracle(rows) -> str:
+    """Each row as ``",".join('%.17g' % x ...)``, the reference the writer must match."""
+    return "".join(",".join("%.17g" % x for x in row) + "\n" for row in np.asarray(rows).tolist())
+
+
+def _neighbours(x: float) -> list[float]:
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+def _just_below_powers_of_ten() -> list[float]:
+    """Doubles below 10**k, k in [-307, 308], whose 17-digit rounding is 10**k."""
+    found = []
+    for k in range(-307, 309):
+        power = Fraction(10) ** k
+        near = float(f"1e{k}")
+        for x in (near, np.nextafter(near, 0.0)):
+            if Fraction(x) < power and Fraction("%.17g" % x) == power:
+                found.append(float(x))
+    return found
+
+
+class TestRowFormat:
+    """The block writer yields exactly ``'%.17g' % x`` for every double."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(170).integers(0, 2**64, 210_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)][:200_000]
+        assert values.size == 200_000
+        rows = values.reshape(-1, 8)
+        assert _written(rows) == _oracle(rows)
+
+    def test_zeros_and_subnormals(self):
+        tiny = np.random.default_rng(171).integers(1, 2**52, 64, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([[0.0, -0.0, 5e-324, 2.2250738585072009e-308,
+                                  2.2250738585072014e-308], tiny])
+        rows = np.stack([values, -values])
+        assert _written(rows) == _oracle(rows)
+
+    @pytest.mark.parametrize("power", [1e-6, 1e-5, 1e-4, 1e16, 1e17])
+    def test_format_boundaries(self, power):
+        values = _neighbours(power)
+        rows = [values, [-x for x in values]]
+        assert _written(rows) == _oracle(rows)
+
+    def test_rounding_that_reaches_a_power_of_ten(self):
+        values = _just_below_powers_of_ten()
+        assert len(values) >= 10  # the search finds such doubles across the range
+        rows = [values, [-x for x in values]]
+        assert _written(rows) == _oracle(rows)
+        assert all(("%.17g" % x).startswith("1") for x in values)
+
+    def test_ties_round_half_to_even(self):
+        assert _written([[1234567890123456.25, 1234567890123456.75]]) == \
+            "1234567890123456.2,1234567890123456.8\n"
+        # 18 significant digits ending in 5 are exact ties at the 17th digit:
+        # under an exact scale (x.25 and x.75 near 2e15) and under an inexact
+        # one (odd multiples of 2**-24 below 2**-20 and of 2**-25 below
+        # 2**-23 are the only such doubles)
+        whole = np.random.default_rng(172).integers(2**50, 2**51, 495).astype(float)
+        values = np.concatenate([whole + 0.25, whole + 0.75, np.arange(1, 16) * 2.0**-24,
+                                 np.arange(1, 4) * 2.0**-25])
+        rows = values.reshape(-1, 9)
+        assert _written(rows) == _oracle(rows)
+
+    def test_rows_longer_than_one_block(self):
+        rng = np.random.default_rng(173)
+        rows = rng.standard_normal((3, 2 * csvio._BLOCK + 5)) * 10.0 ** rng.integers(-9, 9, (3, 1))
+        assert _written(rows) == _oracle(rows)
+
+    def test_write_holds_a_bounded_block(self, tmp_path, rng):
+        # the block size, not the table, sets the temporaries
+        values = rng.standard_normal((784, 800))
+        peak = traced_peak(lambda: write_csv(tmp_path / "t.csv", values))
+        assert peak < 320 * 1024
+
+    def test_import_time_tables_are_small(self):
+        tables = [value for value in vars(csvio).values() if isinstance(value, np.ndarray)]
+        assert tables and sum(table.nbytes for table in tables) <= 16 * 1024
+
+    def test_package_has_one_row_writer(self):
+        package = Path(cpcapp.__file__).parent
+        found = {}
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute) and node.attr == "savetxt") or (
+                        isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                        and any(alias.name == "savetxt" for alias in node.names)):
+                    found.setdefault(path.name, []).append(node.lineno)
+        assert found == {}
 
 
 class TestNetpbm:
