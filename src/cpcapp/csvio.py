@@ -12,31 +12,40 @@ non-blank lines, so a read holds about one table's worth of memory. Only a
 file that fails that parse (a bad cell, a ragged row, a non-ASCII byte) is
 walked line by line, to name the offending line.
 
-Rows are written ``_BLOCK`` values at a time by array code that yields the
-bytes of ``'%.17g' % v`` for every value v:
+Rows are written ``_BLOCK`` values at a time (whole rows where a row fits)
+by array code that yields the bytes of ``'%.17g' % v`` for every value v:
 
 * Digits. With d = floor(log10|v|), the scale 10**(16 - d) is held as a
-  double-double ``_TEN_HI + _TEN_LO``, whose low part is zero (the scale is an
-  exact double) for 0 <= 16 - d <= 22. Dekker's error-free product gives
+  double-double ``_TEN_HI + _TEN_LO``, whose low part is zero (the scale is
+  an exact double) for 0 <= 16 - d <= 22. Dekker's error-free product gives
   |v| * _TEN_HI = hi + lo exactly, so the 17-digit integer
   round(|v| * 10**(16 - d)) is hi (an even integer) plus lo rounded half to
   even. A decade estimate that is off by one near a power of ten is corrected
   against hi and lo, and a 17-digit integer that rounds up to 10**17 carries
   to the next decade. Where the scale is inexact, a value whose fraction lies
   within ``_TIE_BAND`` of one half is left to ``'%.17g'``; the double-double
-  is good to about 2**-46 there.
+  is good to about 2**-46 there. The integer is cut into chunks of 5, 4, 4
+  and 4 digits in 32 bits, and each scalar division by 10 yields one digit of
+  every chunk.
 * Layout, by ``%g``'s rules: fixed notation for decades -4 to 16, else one
   digit, the point and ``e-05``-style exponent; trailing zeros of the fraction
   and a bare point dropped; ``-`` on every value with the sign bit set.
 
-Each block is laid out as a byte frame with one column per value (so every
-array step runs along the block), NUL bytes in the unused cells, then
-transposed and stripped of its NULs. Non-finite values, nonzero magnitudes
-outside [1e-280, 1e280) and the near-ties above go through ``'%.17g'`` one at
-a time. The array steps keep to numpy loops that the CLI's other commands
-run anyway (``np.log`` rather than ``np.log10``; uint8 ``|`` and ``>`` rather
-than ``+`` and ``!=``): each further loop maps another 64 KiB block of
-numpy's code into the process, which its memory peak counts.
+Each block is laid out as a byte frame with one row per output cell and one
+column per value (so every array step runs along the block), NUL bytes in
+the unused cells, then transposed and stripped of its NULs. The cells before
+the body ("-", "0.000") come from a table per decade class and sign; the
+point and the trailing-zero mask's seed are put at one index per value. The
+array steps write into one scratch buffer made per table (``out=`` and
+in-place operators), so a block allocates only one-dimensional arrays and
+the bytes it yields. Non-finite values, nonzero magnitudes outside
+[1e-280, 1e280) and the near-ties above go through ``'%.17g'`` one at a
+time, and the rare exponent form is moved into place after the transpose.
+The array steps keep to numpy loops that the CLI's other commands run anyway
+(``np.log`` rather than ``np.log10``; uint8 ``|`` and ``>`` rather than ``+``
+and ``!=``; intp indices, not uint8 ones; no ``where=``): each further loop
+maps another 64 KiB block of numpy's code into the process, which its memory
+peak counts.
 """
 
 from __future__ import annotations
@@ -51,11 +60,11 @@ from .stats import DataMatrix
 
 _FLOAT = "%.17g"  # 17 significant digits round-trip every double
 
-# Values per array step, in whole rows where a row fits. A block's
-# temporaries stay near 200 KB (traced); in one-process runs of the digits
-# pipeline, blocks twice as large raised the later sweep's memory peak in
-# some runs.
-_BLOCK = 2048
+# Values per array step, in whole rows where a row fits. A block is laid out
+# in one scratch buffer of 64 bytes per value made once per table; with the
+# float block it reads and the bytes it yields, a write traces about 90 bytes
+# per value, 304 KiB at this size for every row width tried.
+_BLOCK = 3500
 _EXACT_MIN, _EXACT_MAX = 1e-280, 1e280  # magnitudes the array code formats
 _DECADES = range(-282, 283)  # table rows: the range above plus a slipped estimate
 _TIE_BAND = 2.0**-30  # nearer one half than this, an inexact scale leaves the value to '%.17g'
@@ -74,12 +83,23 @@ def _pow10(p: int) -> tuple[float, float]:
 
 
 _TEN_HI, _TEN_LO = np.array([_pow10(16 - d) for d in _DECADES]).T.copy()
-# The exponent cells of each decade: "e-05", "e+17", "e-100", or NULs where
-# %g writes fixed notation; right-aligned in five bytes.
+# The exponent cells of each decade, one row each: "e-05", "e+17", "e-100",
+# or NULs where %g writes fixed notation; right-aligned in five bytes.
 _EXPONENT = np.frombuffer(
     b"".join(b"\0" * 5 if -4 <= d <= 16 else (b"e%+03d" % d).rjust(5, b"\0") for d in _DECADES),
-    dtype=np.uint8).reshape(-1, 5).T.copy()
-_COLUMN = np.arange(22, dtype=np.uint8)[:, None]  # body cell index, one row per cell
+    dtype=np.uint8).reshape(-1, 5)
+# Per decade class c, d clipped to [-5, 17] plus 5, at 2c (2c + 1 with the
+# sign bit set): the body cell of the point plus one (the point follows d + 1
+# digits in fixed notation, one in exponent form), or 0 below 1, where "0."
+# and -d - 1 zeros lead instead; and the cells before the body, "-" and that
+# "0.000", right-aligned in six.
+_CLASSES = range(-5, 18)
+_POINT = np.repeat([0 if -4 <= d < 0 else d + 2 if 0 <= d <= 16 else 2 for d in _CLASSES], 2)
+_LEAD = np.frombuffer(b"".join(
+    (sign + (b"0." + b"0" * (-d - 1) if -4 <= d < 0 else b"")).rjust(6, b"\0")
+    for d in _CLASSES for sign in (b"", b"-")), dtype=np.uint8).reshape(-1, 6).T.copy()
+_CELL = np.arange(1, 19, dtype=np.uint8)[:, None]  # body cell index plus one, one row per cell
+_NONE = np.zeros(0, np.intp)  # no values
 
 
 def _numbered_lines(path) -> list[tuple[int, str]]:
@@ -111,52 +131,88 @@ def _parse_rows(numbered, path) -> np.ndarray:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split: ``hi + lo == v`` with each part 26 bits or fewer."""
-    hi = v * 134217729.0  # 2**27 + 1
-    hi -= hi - v
-    return hi, v - hi
+def _split(v: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
+    """Veltkamp's split of ``v`` into ``hi`` and ``lo``: hi + lo == v, each part 26 bits or fewer."""
+    np.multiply(v, 134217729.0, out=hi)  # 2**27 + 1
+    np.subtract(hi, v, out=lo)
+    hi -= lo
+    np.subtract(v, hi, out=lo)
 
 
-def _scaled(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(hi, lo, inexact)`` with hi + lo = a * 10**(16 - d), exact unless ``inexact``."""
-    i = d - _DECADES.start
-    ten = _TEN_HI[i]
-    hi = a * ten
-    ah, al = _split(a)
-    th, tl = _split(ten)
-    lo = ah * th  # Dekker: lo = ((ah*th - hi) + ah*tl + al*th) + al*tl, every step exact
+def _scaled(i: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(hi, lo, tail)`` with hi + lo = a * 10**(16 - d) for the magnitudes a
+    in ``rows[0]`` and table rows ``i`` of their decades d: exact where the
+    scale's low part, times a in ``tail``, is zero. ``rows`` is (8, n) float
+    scratch; the results are three of its rows and a is overwritten."""
+    term, lo, hi, ah, al, th, tl, tail = rows
+    a = term
+    np.take(_TEN_HI, i, out=lo, mode="clip")
+    np.multiply(a, lo, out=hi)
+    _split(a, ah, al)
+    _split(lo, th, tl)
+    np.take(_TEN_LO, i, out=tail, mode="clip")
+    tail *= a
+    np.multiply(ah, th, out=lo)  # Dekker: lo = ((ah*th - hi) + ah*tl + al*th) + al*tl, every step exact
     lo -= hi
-    lo += ah * tl
-    lo += al * th
-    lo += al * tl
-    ten = _TEN_LO[i]
-    lo += a * ten
-    return hi, lo, ten != 0
+    for u, v in ((ah, tl), (al, th), (al, tl)):
+        lo += np.multiply(u, v, out=term)
+    lo += tail
+    return hi, lo, tail
 
 
-def _significand(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(d, big, exact)``: the decade d of each value, the 17-digit integer
-    big = round(|x| * 10**(16 - d)), and where both are certified."""
-    a = np.abs(x)
-    exact = (a >= _EXACT_MIN) & (a < _EXACT_MAX)
-    a[~exact] = 1.0  # a stand-in; these values are formatted by '%.17g'
-    d = np.floor(np.log(a) * _LOG10_E).astype(np.intp)
-    hi, lo, inexact = _scaled(a, d)
-    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))  # the estimate slipped by one
-    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-    slipped = np.flatnonzero(below | above)
-    if slipped.size:
-        d[slipped] += above[slipped].astype(np.intp) - below[slipped]
-        hi[slipped], lo[slipped], inexact[slipped] = _scaled(a[slipped], d[slipped])
-    lo_int = np.rint(lo)  # half to even, as hi is an even integer
-    lo -= lo_int
-    exact &= ~(inexact & (np.abs(np.abs(lo) - 0.5) < _TIE_BAND))
-    big = hi.astype(np.int64) + lo_int.astype(np.int64)
-    carry = big == 10**17
-    big[carry] = 10**16
-    d += carry
-    return d, big, exact
+def _significand(rows: np.ndarray, values: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(i, big, redo, wide)`` for the values in ``rows[0]``, copied from
+    ``values``: the table row i of each value's decade d, the 17-digit integer
+    big = round(|x| * 10**(16 - d)) as int64 in ``rows[7]``, the indices of
+    the values left to ``'%.17g'`` and of those in exponent form. ``rows`` is
+    (8, n) float scratch."""
+    a = np.abs(rows[0], out=rows[0])
+    least, most = a.min(), a.max()
+    redo = zero = wide = _NONE
+    if not (_EXACT_MIN <= least and most < _EXACT_MAX):  # zeros, non-finite or extreme values
+        bad = np.flatnonzero(~((a >= _EXACT_MIN) & (a < _EXACT_MAX)))
+        is_zero = values.flat[bad] == 0
+        zero, redo = bad[is_zero], bad[~is_zero]
+        a[bad] = 1.0  # a stand-in
+    # the decade estimate, from above zero, where truncation is floor; a
+    # rounding near an integer slips it by one, which is corrected below
+    i = np.log(a, out=rows[1])
+    i *= _LOG10_E
+    i -= _DECADES.start
+    i = i.astype(np.intp)
+    hi, lo, tail = _scaled(i, rows)
+    highest = hi.max()
+    if hi.min() <= 1e16 or highest >= 1e17:  # the estimate may be off by one
+        near = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
+        h, l = hi[near], lo[near]
+        step = ((h > 1e17) | ((h == 1e17) & (l >= 0))).astype(np.intp)
+        step -= (h < 1e16) | ((h == 1e16) & (l < 0))
+        moved = np.flatnonzero(step)
+        slipped = near[moved]
+        i[slipped] += step[moved]
+        again = np.empty((8, slipped.size))
+        np.abs(values.flat[slipped], out=again[0])
+        hi[slipped], lo[slipped], tail[slipped] = _scaled(i[slipped], again)
+        highest = hi.max()
+    lo_int = np.rint(lo, out=rows[3])  # half to even, as hi is an even integer
+    loose = np.flatnonzero(tail)
+    if loose.size:
+        tie = np.abs(np.abs(lo[loose] - lo_int[loose]) - 0.5) < _TIE_BAND
+        redo = np.concatenate([redo, loose[tie]])
+    big, low = rows[7].view(np.int64), rows[4].view(np.int64)
+    np.copyto(big, hi, casting="unsafe")
+    np.copyto(low, lo_int, casting="unsafe")
+    big += low
+    if highest > 1e17 - 64 and big.max() == 10**17:  # rounded up to 10**17: the next decade
+        carry = np.flatnonzero(big == 10**17)
+        big[carry] = 10**16
+        i[carry] += 1
+    if zero.size:
+        big[zero] = 0
+    if not (1e-4 <= least and most < 1e17):  # %g's exponent form, below 1e-4 or from 1e17
+        wide = np.flatnonzero((i < -4 - _DECADES.start) | (i > 16 - _DECADES.start))
+    return i, big, redo, wide
 
 
 def _byte_mask(mask: np.ndarray) -> np.ndarray:
@@ -165,87 +221,128 @@ def _byte_mask(mask: np.ndarray) -> np.ndarray:
     return np.negative(cells, out=cells)
 
 
-def _select(mask, a, b, out=None) -> np.ndarray:
-    """``a`` where ``mask`` else ``b``, for uint8 arrays; bitwise, being several
-    times faster than ``np.where``. ``out`` may not be ``b``."""
-    out = np.bitwise_xor(a, b, out=out)
-    out &= _byte_mask(mask)
-    out ^= b
-    return out
+# ``_format_block`` works in one scratch buffer, made once per table, of 64
+# byte rows, each with one byte per value of a block (n bytes for n values;
+# a row of 32- or 64-bit words spans 4 or 8 byte rows). The frame, rows
+# 0-24, has one row per output cell: the sign and the "0.000" lead (six
+# cells), 18 body cells (the 17 digits and the point) and the separator; the
+# rare exponent form is moved into place after the frame is transposed.
+# Earlier steps borrow the frame's rows: the float work of the significand
+# (rows 0-63) and the digits (rows 6-24: a NUL row, the 17 digits and the
+# point of each value, read once by the point mask). Rows 25-63 hold the
+# integer work of the digits (from row 32), then the body and the point
+# mask, then the body and the trailing-zero mask, then the transposed frame.
+_SCRATCH_ROWS = 64
 
 
-def _format_block(x: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The bytes of ``'%.17g' % v`` for each value v of ``x``, each followed by
-    ``\\n`` where ``ends`` is set and by ``,`` elsewhere."""
-    n = x.shape[0]
-    zero = x == 0
-    d, big, exact = _significand(x)
-    # text: one column per value; 4 rows of '0' to shift in, the 17 digits,
-    # then NUL rows
-    text = np.zeros((26, n), np.uint8)
-    text[:4] = ord("0")
-    top = big // 10**8
-    # the low 8 digits and the high 9, each in 32 bits, where division is fastest
-    for part, rows in ((big - top * 10**8, range(20, 12, -1)), (top, range(12, 3, -1))):
-        part = part.astype(np.uint32)
-        for k in rows:
-            q = part // 10
-            text[k] = part - q * 10
-            part = q
-    del big, top, part, q
-    text[4, zero] = 0
-    text[4:21] |= ord("0")
-    # digits before the point, less one: the exponent form keeps one
-    lead = np.where((d < -4) | (d > 16), 0, d)
-    shift = np.maximum(-lead, 0)  # below 1: "0." and -d - 1 zeros lead
-    for step in range(1, 5):
-        moved = shift >= step
-        if moved.any():
-            text[1:] = _select(moved, text[:-1], text[1:])
-    # frame rows: sign, 22 body cells, 5 exponent cells, separator
-    point = (np.maximum(lead, 0) + 1).astype(np.uint8)
-    frame = np.empty((29, n), np.uint8)
-    body = frame[1:23]  # cell j: digit j before the point, digit j - 1 after it
-    _select(point > _COLUMN, text[4:26], text[3:25], out=body)
-    del text
-    # the point goes in the one cell neither before nor after it
-    body[...] = _select((point > _COLUMN) | (_COLUMN > point), body, np.uint8(ord(".")))
+def _format_block(values: np.ndarray, first_end: int, width: int, scratch: np.ndarray
+                  ) -> np.ndarray:
+    """The bytes of ``'%.17g' % v`` for each value v of ``values`` in C order,
+    each followed by ``\\n`` at values ``first_end``, ``first_end + width``, ...
+    and by ``,`` elsewhere; ``scratch`` holds ``_SCRATCH_ROWS`` bytes per value."""
+    n = values.size
+
+    def rows(first: int, stop: int, dtype=np.uint8) -> np.ndarray:
+        """Byte rows ``first`` to ``stop`` of the scratch, one column per value."""
+        return scratch[first * n:stop * n].view(dtype).reshape(-1, n)
+
+    floats = rows(0, 64, np.float64)
+    np.copyto(floats[0].reshape(values.shape), values)
+    negative = np.signbit(floats[0])
+    i, big, redo, wide = _significand(floats, values)
+    if wide.size:
+        exponent = np.take(_EXPONENT, i[wide], axis=0)
+    frame = rows(0, 25)
+    i += _DECADES.start - _CLASSES.start  # the decade class, once clipped to [0, 22]
+    np.maximum(i, 0, out=i)
+    np.minimum(i, len(_CLASSES) - 1, out=i)
+    i *= 2
+    i += negative
+    del negative
+    np.take(_LEAD, i, axis=1, out=frame[:6], mode="clip")
+    at = np.take(_POINT, i, mode="clip")
+    del i
+    frame[24] = at
+    at *= n
+    at += np.arange(n)  # row point, column v, in rows of n bytes
+    # the 17 digits: the high 9 and the low 8 in 32 bits, split again into
+    # chunks of 5, 4, 4 and 4 digits, whose digits come out 4 rows at a time
+    digits = frame[6:25]
+    digits[0] = 0
+    top, halves = rows(32, 40, np.int64)[0], rows(48, 56, np.uint32)
+    np.floor_divide(big, 10**8, out=top)
+    halves[0] = top
+    top *= 10**8
+    big -= top
+    halves[1] = big
+    chunks, quot = rows(32, 48, np.uint32), rows(48, 64, np.uint32)
+    np.floor_divide(halves, 10**4, out=chunks[0::2])
+    np.multiply(chunks[0::2], 10**4, out=chunks[1::2])
+    np.subtract(halves, chunks[1::2], out=chunks[1::2])
+    for k in range(4):
+        np.floor_divide(chunks, 10, out=quot)
+        quot *= 10
+        chunks -= quot
+        digits[5 - k::4][:4] = chunks
+        np.floor_divide(quot, 10, out=chunks)
+    digits[1] = chunks[0]
+    digits[1:18] |= ord("0")
+    # body cell j: digit j before the point, digit j - 1 after it (row j of
+    # digits, whose row 0 is NUL for the "0.0..." form); then the point, put
+    # in row point of body (row 0 is slack)
+    body, mask = rows(25, 44), rows(44, 62, bool)
+    np.greater(_CELL, frame[24], out=mask)
+    np.bitwise_xor(digits[:18], digits[1:], out=body[1:])
+    body[1:] &= _byte_mask(mask)
+    body[1:] ^= digits[1:]
+    scratch[25 * n:][at] = ord(".")
     # %g drops the fraction's trailing zeros, and then a bare point: keep the
-    # integer part and every cell up to the last nonzero digit (a suffix OR)
-    keep = body > ord("0")
+    # integer part and every cell up to the last nonzero digit, by a suffix
+    # OR seeded at the last integer cell, row point (rows 0-1 are slack)
+    keep = rows(44, 64, bool)
+    np.greater(body[1:], ord("0"), out=keep[2:])
+    scratch[44 * n:][at] = True
+    del at
     for step in (1, 2, 4, 8, 16):
         keep[:-step] |= keep[step:]
-    keep |= point > _COLUMN
-    body &= _byte_mask(keep)
-    del keep
-    frame[0] = _byte_mask(np.signbit(x)) & ord("-")
-    np.take(_EXPONENT, d - _DECADES.start, axis=1, out=frame[23:28])
-    frame[28] = ord(",")
-    frame[28, ends] = ord("\n")
-    out = np.ascontiguousarray(frame.T)
-    del frame, body, d
-    redo = np.flatnonzero(~(exact | zero))
+    np.bitwise_and(body[1:], _byte_mask(keep[2:]), out=frame[6:24])
+    frame[24] = ord(",")
+    frame[24, first_end::width] = ord("\n")
+    record = scratch[25 * n:50 * n].reshape(n, 25)
+    np.copyto(record, frame.T)
+    if wide.size:  # the exponent form: sign and body, exponent, separator
+        cells = np.take(record, wide, axis=0)
+        moved = np.empty_like(cells)
+        moved[:, :19] = cells[:, 5:24]
+        moved[:, 19:24] = exponent
+        moved[:, 24] = cells[:, 24]
+        record.view("V25")[wide] = moved.view("V25")
     if redo.size:
-        cells = [(_FLOAT % v + ("\n" if e else ",")).encode()
-                 for v, e in zip(x[redo].tolist(), ends[redo].tolist())]
-        out[redo] = np.array(cells, dtype=f"S{out.shape[1]}").view(np.uint8).reshape(redo.size, -1)
-    return out[out > 0]
+        ends = np.zeros(n, bool)
+        ends[first_end::width] = True
+        text = [(_FLOAT % v + ("\n" if e else ",")).encode()
+                for v, e in zip(values.flat[redo].tolist(), ends[redo].tolist())]
+        record[redo] = np.array(text, dtype="S25").view(np.uint8).reshape(redo.size, -1)
+    present = scratch[:25 * n].view(bool).reshape(n, 25)
+    np.greater(record, 0, out=present)
+    return record[present]
 
 
 def _write_rows(fh, rows) -> None:
-    """Write a 2-D table as comma-separated rows of ``'%.17g' % value``."""
+    """Write a non-empty 2-D table to a binary file as comma-separated rows
+    of ``'%.17g' % value``."""
     rows = np.asarray(rows, dtype=float)
     width = rows.shape[1]
-    if width == 0:
-        fh.write("\n" * rows.shape[0])
+    if width > _BLOCK:  # a row wider than a block is split
+        scratch = np.empty(_SCRATCH_ROWS * _BLOCK, np.uint8)
+        for row in rows:
+            for lo in range(0, width, _BLOCK):
+                fh.write(_format_block(row[lo:lo + _BLOCK], width - 1 - lo, width, scratch))
         return
-    step = max(1, _BLOCK // width)
+    step = _BLOCK // width
+    scratch = np.empty(_SCRATCH_ROWS * min(step, rows.shape[0]) * width, np.uint8)
     for start in range(0, rows.shape[0], step):
-        flat = rows[start:start + step].ravel()
-        ends = np.zeros(flat.size, bool)
-        ends[width - 1::width] = True
-        for lo in range(0, flat.size, _BLOCK):  # a row wider than a block is split
-            fh.write(str(_format_block(flat[lo:lo + _BLOCK], ends[lo:lo + _BLOCK]), "ascii"))
+        fh.write(_format_block(rows[start:start + step], width - 1, width, scratch))
 
 
 def read_csv(path) -> DataMatrix:
@@ -279,13 +376,13 @@ def read_csv(path) -> DataMatrix:
 def write_csv(path, values) -> None:
     """Write a feature-major array sample-major with 17 significant digits.
 
-    Raises ``ParseError`` before the file is created if the array is not 2-D
-    or holds a non-finite value, which ``read_csv`` would refuse.
+    Raises ``ParseError`` before the file is created if the array is not 2-D,
+    is empty or holds a non-finite value, all of which ``read_csv`` would refuse.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise ParseError(f"can only write 2-D tables, got shape {values.shape}")
-    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+    if values.ndim != 2 or values.size == 0:
+        raise ParseError(f"{path}: can only write non-empty 2-D tables, got shape {values.shape}")
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise ParseError(f"{path}: cannot write non-finite values")
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "wb") as fh:
         _write_rows(fh, values.T)

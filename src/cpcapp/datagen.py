@@ -211,21 +211,38 @@ def sample_haystack(seed: int, n_fg: int, n_bg: int) -> tuple[DataMatrix, DataMa
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
+def _reflect_pad(field: np.ndarray, axis: int, padded: np.ndarray) -> None:
+    """Write ``field`` into ``padded`` with the kernel's half-width of cells
+    on each side along ``axis``, as ``np.pad(mode="reflect")`` pads them (the
+    reflection repeats where the field is shorter than the pad): the middle
+    as one slice copy, each pad cell as a copy of its source slice."""
+    size, half = field.shape[axis], _BINOMIAL5.size // 2
+    period = max(2 * (size - 1), 1)  # of the reflected index sequence
+
+    def cells(array, index):
+        return array[(slice(None),) * axis + (index,)]
+
+    cells(padded, slice(half, half + size))[...] = field
+    for k in (*range(half), *range(half + size, 2 * half + size)):
+        j = (k - half) % period
+        cells(padded, k)[...] = cells(field, min(j, period - j))
+
+
 def _smooth(field: np.ndarray, axis: int) -> None:
     """TEXTURE_PASSES reflect-padded binomial convolutions along one axis, in place.
 
-    Each pass gathers the reflect padding into one reused buffer, then
-    multiply-accumulates the taps, in order, back into ``field`` through one
-    scratch buffer.
+    Each pass copies the field and its reflect padding into one reused
+    buffer, then multiply-accumulates the taps, in order, back into ``field``
+    through one scratch buffer.
     """
     size = field.shape[axis]
-    reflect_idx = np.pad(np.arange(size), _BINOMIAL5.size // 2, mode="reflect")
-    padded = np.take(field, reflect_idx, axis=axis)
+    shape = list(field.shape)
+    shape[axis] += _BINOMIAL5.size - 1
+    padded = np.empty(shape)
     term = np.empty_like(field)
     tap = [slice(None)] * field.ndim
-    for p in range(TEXTURE_PASSES):
-        if p:
-            np.take(field, reflect_idx, axis=axis, out=padded, mode="clip")
+    for _ in range(TEXTURE_PASSES):
+        _reflect_pad(field, axis, padded)
         field.fill(0.0)  # from zeros, not the first tap: 0.0 + -0.0 is +0.0
         for j, w in enumerate(_BINOMIAL5):
             tap[axis] = slice(j, j + size)

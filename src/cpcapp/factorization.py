@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefinitenessError, RankError, ShapeError
-from .linalg import diagonal_load, whitener
+from .linalg import diagonal_load, whitener, whitener_
 from .reducers import FilterBank
 from .stats import CovariancePair
 
@@ -89,14 +89,15 @@ def glrt_statistic(pair: CovariancePair, w) -> float | np.ndarray:
         raise RankError("candidate basis is rank deficient")
     columns = np.moveaxis(w, -2, 0)  # (M, ..., K)
 
-    def projected(a, name):  # W^T (a + loading I)^-1 W for every basis, from one factor
-        half = whitener(a, pair.loading, name) @ columns.reshape(pair.features, -1)
+    def projected(l_inv):  # W^T A^-1 W for every basis, from the whitener L^-1 of A
+        half = l_inv @ columns.reshape(pair.features, -1)
         half = np.moveaxis(half.reshape(columns.shape), 0, -2)  # L^-1 W, (..., M, K)
         return np.swapaxes(half, -1, -2) @ half
 
-    sign_n, logdet_n = np.linalg.slogdet(projected(pair.r_b, "background covariance"))
-    sign_d, logdet_d = np.linalg.slogdet(
-        projected(pair.n_f / pair.n_b * pair.r_f + pair.r_b, "pooled covariance"))
+    sign_n, logdet_n = np.linalg.slogdet(
+        projected(whitener(pair.r_b, pair.loading, "background covariance")))
+    sign_d, logdet_d = np.linalg.slogdet(projected(whitener_(  # loaded in place, not copied
+        pair.n_f / pair.n_b * pair.r_f + pair.r_b, pair.loading, "pooled covariance")))
     if np.any(sign_n <= 0) or np.any(sign_d <= 0):
         raise DefinitenessError("projected covariances lost positive definiteness")
     return np.exp(logdet_n - logdet_d)

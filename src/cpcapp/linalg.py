@@ -169,24 +169,36 @@ def whitener(a, loading: float = 0.0, name: str = "matrix") -> np.ndarray:
     inverse are alive at once. A matrix that is not positive definite after
     loading raises :class:`DefinitenessError`.
     """
-    chol = diagonal_load(a, loading)
+    return whitener_(_as_square(a).copy(), loading, name)
+
+
+def whitener_(a: np.ndarray, loading: float = 0.0, name: str = "matrix") -> np.ndarray:
+    """:func:`whitener` of a float array that the caller passes without
+    keeping it: ``a`` is loaded in place and freed once factored, so no copy
+    of it is made."""
+    _load_(a, loading)
     try:
-        chol = np.linalg.cholesky(chol)
+        chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise DefinitenessError(
             f"{name} is not positive definite; apply diagonal loading first"
         ) from exc
+    del a
     return _tri_inv(chol)
 
 
 def diagonal_load(a, rho: float) -> np.ndarray:
     """Return ``a + rho * I``."""
-    a = _as_square(a)
+    return _load_(_as_square(a).copy(), rho)
+
+
+def _load_(a: np.ndarray, rho: float) -> np.ndarray:
+    """Add ``rho * I`` to the square float array ``a`` in place and return it."""
     if rho < 0:
         raise ArgumentError(f"loading factor must be non-negative, got {rho}")
-    out = a + 0.0  # a copy that, like a + rho * I, turns off-diagonal -0.0 into 0.0
-    out.flat[::a.shape[0] + 1] += rho
-    return out
+    a += 0.0  # like a + rho * I, turns off-diagonal -0.0 into 0.0
+    a.flat[::a.shape[0] + 1] += rho
+    return a
 
 
 def auto_loading(r_b) -> float:

@@ -34,14 +34,14 @@ def save_model(path, bank: FilterBank, w: np.ndarray | None = None) -> None:
     if w is not None and w.shape != bank.f.shape:
         raise ParseError(f"W shape {w.shape} does not match filter shape {bank.f.shape}")
     alpha = bank.alpha if bank.alpha is not None else math.nan
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "wb") as fh:
         fh.write(f"{MAGIC}\n{bank.method} {bank.features} {bank.k} "
-                 f"{_FLOAT % alpha} {_FLOAT % bank.loading}\n")
+                 f"{_FLOAT % alpha} {_FLOAT % bank.loading}\n".encode("ascii"))
         _write_rows(fh, [bank.train_mean_bg, bank.train_mean_fg])
         _write_rows(fh, [bank.eigenvalues])
         _write_rows(fh, bank.f)
         if w is not None:
-            fh.write("W\n")
+            fh.write(b"W\n")
             _write_rows(fh, w)
 
 

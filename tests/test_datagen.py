@@ -200,6 +200,21 @@ class TestTexturedDigits:
             "7a40d4fd8dfa2be9ed7e54cfbbb9d39913e0c59c3569993dfe2f84fff972a97a",
         )
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_reflect_pad_matches_numpy(self, size, axis):
+        # numpy repeats the reflection where the field is shorter than the pad
+        shape = [3, 5, 4]
+        shape[axis] = size
+        field = np.random.default_rng(size).standard_normal(shape)
+        half = datagen._BINOMIAL5.size // 2
+        widths = [(0, 0)] * 3
+        widths[axis] = (half, half)
+        expected = np.pad(field, widths, mode="reflect")
+        padded = np.full(expected.shape, np.nan)
+        datagen._reflect_pad(field, axis, padded)
+        assert padded.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("count", [1, 2, 7, 200])
     @pytest.mark.parametrize("labeling", ["drawn", "rings", "bars"])
     def test_glyphs_match_per_glyph_loop(self, count, labeling):

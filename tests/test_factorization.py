@@ -20,7 +20,7 @@ from cpcapp import (
     sample_haystack,
 )
 
-from conftest import random_spd
+from conftest import random_spd, traced_peak
 
 
 def pair_from(rng, m, n=200, bg_scale=1.0):
@@ -194,6 +194,15 @@ class TestStackedGlrt:
         ws[3, :, 2] = ws[3, :, 0]
         with pytest.raises(RankError):
             glrt_statistic(pair, ws)
+
+    def test_pooled_matrix_is_factored_in_place(self, rng):
+        # the pooled n_f/n_b R_f + R_b is loaded and factored in its own
+        # buffer: besides it, the factor, then the inverse and its block scratch
+        m = 300
+        pair = pair_from(rng, m, n=400)
+        w = rng.standard_normal((3, m, 3))
+        peak = traced_peak(lambda: glrt_statistic(pair, w))
+        assert peak <= 2.6 * m * m * 8
 
     def test_rejects_feature_mismatch(self, rng):
         from cpcapp import ShapeError

@@ -79,6 +79,14 @@ class TestCsv:
             write_csv(path, values)
         assert not path.exists()
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_table_is_not_written(self, tmp_path, shape):
+        # no samples, or samples with no features: read_csv refuses either file
+        path = tmp_path / "out.csv"
+        with pytest.raises(ParseError, match="non-empty"):
+            write_csv(path, np.zeros(shape))
+        assert not path.exists()
+
 
 # Inputs around the one-pass read's fallback to the line walk, each with the
 # sample-major rows or the ParseError message of the line-walk reader.
@@ -131,9 +139,9 @@ class TestCsvReadPaths:
 
 
 def _written(rows) -> str:
-    fh = io.StringIO()
+    fh = io.BytesIO()
     csvio._write_rows(fh, np.asarray(rows, dtype=float))
-    return fh.getvalue()
+    return fh.getvalue().decode("ascii")
 
 
 def _oracle(rows) -> str:
@@ -205,6 +213,26 @@ class TestRowFormat:
         rng = np.random.default_rng(173)
         rows = rng.standard_normal((3, 2 * csvio._BLOCK + 5)) * 10.0 ** rng.integers(-9, 9, (3, 1))
         assert _written(rows) == _oracle(rows)
+
+    @pytest.mark.parametrize("shape", [
+        (csvio._BLOCK, 1),  # ends exactly on a block edge
+        (csvio._BLOCK + 1, 1),  # runs one value past it
+        (2 * (csvio._BLOCK // 7), 7),  # whole rows, ending on the edge of a whole-row block
+        (3, csvio._BLOCK),  # rows exactly one block wide
+        (3, csvio._BLOCK + 1),  # one value wider
+        (1, 1),
+    ])
+    def test_block_edges(self, shape):
+        rng = np.random.default_rng(174)
+        rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-7, 19, shape)
+        assert _written(rows) == _oracle(rows)
+
+    def test_write_peak_does_not_grow_with_the_table(self, tmp_path, rng):
+        peaks = []
+        for samples in (800, 1600):
+            values = rng.standard_normal((784, samples))
+            peaks.append(traced_peak(lambda: write_csv(tmp_path / "t.csv", values)))
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_write_holds_a_bounded_block(self, tmp_path, rng):
         # the block size, not the table, sets the temporaries
