@@ -8,12 +8,13 @@ constructions are fixed: their scalars are the module constants below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError
-from .rng import SplitMix64
+from .rng import NORMAL_BLOCK, SplitMix64
 from .stats import DataMatrix
 
 # Four-class geometry: three independent 10-dim blocks.
@@ -209,6 +210,8 @@ def sample_haystack(seed: int, n_fg: int, n_bg: int) -> tuple[DataMatrix, DataMa
 # ---------------------------------------------------------------------------
 
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+# _smooth works on slabs of about this many values
+_SLAB_VALUES = 1 << 15
 
 
 def _reflect_pad(field: np.ndarray, axis: int, padded: np.ndarray) -> None:
@@ -231,40 +234,57 @@ def _reflect_pad(field: np.ndarray, axis: int, padded: np.ndarray) -> None:
 def _smooth(field: np.ndarray, axis: int) -> None:
     """TEXTURE_PASSES reflect-padded binomial convolutions along one axis, in place.
 
-    Each pass copies the field and its reflect padding into one reused
-    buffer, then multiply-accumulates the taps, in order, back into ``field``
-    through one scratch buffer.
+    The C-contiguous ``field`` is viewed as (outer, size, inner) lines
+    around ``axis`` and smoothed in slabs of about ``_SLAB_VALUES``: runs
+    of whole outer lines, or runs of inner columns where one outer line is
+    larger. A slab runs every pass before the next slab: each pass copies
+    it and its reflect padding into one buffer, then multiply-accumulates
+    the taps, in order, back into the slab through one scratch buffer.
+    Every value takes the steps of one whole-field pass.
     """
-    size = field.shape[axis]
-    shape = list(field.shape)
-    shape[axis] += _BINOMIAL5.size - 1
-    padded = np.empty(shape)
-    term = np.empty_like(field)
-    tap = [slice(None)] * field.ndim
-    for _ in range(TEXTURE_PASSES):
-        _reflect_pad(field, axis, padded)
-        field.fill(0.0)  # from zeros, not the first tap: 0.0 + -0.0 is +0.0
-        for j, w in enumerate(_BINOMIAL5):
-            tap[axis] = slice(j, j + size)
-            field += np.multiply(w, padded[tuple(tap)], out=term)
+    size, half = field.shape[axis], _BINOMIAL5.size // 2
+    outer, inner = math.prod(field.shape[:axis]), math.prod(field.shape[axis + 1:])
+    lines = field.reshape(outer, size, inner)  # a view of the C-contiguous field
+    outer_step = max(1, _SLAB_VALUES // (size * inner))
+    inner_step = inner if size * inner <= _SLAB_VALUES else max(1, _SLAB_VALUES // size)
+    for o in range(0, outer, outer_step):
+        for i in range(0, inner, inner_step):
+            slab = lines[o:o + outer_step, :, i:i + inner_step]
+            padded = np.empty((slab.shape[0], size + 2 * half, slab.shape[2]))
+            term = np.empty_like(slab)
+            for _ in range(TEXTURE_PASSES):
+                _reflect_pad(slab, 1, padded)
+                slab.fill(0.0)  # from zeros, not the first tap: 0.0 + -0.0 is +0.0
+                for j, w in enumerate(_BINOMIAL5):
+                    slab += np.multiply(w, padded[:, j:j + size], out=term)
+
+
+def _add_floor(rng: SplitMix64, values: np.ndarray) -> None:
+    """Add ``TEXTURE_FLOOR`` times the next ``values.size`` normals to ``values``, a block at a time."""
+    fill = rng.reserve_normal(values.size)
+    floor = np.empty(min(values.size, NORMAL_BLOCK))
+    for lo in range(0, values.size, NORMAL_BLOCK):
+        block = floor[:values.size - lo]
+        fill(lo, block)
+        block *= TEXTURE_FLOOR
+        values[lo:lo + block.size] += block
 
 
 def _texture(rng: SplitMix64, shape: tuple[int, int, int], std: float) -> np.ndarray:
     """``(count, H, W)`` smoothed noise fields, each normalized to deviation ``std``.
 
-    Draw order: the smoothed fields, then their unsmoothed noise floor. A
-    constant field is centered but left unscaled.
+    Draw order: the smoothed fields, then their unsmoothed noise floor. The
+    floor is added ``NORMAL_BLOCK`` values at a time, each block formed at
+    its own stream positions, so it is never held whole. A constant field
+    is centered but left unscaled.
     """
     fields = rng.normal(shape)
     _smooth(fields, axis=1)
     _smooth(fields, axis=2)
-    floor = rng.normal(shape)
-    floor *= TEXTURE_FLOOR
-    fields += floor
-    del floor
+    _add_floor(rng, fields.reshape(-1))
     flat = fields.reshape(shape[0], -1)
     flat -= flat.mean(axis=1, keepdims=True)
-    scale = flat.std(axis=1, keepdims=True)
+    scale = flat.std(axis=1, keepdims=True)  # a whole-field temporary: its sum is pairwise
     scale[scale == 0] = 1.0
     flat *= std / scale
     return fields
@@ -409,9 +429,11 @@ def gen_spliced_image(seed: int, height: int = 64, width: int = 64
     ArgumentError before anything is drawn. Draw order: vertex count,
     vertex angles, vertex radii, center x/y, target area, offset sign, then
     the host, donor, three host-tint and three donor-tint fields. The fields
-    keep that order in the stream but are computed in channel order, each
-    from its own stream position: the host and donor first, then per
-    channel its host tint and its donor tint.
+    keep that order in the stream but are computed out of order, each from
+    its own stream position: the donor, then the host, then per channel its
+    donor tint and its host tint. Of a donor field only its values under
+    the mask are kept, and a field is freed before the next is drawn, so
+    at most one whole texture field is held beside the host/donor base.
     """
     if height < 1 or width < 1:
         raise ArgumentError(f"image size {width}x{height} must be at least 1x1")
@@ -432,27 +454,29 @@ def gen_spliced_image(seed: int, height: int = 64, width: int = 64
     if mask is None:
         raise ArgumentError("could not fit a spliced region inside the area bounds")
 
-    # field j is one _texture call at its own stream position, 4 H W words
-    # apart; the probe is built one channel at a time from the fields it needs
+    # field j is one _texture call at its own stream position, 4 H W words apart
     start = rng.position
 
     def field(j):
         return _texture(rng.at(start + 4 * height * width * j), (1, height, width), 1.0)[0]
 
-    base = field(0)  # the host outside the mask, the donor inside it
-    np.copyto(base, field(1), where=mask)
     band = mask_boundary(mask)
     yy, xx = np.nonzero(band)
     # period-4 diagonal stripes: high-frequency against the smoothed texture
     # yet visible to a 3x3 gradient operator (a 1px checker would cancel)
     seam = SPLICE_SEAM_DITHER * (-1.0) ** ((xx + yy) // 2)
+    del yy, xx
+    donor = field(1)[mask]
+    base = field(0)  # the host outside the mask, the donor inside it
+    base[mask] = donor
+    del donor
     probe_u8 = np.empty((height, width, 3), dtype=np.uint8)
     for c in range(3):
+        donor_tint = field(5 + c)[mask]
+        donor_tint *= SPLICE_TINT
         channel = field(2 + c)  # host tint
         channel *= SPLICE_TINT
-        donor_tint = field(5 + c)
-        donor_tint *= SPLICE_TINT
-        np.copyto(channel, donor_tint, where=mask)
+        channel[mask] = donor_tint
         del donor_tint
         channel += base
         np.add(channel, offset_sign * SPLICE_OFFSET, out=channel, where=mask)
@@ -460,6 +484,5 @@ def gen_spliced_image(seed: int, height: int = 64, width: int = 64
         channel *= SPLICE_GREY_SCALE
         channel += 128.0
         probe_u8[:, :, c] = np.clip(channel, 0, 255, out=channel)
-    surface = np.where(mask, 255, 0).astype(np.uint8)
-    edge = np.where(band, 255, 0).astype(np.uint8)
-    return probe_u8, surface, edge
+        del channel
+    return probe_u8, mask * np.uint8(255), band * np.uint8(255)

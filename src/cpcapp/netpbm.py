@@ -6,9 +6,17 @@ use only 0 and 255.
 
 from __future__ import annotations
 
+import math
+import os
+
 import numpy as np
 
 from .errors import ParseError, ShapeError
+
+# read_image parses the header from reads of this many bytes;
+# write_probability_map quantizes row bands of about this many pixels
+_HEADER_CHUNK = 1 << 12
+_BAND_PIXELS = 1 << 14
 
 
 def _read_tokens(data: bytes, count: int):
@@ -35,35 +43,61 @@ def _read_tokens(data: bytes, count: int):
     return tokens, pos + 1  # header ends after one whitespace byte
 
 
+def _read_header(fh) -> tuple[list[bytes], int]:
+    """The header tokens and raster offset, from as few ``_HEADER_CHUNK`` reads as parse them."""
+    head = b""
+    while True:
+        chunk = fh.read(_HEADER_CHUNK)
+        head += chunk
+        try:
+            tokens, offset = _read_tokens(head, 4)
+        except ParseError:
+            if chunk:
+                continue
+            raise
+        # the last token may run on past what was read, up to its closing whitespace byte
+        if offset <= len(head) or not chunk:
+            return tokens, offset
+
+
 def read_image(path) -> np.ndarray:
-    """Read a P5 or P6 file; returns (H, W) or (H, W, 3) uint8."""
+    """Read a P5 or P6 file; returns (H, W) or (H, W, 3) uint8.
+
+    The header is parsed from the file's first bytes, and the raster is
+    read straight into the returned array, so the image is held once.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    tokens, offset = _read_tokens(data, 4)
-    magic = tokens[0]
-    if magic not in (b"P5", b"P6"):
-        raise ParseError(f"{path}: unsupported netpbm magic {magic!r}")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
-    except ValueError as exc:
-        raise ParseError(f"{path}: bad netpbm dimensions: {exc}") from exc
-    if width < 1 or height < 1:
-        raise ParseError(f"{path}: netpbm dimensions must be positive, got {width}x{height}")
-    if maxval != 255:
-        raise ParseError(f"{path}: only 8-bit images are supported (maxval {maxval})")
-    channels = 1 if magic == b"P5" else 3
-    needed = width * height * channels
-    raster = data[offset:offset + needed]
-    if len(raster) < needed:
-        raise ParseError(f"{path}: raster has {len(raster)} bytes, expected {needed}")
-    pixels = np.frombuffer(raster, dtype=np.uint8)
-    if channels == 1:
-        return pixels.reshape(height, width).copy()
-    return pixels.reshape(height, width, 3).copy()
+        tokens, offset = _read_header(fh)
+        magic = tokens[0]
+        if magic not in (b"P5", b"P6"):
+            raise ParseError(f"{path}: unsupported netpbm magic {magic!r}")
+        try:
+            width, height, maxval = (int(t) for t in tokens[1:4])
+        except ValueError as exc:
+            raise ParseError(f"{path}: bad netpbm dimensions: {exc}") from exc
+        if width < 1 or height < 1:
+            raise ParseError(f"{path}: netpbm dimensions must be positive, got {width}x{height}")
+        if maxval != 255:
+            raise ParseError(f"{path}: only 8-bit images are supported (maxval {maxval})")
+        shape = (height, width) if magic == b"P5" else (height, width, 3)
+        needed = math.prod(shape)
+        # sized from the file before anything is allocated for the raster
+        available = max(os.fstat(fh.fileno()).st_size - offset, 0)
+        if available < needed:
+            raise ParseError(f"{path}: raster has {available} bytes, expected {needed}")
+        pixels = np.empty(shape, dtype=np.uint8)
+        fh.seek(offset)
+        got = fh.readinto(pixels)
+    if got < needed:  # the file shrank while it was read
+        raise ParseError(f"{path}: raster has {got} bytes, expected {needed}")
+    return pixels
 
 
 def write_image(path, image) -> None:
-    """Write uint8 image data as P5 (2-D input) or P6 ((H, W, 3) input)."""
+    """Write uint8 image data as P5 (2-D input) or P6 ((H, W, 3) input).
+
+    A C-contiguous array is written from its own buffer, with no copy.
+    """
     image = np.asarray(image)
     if image.dtype != np.uint8:
         raise ShapeError("netpbm writer expects uint8 data")
@@ -77,15 +111,25 @@ def write_image(path, image) -> None:
     header = magic + f"\n{width} {height}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(image.tobytes())
+        fh.write(np.ascontiguousarray(image))
 
 
 def write_probability_map(path, values) -> None:
-    """Quantize probabilities in [0, 1] to 8 bits and write as P5."""
+    """Quantize probabilities in [0, 1] to 8 bits and write as P5.
+
+    ``values`` must be 2-D. It is quantized one band of about
+    ``_BAND_PIXELS`` pixels at a time, straight into the uint8 image.
+    """
     values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ShapeError(f"probability maps must be 2-D, got shape {values.shape}")
     if not (0 <= values.min() and values.max() <= 1):
         raise ShapeError("probabilities must lie in [0, 1]")
-    write_image(path, np.round(255.0 * values).astype(np.uint8))
+    image = np.empty(values.shape, dtype=np.uint8)
+    step = max(1, _BAND_PIXELS // values.shape[1])
+    for lo in range(0, values.shape[0], step):
+        image[lo:lo + step] = np.round(255.0 * values[lo:lo + step])
+    write_image(path, image)
 
 
 def read_probability_map(path) -> np.ndarray:
@@ -93,4 +137,6 @@ def read_probability_map(path) -> np.ndarray:
     image = read_image(path)
     if image.ndim != 2:
         raise ParseError(f"{path}: probability maps must be grayscale")
-    return image.astype(float) / 255.0
+    values = image.astype(float)
+    values /= 255.0
+    return values

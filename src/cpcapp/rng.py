@@ -14,9 +14,13 @@ use this to work in blocks. ``normal(n)`` reads its n u1 words and then its n
 u2 words as before, but runs Box-Muller ``NORMAL_BLOCK`` values at a time,
 each block reading its u1 and u2 words at their stream positions; uniforms
 fill their output block by block too. Only the output array is full size.
+``reserve_normal(n)`` skips a normal draw and forms any stretch of it later,
+so a caller need not hold the whole draw at all.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -91,33 +95,50 @@ class SplitMix64:
     def normal(self, shape) -> np.ndarray:
         """Standard normals with the given shape, filled in C order.
 
-        The n values read n u1 words, then n u2 words. They are formed
-        ``NORMAL_BLOCK`` at a time: values ``lo:hi`` read their u1 words at
-        stream positions ``start + lo`` on and their u2 words at
-        ``start + n + lo`` on.
+        The n values read n u1 words, then n u2 words, and are formed
+        ``NORMAL_BLOCK`` at a time (see :meth:`reserve_normal`).
         """
         n = int(np.prod(shape))
+        out = np.empty(n)
+        self.reserve_normal(n)(0, out)
+        return out.reshape(shape)
+
+    def reserve_normal(self, n: int):
+        """Advance past the next ``n`` standard normals without forming them.
+
+        Returns ``fill(lo, out)``, which writes values ``lo:lo + out.size``
+        of those normals into ``out``: what ``normal(n)[lo:hi]`` holds, read
+        at their own stream positions, so a caller can form them block by
+        block in any order.
+        """
         start = self._drawn
         self._drawn += 2 * n
-        out = np.empty(n)
-        u2 = np.empty(min(n, NORMAL_BLOCK))
-        for lo in range(0, n, NORMAL_BLOCK):
+        return functools.partial(self._normal_into, start, n)
+
+    def _normal_into(self, start: int, n: int, lo: int, out: np.ndarray) -> None:
+        """Values ``lo:lo + out.size`` of the n normals drawn at ``start``, into ``out``.
+
+        Value i reads its u1 word at stream position ``start + i`` and its u2
+        word at ``start + n + i``; Box-Muller runs ``NORMAL_BLOCK`` values
+        at a time.
+        """
+        u2 = np.empty(min(out.size, NORMAL_BLOCK))
+        for b in range(0, out.size, NORMAL_BLOCK):
             # sqrt(-2 log u1) * cos(2 pi u2), each step in place; u1 lies on
             # (0, 1], so the log is finite
-            r = out[lo:lo + NORMAL_BLOCK]
-            self._top53_into(start + lo, r)
+            r = out[b:b + NORMAL_BLOCK]
+            self._top53_into(start + lo + b, r)
             r += 1.0
             r *= 2.0**-53
             np.log(r, out=r)
             r *= -2.0
             np.sqrt(r, out=r)
             c = u2[:r.size]
-            self._top53_into(start + n + lo, c)
+            self._top53_into(start + n + lo + b, c)
             c *= 2.0**-53
             c *= 2.0 * np.pi
             np.cos(c, out=c)
             r *= c
-        return out.reshape(shape)
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """``n`` integers in [0, bound) by modulo reduction (bound << 2^64)."""

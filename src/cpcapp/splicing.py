@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .reducers import TRANSFORM_BLOCK, FilterBank, _project, _splits, transform
+from .reducers import FilterBank, _project, _splits, transform
 from .stats import DataMatrix
 
 # Pipeline defaults; every one of these is overridable at the CLI.
@@ -31,8 +31,10 @@ SCORE_THRESHOLD = 0.5
 SPLICE_K = 6
 
 _LUMA = np.array([0.299, 0.587, 0.114])
-# edge_mask widens an RGB probe to float in row bands of about this many pixels
-_LUMA_BAND_PIXELS = 1 << 16
+# edge_mask and reconstruct_map work in row bands of about this many pixels;
+# score_lattice projects bands of about this many patches
+_BAND_PIXELS = 1 << 14
+_SCORE_BAND = 1 << 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,22 +114,25 @@ def _as_image(image) -> np.ndarray:
     raise ShapeError(f"expected (H, W) or (H, W, 1|3) image, got shape {np.shape(image)}")
 
 
-def _luma(image: np.ndarray) -> np.ndarray:
-    """Float luma of an (H, W, C) image; RGB is widened to float one row band at a time."""
-    if image.shape[2] == 1:
-        return image[:, :, 0].astype(float, copy=False)
-    height, width = image.shape[:2]
-    gray = np.empty((height, width))
-    step = max(1, _LUMA_BAND_PIXELS // width)
-    # each row's product is the whole image's: per-channel sums would change its bits
-    for lo in range(0, height, step):
-        gray[lo:lo + step] = image[lo:lo + step].astype(float) @ _LUMA
-    return gray
+def _row_bands(height: int, width: int):
+    """``[lo, hi)`` row ranges of about ``_BAND_PIXELS`` pixels, at least one row each."""
+    step = max(1, _BAND_PIXELS // width)
+    return ((lo, min(lo + step, height)) for lo in range(0, height, step))
 
 
 def _otsu_threshold(values: np.ndarray) -> float:
-    """Otsu's level over a 256-bin histogram of ``values``."""
-    hist, edges = np.histogram(values, bins=256, range=(0.0, float(values.max())))
+    """Otsu's level over a 256-bin histogram of ``values``.
+
+    The counts are taken over ``_BAND_PIXELS`` values at a time; each
+    value's bin does not depend on the others, and integer counts add up
+    exactly.
+    """
+    flat = values.reshape(-1)
+    top = float(values.max())
+    hist = np.zeros(256, dtype=np.intp)
+    for lo in range(0, flat.size, _BAND_PIXELS):
+        counts, edges = np.histogram(flat[lo:lo + _BAND_PIXELS], bins=256, range=(0.0, top))
+        hist += counts
     total = values.size
     omega0 = np.cumsum(hist) / total
     mu_cum = np.cumsum(hist * (edges[:-1] + edges[1:]) / 2) / total
@@ -144,28 +149,42 @@ def _otsu_threshold(values: np.ndarray) -> float:
 def edge_mask(image) -> np.ndarray:
     """Gradient-magnitude edges: Sobel on luma, thresholded at Otsu's level.
 
-    Returns a (H, W) uint8 mask with values 0/255.
+    Returns a (H, W) uint8 mask with values 0/255. The gradient is formed
+    one band of rows at a time: the band's luma, with a one-row halo above
+    and below and a one-pixel border, edge-replicated where the image ends
+    (an RGB band is widened to float on the way), then the Sobel taps and
+    ``hypot``. Only the magnitude field is held whole.
     """
     image = _as_image(image)
     if image.size == 0:
         raise ArgumentError("cannot compute edges of an empty image")
     h, w = image.shape[:2]
-    padded = np.pad(_luma(image), 1, mode="edge")
+    magnitude = np.empty((h, w))
+    for lo, hi in _row_bands(h, w):
+        top, bottom = max(lo - 1, 0), min(hi + 1, h)
+        padded = np.empty((hi - lo + 2, w + 2))  # row k is luma row lo + k - 1
+        rows = image[top:bottom]
+        # each row's product is the whole image's: per-channel sums would change its bits
+        padded[top - lo + 1:bottom - lo + 1, 1:-1] = (
+            rows[:, :, 0] if image.shape[2] == 1 else rows.astype(float) @ _LUMA)
+        if lo == 0:
+            padded[0] = padded[1]
+        if hi == h:
+            padded[-1] = padded[-2]
+        padded[:, 0] = padded[:, 1]
+        padded[:, -1] = padded[:, -2]
 
-    def t(dy, dx):
-        return padded[dy:dy + h, dx:dx + w]
+        def t(dy, dx):
+            return padded[dy:dy + hi - lo, dx:dx + w]
 
-    # Sobel taps in the reference order; the zero taps are skipped, which can
-    # flip only the sign of a zero, and hypot ignores it
-    gx = t(0, 2) - t(0, 0) - 2 * t(1, 0) + 2 * t(1, 2) - t(2, 0) + t(2, 2)
-    gy = -t(0, 0) - 2 * t(0, 1) - t(0, 2) + t(2, 0) + 2 * t(2, 1) + t(2, 2)
-    del padded
-    magnitude = np.hypot(gx, gy, out=gx)
-    del gy
+        # Sobel taps in the reference order; the zero taps are skipped, which can
+        # flip only the sign of a zero, and hypot ignores it
+        gx = t(0, 2) - t(0, 0) - 2 * t(1, 0) + 2 * t(1, 2) - t(2, 0) + t(2, 2)
+        gy = -t(0, 0) - 2 * t(0, 1) - t(0, 2) + t(2, 0) + 2 * t(2, 1) + t(2, 2)
+        np.hypot(gx, gy, out=magnitude[lo:hi])
     if magnitude.max() == 0:
         return np.zeros((h, w), dtype=np.uint8)
-    level = _otsu_threshold(magnitude)
-    return np.where(magnitude > level, 255, 0).astype(np.uint8)
+    return (magnitude > _otsu_threshold(magnitude)) * np.uint8(255)
 
 
 def _windows(a: np.ndarray, n: int, stride: int) -> np.ndarray:
@@ -261,7 +280,9 @@ def score_lattice(bank: FilterBank, image, stride: int) -> tuple[np.ndarray, Lat
     ``score_patches(bank, extract_patches(image, n, stride).patches)``, but
     no patch matrix is built: each feature's mean comes from a contiguous
     copy of its (rows, cols) field, and then the patches are copied out,
-    centered and projected one band of whole lattice rows at a time.
+    centered and projected one band of whole lattice rows at a time, about
+    ``_SCORE_BAND`` patches each. Each patch's gemm column does not depend
+    on how the columns are cut into bands.
     """
     image = _as_image(image)
     height, width, channels = image.shape
@@ -284,10 +305,18 @@ def score_lattice(bank: FilterBank, image, stride: int) -> tuple[np.ndarray, Lat
     v = np.empty(lattice.rows * cols)
     # near-equal bands of whole rows; none is a single column unless there is
     # one patch (a one-column product takes gemv, whose bits differ from gemm's)
-    for lo, hi in _splits(lattice.rows, max(1, TRANSFORM_BLOCK // cols)):
+    for lo, hi in _splits(lattice.rows, max(1, _SCORE_BAND // cols)):
         v[lo * cols:hi * cols] = np.sum(
             _project(bank, _patch_columns(fields, lo, hi), mean) ** 2, axis=0)
     return _max_normalized(v), lattice
+
+
+def _cover(size: int, count: int, n: int, stride: int) -> np.ndarray:
+    """Per pixel along one image axis, how many of ``count`` n-wide windows at that stride hold it."""
+    cover = np.zeros(size)
+    for d in range(n):
+        cover[d:d + count * stride:stride] += 1.0
+    return cover
 
 
 def reconstruct_map(scores, lattice: Lattice, edge) -> ProbabilityMap:
@@ -296,7 +325,9 @@ def reconstruct_map(scores, lattice: Lattice, edge) -> ProbabilityMap:
     ``scores`` holds one value per origin of ``lattice``, row-major (a
     :class:`PatchGrid` is a lattice too). Each pixel receives the mean score
     of every patch covering it (accumulated in patch-index order); pixels no
-    patch covers, and pixels outside the edge mask, are 0.
+    patch covers, and pixels outside the edge mask, are 0. Pixel (y, x) is
+    covered by ``cy[y] * cx[x]`` patches, an exact integer, so the sums are
+    divided by it and masked one band of rows at a time, with no cover field.
     """
     scores = np.asarray(scores, dtype=float)
     rows, cols = lattice.rows, lattice.cols
@@ -304,22 +335,25 @@ def reconstruct_map(scores, lattice: Lattice, edge) -> ProbabilityMap:
         raise ArgumentError(
             f"got {scores.shape[0] if scores.ndim else 0} scores for {rows * cols} patches"
         )
-    edges = np.asarray(edge) > 0
-    if edges.shape != (lattice.image_h, lattice.image_w):
+    edge = np.asarray(edge)
+    height, width = lattice.image_h, lattice.image_w
+    if edge.shape != (height, width):
         raise ShapeError("edge mask dimensions must match the lattice's image")
-    acc = np.zeros((lattice.image_h, lattice.image_w))
-    cover = np.zeros((lattice.image_h, lattice.image_w))
+    acc = np.zeros((height, width))
     per_origin = scores.reshape(rows, cols)
-    s = lattice.stride
+    n, s = lattice.n, lattice.stride
     # Pixel (r*s + dy, c*s + dx) takes patch (r, c) at offset (dy, dx); taking
     # the offsets in descending order adds each pixel's patches by patch index.
-    for dy in range(lattice.n - 1, -1, -1):
-        for dx in range(lattice.n - 1, -1, -1):
-            cell = np.s_[dy:dy + rows * s:s, dx:dx + cols * s:s]
-            acc[cell] += per_origin
-            cover[cell] += 1.0
-    np.divide(acc, cover, out=acc, where=cover > 0)
-    acc *= edges
+    for dy in range(n - 1, -1, -1):
+        for dx in range(n - 1, -1, -1):
+            acc[dy:dy + rows * s:s, dx:dx + cols * s:s] += per_origin
+    # an uncovered pixel's sum is 0, which a divisor of 1 leaves as it is
+    cy = np.maximum(_cover(height, rows, n, s), 1.0)
+    cx = np.maximum(_cover(width, cols, n, s), 1.0)
+    for lo, hi in _row_bands(height, width):
+        band = acc[lo:hi]
+        band /= np.outer(cy[lo:hi], cx)
+        band *= edge[lo:hi] > 0
     return ProbabilityMap(values=acc)
 
 

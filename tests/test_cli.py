@@ -2,7 +2,10 @@
 
 import importlib.util
 import io
+import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 from unittest import mock
@@ -308,6 +311,20 @@ class TestSplicePipeline:
         assert codes == [0]
         assert peak <= 6 * side * side * 8
 
+    def test_localize_holds_under_three_fields(self, tmp_path):
+        # read once, edges and map in row bands, scores in bands of about
+        # 1,024 patches, the map quantized by bands
+        side = 512
+        write_image(tmp_path / "probe.ppm", gen_spliced_image(5, side, side)[0])
+        model = tmp_path / "model.txt"
+        self._random_model(model, 192)
+        codes = []
+        peak = traced_peak(lambda: codes.append(cli_dispatch(
+            ["localize", "--model", str(model), "--image", str(tmp_path / "probe.ppm"),
+             "--out", str(tmp_path / "map.pgm")])))
+        assert codes == [0]
+        assert peak <= 3.0 * side * side * 8
+
     def test_train_rejects_grey_probe_among_colour_probes(self, tmp_path, capfd):
         data = tmp_path / "imgs"
         assert cli_dispatch(["generate", "spliced-image", "--seed", "5",
@@ -386,6 +403,57 @@ def test_generate_peak_on_a_large_probe(tmp_path):
          "--width", str(side), "--out", str(tmp_path)])))
     assert codes == [0]
     assert peak <= 7 * side * side * 8
+
+
+# An exec'ed process keeps the peak resident set of the process it replaces:
+# under vfork, the test runner's. The launcher forks, and its small child
+# execs the command, so the command starts from the launcher's small peak.
+_FRESH_PEAK_LAUNCHER = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.executable, [sys.executable, *sys.argv[1:]])
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+_GUARD_SCRIPT = """
+import resource, sys
+from cpcapp.cli import cli_dispatch
+
+def rss_mib():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+out = sys.argv[1]
+base = rss_mib()
+steps = [
+    ["generate", "spliced-image", "--seed", "3", "--count", "4", "--width", "128",
+     "--height", "128", "--out", out + "/train"],
+    ["train-splice", "--train-dir", out + "/train", "--out", out + "/model.txt"],
+    ["generate", "spliced-image", "--seed", "5", "--count", "1", "--width", "512",
+     "--height", "512", "--out", out + "/big"],
+    ["localize", "--model", out + "/model.txt", "--image", out + "/big/probe_000.ppm",
+     "--out", out + "/map.pgm"],
+]
+for argv in steps:
+    if cli_dispatch(argv) != 0:
+        sys.exit(argv[0] + " failed")
+print(rss_mib() - base)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_splice_steps_resident_memory(tmp_path):
+    # a fresh process: train on small probes, then generate and localize a
+    # 512^2 probe. Its peak resident set grows by about 13.2 MiB over its
+    # level after import (18.4 MiB when each step held whole-image fields);
+    # BLAS is pinned to one thread, whose buffers count too.
+    env = dict(os.environ, PYTHONPATH=str(Path(cpcapp.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", _FRESH_PEAK_LAUNCHER, "-c", _GUARD_SCRIPT,
+                          str(tmp_path)], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    growth_mib = float(run.stdout)
+    assert growth_mib < 15.0, growth_mib
 
 
 class TestGenerateAndBench:

@@ -331,6 +331,105 @@ class TestMaskBoundary:
         assert got.any() == fill and got[0].all() == fill
 
 
+def _whole_smooth(field, axis):
+    """The whole-field smoothing the slab _smooth replaced: every pass pads the
+    whole field at once and accumulates the taps over all of it."""
+    size, half = field.shape[axis], datagen._BINOMIAL5.size // 2
+    widths = [(0, 0)] * field.ndim
+    widths[axis] = (half, half)
+    tap = [slice(None)] * field.ndim
+    for _ in range(datagen.TEXTURE_PASSES):
+        padded = np.pad(field, widths, mode="reflect")
+        field.fill(0.0)
+        for j, w in enumerate(datagen._BINOMIAL5):
+            tap[axis] = slice(j, j + size)
+            field += w * padded[tuple(tap)]
+
+
+def _whole_texture(rng, shape, std):
+    """_texture with whole-field smoothing and its noise floor drawn whole."""
+    fields = rng.normal(shape)
+    _whole_smooth(fields, 1)
+    _whole_smooth(fields, 2)
+    fields += datagen.TEXTURE_FLOOR * rng.normal(shape)
+    flat = fields.reshape(shape[0], -1)
+    flat -= flat.mean(axis=1, keepdims=True)
+    scale = flat.std(axis=1, keepdims=True)
+    scale[scale == 0] = 1.0
+    flat *= std / scale
+    return fields
+
+
+def _whole_spliced_image(seed, height, width):
+    """gen_spliced_image with its eight fields drawn whole in stream order and
+    composed with whole-image expressions."""
+    rng = SplitMix64(seed)
+    n_verts = 6 + int(rng.integers(1, 4)[0])
+    angles = np.sort(rng.uniform(n_verts)) * 2 * np.pi
+    radii = 0.9 + 0.1 * rng.uniform(n_verts)
+    cx = width * (0.38 + 0.24 * rng.uniform(1)[0])
+    cy = height * (0.38 + 0.24 * rng.uniform(1)[0])
+    area_lo, area_hi = datagen.SPLICE_AREA
+    target = area_lo + (area_hi - area_lo) * rng.uniform(1)[0]
+    offset_sign = 1.0 if rng.uniform(1)[0] < 0.5 else -1.0
+    mask = datagen._fit_polygon(height, width, angles, radii, cx, cy, target)
+    if mask is None:
+        even = angles[0] + 2 * np.pi * np.arange(n_verts) / n_verts
+        mask = datagen._fit_polygon(height, width, even, radii, cx, cy, target)
+    if mask is None:
+        raise ArgumentError("could not fit a spliced region inside the area bounds")
+    host, donor, *tints = (_whole_texture(rng, (1, height, width), 1.0)[0] for _ in range(8))
+    base = np.where(mask, donor, host)
+    band = datagen.mask_boundary(mask)
+    yy, xx = np.nonzero(band)
+    seam = datagen.SPLICE_SEAM_DITHER * (-1.0) ** ((xx + yy) // 2)
+    probe = np.empty((height, width, 3), dtype=np.uint8)
+    for c in range(3):
+        channel = np.where(mask, datagen.SPLICE_TINT * tints[3 + c],
+                           datagen.SPLICE_TINT * tints[c]) + base
+        channel = np.where(mask, channel + offset_sign * datagen.SPLICE_OFFSET, channel)
+        channel[band] += seam
+        probe[:, :, c] = np.clip(channel * datagen.SPLICE_GREY_SCALE + 128.0, 0, 255)
+    return probe, np.where(mask, 255, 0).astype(np.uint8), np.where(band, 255, 0).astype(np.uint8)
+
+
+# sizes no slab, floor block or band divides, and single rows and columns
+BAND_EDGE_SIZES = [(1, 1), (1, 513), (513, 1), (3, 5), (129, 513)]
+
+
+class TestBandEdges:
+    """The slab, block and field-by-field generator steps equal whole-array ones, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(1, *size) for size in BAND_EDGE_SIZES]
+                             + [(50, 28, 28), (3, 5, 4)])
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_smooth(self, shape, axis):
+        field = SplitMix64(4).normal(shape)
+        want = field.copy()
+        _whole_smooth(want, axis)
+        datagen._smooth(field, axis)
+        assert field.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, *size) for size in BAND_EDGE_SIZES] + [(21, 28, 28)])
+    def test_texture(self, shape):
+        got, want = SplitMix64(8), SplitMix64(8)
+        assert datagen._texture(got, shape, 3.0).tobytes() == _whole_texture(want, shape, 3.0).tobytes()
+        assert got.position == want.position
+
+    @pytest.mark.parametrize("size", BAND_EDGE_SIZES + [(5, 3), (64, 64)])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_spliced_image(self, size, seed):
+        try:
+            want = _whole_spliced_image(seed, *size)
+        except ArgumentError:  # a one-pixel-wide image holds no polygon in bounds
+            with pytest.raises(ArgumentError, match="could not fit"):
+                gen_spliced_image(seed, *size)
+            return
+        got = gen_spliced_image(seed, *size)
+        assert [a.dtype for a in got] == [np.uint8] * 3
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 class TestSplicedImage:
     def test_deterministic(self):
         p1, s1, e1 = gen_spliced_image(21)
@@ -387,6 +486,14 @@ class TestSplicedImage:
         peak = traced_peak(lambda: gen_spliced_image(5, side, side))
         assert peak <= 6.5 * side * side * 8
 
+    def test_holds_one_texture_field_beside_the_base(self):
+        # donor fields are drawn first and cut to their values under the
+        # mask: the base, one field with its deviation temporary, the uint8
+        # probe and the masks
+        side = 512
+        peak = traced_peak(lambda: gen_spliced_image(5, side, side))
+        assert peak <= 4.0 * side * side * 8
+
     def test_fit_polygon_holds_no_coordinate_fields(self):
         # a row of x and a column of y: the bisection holds boolean masks only
         side = 512
@@ -402,6 +509,13 @@ class TestSplicedImage:
         side = 512
         peak = traced_peak(lambda: datagen._texture(SplitMix64(2), (1, side, side), 1.0))
         assert peak <= 3.3 * side * side * 8
+
+    def test_texture_holds_its_field_and_one_temporary(self):
+        # smoothing slabs and floor blocks are small; the deviation's
+        # temporary is the one other whole field
+        side = 512
+        peak = traced_peak(lambda: datagen._texture(SplitMix64(2), (1, side, side), 1.0))
+        assert peak <= 2.3 * side * side * 8
 
     def test_sliver_polygon_falls_back_to_even_angles(self):
         # the drawn angles leave a 291 degree gap: at any scale the polygon

@@ -315,6 +315,70 @@ class TestNetpbm:
         with pytest.raises(ShapeError):
             write_image(tmp_path / "x.pgm", np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 513), (513, 1), (3, 5), (129, 513), (16390, 1)])
+    def test_probability_map_bands_match_whole_quantization(self, tmp_path, rng, shape):
+        values = rng.random(shape)
+        values.flat[::7] = 0.5 / 255  # ties round to even
+        write_probability_map(tmp_path / "m.pgm", values)
+        write_image(tmp_path / "want.pgm", np.round(255.0 * values).astype(np.uint8))
+        assert (tmp_path / "m.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 4, 3), ()])
+    def test_probability_map_must_be_two_dimensional(self, tmp_path, shape):
+        from cpcapp import ShapeError
+
+        with pytest.raises(ShapeError, match="2-D"):
+            write_probability_map(tmp_path / "m.pgm", np.full(shape, 0.5))
+
+    def test_probability_map_quantizes_by_bands(self, tmp_path):
+        side = 512
+        values = np.linspace(0.0, 1.0, side * side).reshape(side, side)
+        peak = traced_peak(lambda: write_probability_map(tmp_path / "m.pgm", values))
+        assert peak <= 0.5 * values.nbytes
+
+    def test_reader_holds_the_raster_once(self, tmp_path, rng):
+        image = rng.integers(0, 256, (512, 512, 3), dtype=np.uint8)
+        write_image(tmp_path / "p.ppm", image)
+        back = []
+        peak = traced_peak(lambda: back.append(read_image(tmp_path / "p.ppm")))
+        assert np.array_equal(back[0], image)
+        assert peak <= 1.05 * image.nbytes
+
+    def test_writer_writes_from_the_array(self, tmp_path, rng):
+        image = rng.integers(0, 256, (512, 512, 3), dtype=np.uint8)
+        peak = traced_peak(lambda: write_image(tmp_path / "p.ppm", image))
+        assert (tmp_path / "p.ppm").read_bytes() == b"P6\n512 512\n255\n" + image.tobytes()
+        assert peak <= 0.05 * image.nbytes
+
+    def test_writer_copies_a_strided_view(self, tmp_path, rng):
+        image = rng.integers(0, 256, (6, 7, 3), dtype=np.uint8)
+        write_image(tmp_path / "g.pgm", image[:, :, 1])
+        assert (tmp_path / "g.pgm").read_bytes() == b"P5\n7 6\n255\n" + image[:, :, 1].tobytes()
+
+    @pytest.mark.parametrize("shift", range(-6, 3))
+    def test_header_across_read_chunks(self, tmp_path, shift):
+        # a comment pushes the size and maxval tokens onto the first chunk's end
+        from cpcapp.netpbm import _HEADER_CHUNK
+
+        tail = b"\n3 2\n255\n"
+        comment = b"#" + b"x" * (_HEADER_CHUNK + shift - 5 - len(tail)) + b"\n"
+        head = b"P5\n" + comment + tail
+        assert len(head) == _HEADER_CHUNK + shift
+        path = tmp_path / "c.pgm"
+        path.write_bytes(head + bytes(range(6)))
+        np.testing.assert_array_equal(read_image(path), [[0, 1, 2], [3, 4, 5]])
+
+    @pytest.mark.parametrize("data, message", [
+        # sized from the file, before a raster of the header's size is allocated
+        (b"P5\n7 1000000000000\n255\n" + bytes(5), "raster has 5 bytes, expected 7000000000000"),
+        (b"P5\n2 2\n255", "raster has 0 bytes, expected 4"),
+    ])
+    def test_short_raster_names_its_size(self, tmp_path, data, message):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=message):
+            read_image(path)
+
     def test_writer_rejects_two_channel(self, tmp_path):
         from cpcapp import ShapeError
 

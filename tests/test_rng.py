@@ -131,3 +131,22 @@ class TestPositionalReads:
         for j in (2, 0, 3, 1):
             got = replay.at(start + 2 * n * j).normal(shape)
             assert got.tobytes() == in_order[j].tobytes(), j
+
+    @pytest.mark.parametrize("n, lo, hi", [(1, 0, 1), (7, 3, 5), (7, 6, 7),
+                                           (3 * NORMAL_BLOCK + 5, 0, 3 * NORMAL_BLOCK + 5),
+                                           (3 * NORMAL_BLOCK + 5, NORMAL_BLOCK - 2, NORMAL_BLOCK + 3),
+                                           (3 * NORMAL_BLOCK + 5, 17, 2 * NORMAL_BLOCK + 40),
+                                           (3 * NORMAL_BLOCK + 5, 3 * NORMAL_BLOCK, 3 * NORMAL_BLOCK + 5)])
+    def test_reserved_normals_fill_any_stretch(self, n, lo, hi):
+        # block edges of the fill fall where the whole draw's do not
+        whole = SplitMix64(13)
+        whole.uniform(3)
+        want = whole.normal(n)
+        stream = SplitMix64(13)
+        stream.uniform(3)
+        fill = stream.reserve_normal(n)
+        assert stream.position == 3 + 2 * n
+        assert stream.uniform(4).tobytes() == whole.uniform(4).tobytes()
+        got = np.full(hi - lo, np.nan)
+        fill(lo, got)
+        assert got.tobytes() == want[lo:hi].tobytes()

@@ -86,6 +86,13 @@ class TestEdgeMask:
         peak = traced_peak(lambda: edge_mask(probe))
         assert peak <= 4.5 * side * side * 8
 
+    def test_holds_only_the_magnitude(self):
+        # row bands: the magnitude field, one band of luma and taps, the mask
+        side = 512
+        probe = gen_spliced_image(5, side, side)[0]
+        peak = traced_peak(lambda: edge_mask(probe))
+        assert peak <= 2.0 * side * side * 8
+
 
 def _loop_edge_mask(image):
     """The 18-tap Sobel loop edge_mask replaced: every tap, zero weights included,
@@ -107,6 +114,87 @@ def _loop_edge_mask(image):
     if magnitude.max() == 0:
         return np.zeros(gray.shape, dtype=np.uint8)
     return np.where(magnitude > _otsu_threshold(magnitude), 255, 0).astype(np.uint8)
+
+
+def _whole_otsu(values):
+    """Otsu's level from one histogram of all of ``values``."""
+    hist, edges = np.histogram(values, bins=256, range=(0.0, float(values.max())))
+    omega0 = np.cumsum(hist) / values.size
+    mu_cum = np.cumsum(hist * (edges[:-1] + edges[1:]) / 2) / values.size
+    omega1 = 1.0 - omega0
+    valid = (omega0 > 0) & (omega1 > 0)
+    between = np.zeros(256)
+    between[valid] = (mu_cum[-1] * omega0[valid] - mu_cum[valid]) ** 2 / (
+        omega0[valid] * omega1[valid])
+    return float(edges[int(np.argmax(between)) + 1])
+
+
+def _whole_edge_mask(image):
+    """The whole-image edge_mask the row bands replaced: one padded luma, whole-image
+    taps and hypot, one histogram."""
+    from cpcapp.splicing import _LUMA, _as_image
+
+    image = _as_image(image)
+    h, w = image.shape[:2]
+    gray = image[:, :, 0].astype(float) if image.shape[2] == 1 else image.astype(float) @ _LUMA
+    padded = np.pad(gray, 1, mode="edge")
+
+    def t(dy, dx):
+        return padded[dy:dy + h, dx:dx + w]
+
+    gx = t(0, 2) - t(0, 0) - 2 * t(1, 0) + 2 * t(1, 2) - t(2, 0) + t(2, 2)
+    gy = -t(0, 0) - 2 * t(0, 1) - t(0, 2) + t(2, 0) + 2 * t(2, 1) + t(2, 2)
+    magnitude = np.hypot(gx, gy)
+    if magnitude.max() == 0:
+        return np.zeros((h, w), dtype=np.uint8)
+    return np.where(magnitude > _whole_otsu(magnitude), 255, 0).astype(np.uint8)
+
+
+def _whole_map(scores, lattice, edge):
+    """The whole-image reconstruct_map the row bands replaced: a cover field
+    beside the sums, one masked divide."""
+    rows, cols, s = lattice.rows, lattice.cols, lattice.stride
+    acc = np.zeros((lattice.image_h, lattice.image_w))
+    cover = np.zeros_like(acc)
+    for dy in range(lattice.n - 1, -1, -1):
+        for dx in range(lattice.n - 1, -1, -1):
+            cell = np.s_[dy:dy + rows * s:s, dx:dx + cols * s:s]
+            acc[cell] += np.asarray(scores).reshape(rows, cols)
+            cover[cell] += 1.0
+    np.divide(acc, cover, out=acc, where=cover > 0)
+    acc *= np.asarray(edge) > 0
+    return acc
+
+
+# sizes no row band divides (one-row last bands included), and single rows and columns
+BAND_EDGE_SIZES = [(1, 1), (1, 513), (513, 1), (3, 5), (129, 513), (32, 513), (16390, 1)]
+
+
+class TestBandEdges:
+    """The row-band edge mask and map equal the whole-image expressions, bit for bit."""
+
+    @pytest.mark.parametrize("size", BAND_EDGE_SIZES)
+    @pytest.mark.parametrize("channels", [(), (3,)])
+    def test_edge_mask(self, rng, size, channels):
+        shape = size + channels
+        for image in (rng.integers(0, 256, shape, dtype=np.uint8),
+                      np.full(shape, 77, dtype=np.uint8), 255 * rng.random(shape)):
+            assert edge_mask(image).tobytes() == _whole_edge_mask(image).tobytes()
+
+    def test_edge_mask_of_a_spliced_probe(self):
+        probe = gen_spliced_image(6, 129, 513)[0]
+        assert edge_mask(probe).tobytes() == _whole_edge_mask(probe).tobytes()
+
+    @pytest.mark.parametrize("size, n, stride", [((1, 1), 1, 1), ((1, 513), 1, 2), ((513, 1), 1, 3),
+                                                 ((3, 5), 2, 2), ((129, 513), 8, 5),
+                                                 ((129, 513), 3, 1), ((32, 513), 7, 9),
+                                                 ((16390, 1), 1, 4)])
+    def test_reconstruct_map(self, rng, size, n, stride):
+        lattice = Lattice(image_w=size[1], image_h=size[0], n=n, stride=stride)
+        scores = rng.random(lattice.rows * lattice.cols)
+        edge = (rng.random(size) < 0.6).astype(np.uint8) * 255
+        got = reconstruct_map(scores, lattice, edge).values
+        assert got.tobytes() == _whole_map(scores, lattice, edge).tobytes()
 
 
 class TestExtractPatches:
@@ -308,6 +396,14 @@ class TestScoreLattice:
         peak = traced_peak(lambda: score_lattice(bank, probe, 4))
         assert peak <= 1.15 * bank.features * TRANSFORM_BLOCK * 8
 
+    def test_holds_about_a_thousand_patches(self, rng):
+        # bands of about 1,024 patches: under 1.2 H x W float fields of a 512^2 probe
+        side = 512
+        probe = gen_spliced_image(5, side, side)[0]
+        bank = random_bank(rng, 192)
+        peak = traced_peak(lambda: score_lattice(bank, probe, 4))
+        assert peak <= 1.2 * side * side * 8
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_probe(self, rng, bad):
         image = 255 * rng.random((16, 16))
@@ -499,6 +595,14 @@ class TestReconstructMap:
         grid = extract_patches(np.zeros((8, 8)), 8, 4)
         with pytest.raises(ArgumentError):
             reconstruct_map([0.5, 0.5], grid, np.zeros((8, 8), dtype=np.uint8))
+
+    def test_holds_the_map_and_one_band(self, rng):
+        side = 512
+        lattice = Lattice(image_w=side, image_h=side, n=8, stride=4)
+        scores = rng.random(lattice.rows * lattice.cols)
+        edge = (rng.random((side, side)) < 0.3).astype(np.uint8) * 255
+        peak = traced_peak(lambda: reconstruct_map(scores, lattice, edge))
+        assert peak <= 1.5 * side * side * 8
 
     def test_uncovered_pixels_stay_zero(self):
         grid = extract_patches(np.zeros((8, 12)), 8, 8)  # columns 8-11 uncovered
