@@ -7,7 +7,6 @@ oracles, and a patch-based boundary-localization pipeline with per-pixel
 F1/MCC scoring.
 """
 
-from .bench import BenchReport, run_bench
 from .csvio import read_csv, write_csv
 from .datagen import (
     LabeledDataset,
@@ -35,9 +34,7 @@ from .linalg import (
     EigenResult,
     auto_loading,
     diagonal_load,
-    eig_count,
     q_eig,
-    reset_eig_count,
     sym_eig,
 )
 from .model_io import load_model, save_model

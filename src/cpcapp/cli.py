@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench as bench_mod
 from . import csvio, netpbm
 from .datagen import TABLE_COUNTS, gen_spliced_image, sample_tables
 from .errors import ArgumentError, CpcappError, ShapeError
@@ -119,22 +118,7 @@ def _build_parser() -> _Parser:
     eva.add_argument("--truth", required=True)
     eva.add_argument("--threshold", type=float, default=SCORE_THRESHOLD)
 
-    ben = sub.add_parser("bench", help="compare fit times across methods")
-    ben.add_argument("--kind", default="four-class", choices=list(TABLE_COUNTS))
-    ben.add_argument("--seed", type=int, default=0)
-    ben.add_argument("--n-fg", type=int, default=None)
-    ben.add_argument("--n-bg", type=int, default=None)
-    ben.add_argument("-k", type=int, default=2)
-    ben.add_argument("--alpha-grid", default=None, help="cpca only; default: the default grid")
-    ben.add_argument("--methods", default=",".join(METHODS))
     return parser
-
-
-def _counts(args, kind: str) -> tuple[int, int]:
-    """``(n_fg, n_bg)``: the flags where given, else the kind's standard counts."""
-    n_fg, n_bg = TABLE_COUNTS[kind]
-    return (args.n_fg if args.n_fg is not None else n_fg,
-            args.n_bg if args.n_bg is not None else n_bg)
 
 
 def _reject_flags(args, flags, target: str) -> None:
@@ -149,8 +133,11 @@ def _cmd_generate(args) -> int:
     out = Path(args.out)
     if kind != "spliced-image":
         _reject_flags(args, ("--count", "--width", "--height"), kind)
+        n_fg, n_bg = TABLE_COUNTS[kind]  # the kind's standard counts where no flag is given
+        n_fg = n_fg if args.n_fg is None else args.n_fg
+        n_bg = n_bg if args.n_bg is None else args.n_bg
         out.mkdir(parents=True, exist_ok=True)
-        for name, values in sample_tables(kind, args.seed, *_counts(args, kind)).items():
+        for name, values in sample_tables(kind, args.seed, n_fg, n_bg).items():
             csvio.write_csv(out / f"{name}.csv", values)
         return 0
     _reject_flags(args, ("--n-fg", "--n-bg"), kind)
@@ -292,18 +279,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    if "cpca" not in methods:
-        _reject_flags(args, ("--alpha-grid",), f"methods {','.join(methods)}")
-    report = bench_mod.run_bench(args.kind, args.seed, *_counts(args, args.kind),
-                                 methods=methods,
-                                 alphas=_parse_alpha_grid(args.alpha_grid or "default"),
-                                 k=args.k)
-    print(report.format())
-    return 0
-
-
 _COMMANDS = {
     "generate": _cmd_generate,
     "fit": _cmd_fit,
@@ -313,7 +288,6 @@ _COMMANDS = {
     "localize": _cmd_localize,
     "train-splice": _cmd_train_splice,
     "eval": _cmd_eval,
-    "bench": _cmd_bench,
 }
 
 

@@ -373,16 +373,26 @@ def _polygon_mask(height: int, width: int, xs: np.ndarray, ys: np.ndarray) -> np
 
 
 def _3x3(mask: np.ndarray, reduce: np.ufunc) -> np.ndarray:
-    """``reduce`` over each pixel's 3x3 neighbourhood; outside the image is False."""
+    """``reduce`` over each pixel's 3x3 neighbourhood; outside the image is False.
+
+    The nine shifted views are folded into one boolean output in place, so
+    no (9, H, W) stack of them is formed.
+    """
     height, width = mask.shape
     padded = np.pad(mask, 1)
-    return reduce.reduce([padded[dy:dy + height, dx:dx + width]
-                          for dy in range(3) for dx in range(3)])
+    out = mask.astype(bool)
+    for dy in range(3):
+        for dx in range(3):
+            reduce(out, padded[dy:dy + height, dx:dx + width], out=out)
+    return out
 
 
 def mask_boundary(mask: np.ndarray) -> np.ndarray:
     """Inner boundary of a boolean region, dilated by one pixel."""
-    return _3x3(mask & ~_3x3(mask, np.logical_and), np.logical_or)
+    boundary = _3x3(mask, np.logical_and)
+    np.logical_not(boundary, out=boundary)
+    boundary &= mask
+    return _3x3(boundary, np.logical_or)
 
 
 # Spliced-image look: texture deviation in grey levels, donor exposure

@@ -5,15 +5,14 @@ Eigenvalues are always returned in descending order and eigenvectors carry a
 deterministic sign (largest-magnitude component positive, ties resolved at
 the lowest index), so repeated runs on identical input are bit-identical.
 
-The number of symmetric eigendecompositions performed is counted in a
-module-level counter so callers can verify how many decompositions a fitting
-routine actually spends (see :func:`eig_count` / :func:`reset_eig_count`).
-It counts every :func:`sym_eig` call, which is the only place the package
-runs a symmetric eigensolver: the loading decision uses a Cholesky test, and
-whitening (:func:`q_eig`, the detection statistic) multiplies by the inverse
-of a Cholesky factor (:func:`whitener`). No general linear solve is run. The
-counter is the one piece of shared state here; read it from a single thread
-when instrumenting.
+One eigensolver rule: :func:`sym_eig` is the only code in the package that
+calls ``np.linalg.eigh``, and nothing calls ``np.linalg.eigvalsh``, so a fit
+spends exactly one symmetric eigendecomposition per :func:`sym_eig` call (one
+for PCA and for :func:`q_eig`, one per grid point for the contrast sweep).
+The loading decision uses a Cholesky test, and whitening (:func:`q_eig`, the
+detection statistic) multiplies by the inverse of a Cholesky factor
+(:func:`whitener`). No general linear solve is run. Tests check both rules
+on the package source.
 """
 
 from __future__ import annotations
@@ -37,19 +36,6 @@ LOADING_SCALE = 1e-6
 # block inverted by LAPACK rather than split further.
 BAND_ROWS = 64
 TRI_INV_LEAF = 64
-
-_eig_count = 0
-
-
-def eig_count() -> int:
-    """Number of symmetric eigendecompositions since the last reset."""
-    return _eig_count
-
-
-def reset_eig_count() -> None:
-    global _eig_count
-    _eig_count = 0
-
 
 @dataclass(frozen=True, eq=False)
 class EigenResult:
@@ -101,7 +87,6 @@ def sym_eig(a, k: int) -> EigenResult:
     always the full one; only the k kept columns are copied out, and they are
     bit-identical to the first k of a full decomposition (pass ``k = M``).
     """
-    global _eig_count
     a = _as_square(a)
     m = a.shape[0]
     if not 1 <= k <= m:
@@ -111,7 +96,6 @@ def sym_eig(a, k: int) -> EigenResult:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed to converge: {exc}") from exc
-    _eig_count += 1
     order = np.argsort(-values, kind="stable")[:k]
     return EigenResult(values=values[order], vectors=_fix_signs(vectors[:, order]))
 

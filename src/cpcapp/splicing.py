@@ -114,6 +114,12 @@ def _as_image(image) -> np.ndarray:
     raise ShapeError(f"expected (H, W) or (H, W, 1|3) image, got shape {np.shape(image)}")
 
 
+def _require_finite(image: np.ndarray) -> None:
+    """``ArgumentError`` unless every value is finite: two reductions, no image-sized mask."""
+    if not (np.isfinite(image.min()) and np.isfinite(image.max())):
+        raise ArgumentError("image contains non-finite values")
+
+
 def _row_bands(height: int, width: int):
     """``[lo, hi)`` row ranges of about ``_BAND_PIXELS`` pixels, at least one row each."""
     step = max(1, _BAND_PIXELS // width)
@@ -149,7 +155,8 @@ def _otsu_threshold(values: np.ndarray) -> float:
 def edge_mask(image) -> np.ndarray:
     """Gradient-magnitude edges: Sobel on luma, thresholded at Otsu's level.
 
-    Returns a (H, W) uint8 mask with values 0/255. The gradient is formed
+    Returns a (H, W) uint8 mask with values 0/255; an empty image, or one
+    with a non-finite value, raises ``ArgumentError``. The gradient is formed
     one band of rows at a time: the band's luma, with a one-row halo above
     and below and a one-pixel border, edge-replicated where the image ends
     (an RGB band is widened to float on the way), then the Sobel taps and
@@ -158,6 +165,7 @@ def edge_mask(image) -> np.ndarray:
     image = _as_image(image)
     if image.size == 0:
         raise ArgumentError("cannot compute edges of an empty image")
+    _require_finite(image)
     h, w = image.shape[:2]
     magnitude = np.empty((h, w))
     for lo, hi in _row_bands(h, w):
@@ -291,8 +299,7 @@ def score_lattice(bank: FilterBank, image, stride: int) -> tuple[np.ndarray, Lat
         raise ShapeError(f"model has M={bank.features} features, which is not c*n^2 "
                          f"for a probe of c={channels} channels")
     lattice = Lattice(image_w=width, image_h=height, n=n, stride=stride)
-    if not (np.isfinite(image.min()) and np.isfinite(image.max())):
-        raise ArgumentError("image contains non-finite values")
+    _require_finite(image)
     cols = lattice.cols
     fields = _patch_fields(image, n, stride)
     field = np.empty(fields.shape[3:])

@@ -6,6 +6,7 @@ lines as they execute. Everything here is seed-fixed and deterministic.
 
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -139,13 +140,28 @@ def test_criterion_5_contrast_zero_matches_pca(four_class_400):
 
 def test_criterion_6_sweep_free_efficiency():
     start = time.perf_counter()
-    rep = cp.run_bench("four-class", SEED_FOUR_CLASS, 400, 400, methods=("cpca", "cpca++"),
-                       alphas=cp.default_alpha_grid(), k=2)
+    fg, bg = cp.gen_four_class(SEED_FOUR_CLASS, 400, 400)
+    pair = cp.build_covariance_pair(bg, fg.data)
+    fits = {"cpca": lambda: cp.sweep_cpca(pair, 2, cp.default_alpha_grid()),
+            "cpca++": lambda: cp.fit_cpcapp(pair, 2)}
+    eighs = {}
+    for method, fit in fits.items():
+        with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh:
+            fit()
+        eighs[method] = eigh.call_count
+    # timed unwrapped: 5 interleaved repeats, the minimum of each kept, so
+    # scheduler noise and bursts of machine load fall on both fits alike
+    seconds = dict.fromkeys(fits, math.inf)
+    for _ in range(5):
+        for method, fit in fits.items():
+            tick = time.perf_counter()
+            fit()
+            seconds[method] = min(seconds[method], time.perf_counter() - tick)
+    speedup = seconds["cpca"] / seconds["cpca++"]
     elapsed = time.perf_counter() - start
-    ok = (rep.eig_counts["cpca"] == 41 and rep.eig_counts["cpca++"] == 1
-          and rep.speedup >= 10.0 and elapsed < 30.0)
-    assert report(6, ok, f"eig counts {rep.eig_counts['cpca']}:{rep.eig_counts['cpca++']}, "
-                         f"speedup {rep.speedup:.1f}x, {elapsed:.1f}s")
+    ok = eighs["cpca"] == 41 and eighs["cpca++"] == 1 and speedup >= 10.0 and elapsed < 30.0
+    assert report(6, ok, f"eigh counts {eighs['cpca']}:{eighs['cpca++']}, "
+                         f"speedup {speedup:.1f}x, {elapsed:.1f}s")
 
 
 def test_criterion_7_factorization_contracts():

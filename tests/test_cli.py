@@ -206,8 +206,10 @@ class TestErrors:
         assert code == 2
         assert "M=30" in capfd.readouterr().err
 
-    def test_unknown_subcommand_is_usage_error(self):
+    def test_unknown_subcommand_is_usage_error(self, capfd):
         assert cli_dispatch(["frobnicate"]) == 1
+        assert cli_dispatch(["bench"]) == 1
+        assert "invalid choice: 'bench'" in capfd.readouterr().err
 
     def test_missing_required_argument(self):
         assert cli_dispatch(["fit", "--method", "pca"]) == 1
@@ -507,28 +509,6 @@ class TestGenerateAndBench:
                              "--n-fg", "30", "--n-bg", "30"]) == 0
         for name in ("rb.csv", "rf.csv", "directions.csv", "fg.csv", "bg.csv"):
             assert (tmp_path / name).exists()
-
-    def test_bench_prints_table(self, capfd):
-        code = cli_dispatch(["bench", "--kind", "four-class", "--seed", "1",
-                             "--n-fg", "60", "--n-bg", "60",
-                             "--alpha-grid", "0.1:10:5", "-k", "2"])
-        out = capfd.readouterr().out
-        assert code == 0
-        assert "cpca++" in out and "speedup" in out
-
-    @pytest.mark.parametrize("methods", ["pca", "pca,cpca++"])
-    def test_bench_alpha_grid_needs_cpca(self, capfd, methods):
-        code = cli_dispatch(["bench", "--methods", methods, "--alpha-grid", "1:2:3"])
-        captured = capfd.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert f"--alpha-grid does not apply to methods {methods}" in captured.err
-
-    def test_bench_rejects_empty_method_list(self, capfd):
-        code = cli_dispatch(["bench", "--methods", ","])
-        captured = capfd.readouterr()
-        assert code == 2
-        assert captured.out == "" and "no methods" in captured.err
 
 
 class TestDenoiseCommand:

@@ -330,6 +330,13 @@ class TestMaskBoundary:
         # the image border of an all-True mask borders the False outside
         assert got.any() == fill and got[0].all() == fill
 
+    def test_peak_on_a_large_mask(self):
+        # the shifted views fold into one output: the padded copy, the output
+        # and the eroded boundary, about 3 bytes per pixel
+        side = 512
+        mask = gen_spliced_image(5, side, side)[1] > 0
+        assert traced_peak(lambda: datagen.mask_boundary(mask)) <= 4 * side * side
+
 
 def _whole_smooth(field, axis):
     """The whole-field smoothing the slab _smooth replaced: every pass pads the

@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +16,7 @@ from cpcapp import (
     ShapeError,
     auto_loading,
     diagonal_load,
-    eig_count,
     q_eig,
-    reset_eig_count,
     sym_eig,
 )
 from cpcapp.linalg import BAND_ROWS, TRI_INV_LEAF, _tri_inv, symmetrize_, whitener
@@ -205,9 +204,9 @@ class TestQEig:
 
     def test_counts_one_decomposition(self, rng):
         r_b, r_f = random_spd(rng, 5), random_psd(rng, 5)
-        reset_eig_count()
-        q_eig(r_b, r_f, 3)
-        assert eig_count() == 1
+        with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh:
+            q_eig(r_b, r_f, 3)
+        assert eigh.call_count == 1
 
 
 class TestQEigAgainstScipy:
@@ -365,6 +364,59 @@ class TestNoGeneralSolve:
     ])
     def test_check_finds_a_solve(self, source):
         assert _general_solves(source)
+
+
+_EIGENSOLVERS = ("eigh", "eigvalsh")
+
+
+def _eigensolver_uses(source: str) -> list[tuple[str, str, int]]:
+    """``(enclosing function, solver, line)`` of each ``eigh``/``eigvalsh`` of
+    ``numpy.linalg`` referenced in ``source``; the scope is ``""`` at module level."""
+    uses = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (isinstance(node, ast.Attribute) and node.attr in _EIGENSOLVERS
+                and (isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+                     or isinstance(node.value, ast.Name) and node.value.id == "linalg")):
+            uses.append((scope, node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            uses.extend((scope, alias.name, node.lineno) for alias in node.names
+                        if alias.name in _EIGENSOLVERS)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return uses
+
+
+class TestOneEigensolver:
+    """``linalg.sym_eig`` is the package's one symmetric eigensolver call.
+
+    So a fit's decompositions are its ``sym_eig`` calls, and wrapping
+    ``numpy.linalg.eigh`` counts all of them, as the count tests do.
+    """
+
+    def test_only_sym_eig_calls_eigh(self):
+        package = Path(cpcapp.__file__).parent
+        found = {path.name: [use[:2] for use in uses] for path in sorted(package.glob("*.py"))
+                 if (uses := _eigensolver_uses(path.read_text()))}
+        assert found == {"linalg.py": [("sym_eig", "eigh")]}
+
+    @pytest.mark.parametrize("source, uses", [
+        ("import numpy as np\ndef sym_eig(a):\n    return np.linalg.eigh(a)\n"
+         "def fit(a):\n    return np.linalg.eigh(a)",
+         [("sym_eig", "eigh", 3), ("fit", "eigh", 5)]),
+        ("from numpy.linalg import eigvalsh", [("", "eigvalsh", 1)]),
+        ("import numpy\nclass A:\n    def f(self, a):\n        return numpy.linalg.eigvalsh(a)",
+         [("A.f", "eigvalsh", 4)]),
+        ("from numpy import linalg\ndef sym_eig(a):\n    return linalg.eigvalsh(a)",
+         [("sym_eig", "eigvalsh", 3)]),
+    ], ids=["eigh-outside-sym_eig", "from-import-eigvalsh", "eigvalsh-in-a-method",
+            "eigvalsh-in-sym_eig"])
+    def test_check_finds_each_eigensolver(self, source, uses):
+        assert _eigensolver_uses(source) == uses
 
 
 class TestEigenResultValidation:

@@ -68,6 +68,14 @@ class TestEdgeMask:
         with pytest.raises(ArgumentError):
             edge_mask(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_image(self, rng, bad):
+        for shape in ((16, 16), (16, 16, 3)):
+            image = 255 * rng.random(shape)
+            image[3, 4] = bad
+            with pytest.raises(ArgumentError, match="image contains non-finite values"):
+                edge_mask(image)
+
     # (257, 300, 3) widens its luma in two row bands
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 3), (16, 16, 3), (33, 20), (40, 31, 3),
                                        (257, 300, 3)])
