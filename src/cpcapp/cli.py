@@ -137,6 +137,8 @@ def _cmd_generate(args) -> int:
         n_fg = n_fg if args.n_fg is None else args.n_fg
         n_bg = n_bg if args.n_bg is None else args.n_bg
         out.mkdir(parents=True, exist_ok=True)
+        # in this process: their writes are short, and a fork would cost the
+        # process's next BLAS call a fresh buffer (README)
         for name, values in sample_tables(kind, args.seed, n_fg, n_bg).items():
             csvio.write_csv(out / f"{name}.csv", values)
         return 0
@@ -147,12 +149,107 @@ def _cmd_generate(args) -> int:
     # gen_spliced_image's own defaults fill the sizes not given
     size = {dim: v for dim in ("height", "width") if (v := getattr(args, dim)) is not None}
     out.mkdir(parents=True, exist_ok=True)
-    for i, seed in enumerate(SplitMix64(args.seed).spawn_seeds(count)):
-        probe, surface, edge = gen_spliced_image(seed, **size)
-        netpbm.write_image(out / f"probe_{i:03d}.ppm", probe)
-        netpbm.write_image(out / f"surface_{i:03d}.pgm", surface)
-        netpbm.write_image(out / f"edge_{i:03d}.pgm", edge)
+    _run_jobs(_write_probe, [(out, i, seed, size)
+                             for i, seed in enumerate(SplitMix64(args.seed).spawn_seeds(count))])
     return 0
+
+
+def _write_probe(out: Path, i: int, seed: int, size: dict) -> None:
+    probe, surface, edge = gen_spliced_image(seed, **size)
+    netpbm.write_image(out / f"probe_{i:03d}.ppm", probe)
+    netpbm.write_image(out / f"surface_{i:03d}.pgm", surface)
+    netpbm.write_image(out / f"edge_{i:03d}.pgm", edge)
+
+
+def _worker_count(jobs: int) -> int:
+    """One worker per CPU this process may run on, at most one per job; 1 without ``os.fork``."""
+    import os
+
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, cpus))
+
+
+def _run_jobs(run, jobs: list) -> None:
+    """``run(*job)`` for every job, with the effect and the error of running them in order.
+
+    The jobs are independent and deterministic. They are dealt round-robin
+    to W workers (``_worker_count``): this process is worker 0 and forks the
+    other W - 1. Every child is reaped before this returns or raises, and is
+    killed first if this process fails or is interrupted. A child that did
+    not exit 0, or could not be forked, has its jobs before this process's
+    own first failing job run again here, in order, so the first of them to
+    raise (else this process's own error) is the error running every job in
+    order would raise.
+    """
+    import os
+
+    workers = _worker_count(len(jobs))
+    parent, children = os.getpid(), {}  # child pid -> its worker number
+    stop, error, done = len(jobs), None, False  # this process's first failing job and its error
+    try:
+        for w in range(1, workers):
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: this one runs the shares not dealt
+                break
+            if pid == 0:
+                _run_child(run, jobs[w::workers], parent)
+            children[pid] = w
+        for i in range(0, len(jobs), workers):
+            try:
+                run(*jobs[i])
+            except Exception as exc:
+                stop, error = i, exc
+                break
+        done = error is None
+    finally:
+        failed = _reap(children, kill=not done)
+    failed += range(len(children) + 1, workers)
+    for i in sorted(i for w in failed for i in range(w, stop, workers)):
+        run(*jobs[i])
+    if error is not None:
+        raise error
+
+
+def _reap(children: dict, kill: bool) -> list:
+    """Wait for every forked child, killing each first if ``kill``: the
+    worker numbers of those that did not exit 0. An interrupt arriving
+    meanwhile is raised once all are reaped."""
+    import os
+    import signal
+
+    if not children:
+        return []
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        if kill:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+        return [w for pid, w in children.items() if os.waitpid(pid, 0)[1] != 0]
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _run_child(run, jobs: list, parent: int) -> None:
+    """A forked worker's life: ``run(*job)`` for each job while ``parent`` lives, then exit,
+    with status 0 only if every job ran."""
+    import os
+
+    status = 1
+    try:
+        for job in jobs:
+            if os.getppid() != parent:
+                break
+            run(*job)
+        else:
+            status = 0
+    finally:
+        os._exit(status)
 
 
 def _cmd_fit(args) -> int:
@@ -235,10 +332,13 @@ def _cmd_localize(args) -> int:
 
 
 def _pool(acc: Moments | None, columns: np.ndarray) -> Moments | None:
-    """``acc`` merged with the moments of ``columns`` (patches as columns), if any."""
+    """``acc`` merged with the moments of ``columns`` (patches as columns), if any.
+
+    ``columns`` is the caller's own copy, and is centered in place.
+    """
     if not columns.shape[1]:
         return acc
-    batch = second_moment(DataMatrix(values=columns))
+    batch = second_moment(DataMatrix(values=columns), overwrite=True)
     return batch if acc is None else acc.merge(batch)
 
 

@@ -212,6 +212,8 @@ def sample_haystack(seed: int, n_fg: int, n_bg: int) -> tuple[DataMatrix, DataMa
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 # _smooth works on slabs of about this many values
 _SLAB_VALUES = 1 << 15
+# _deviation forms at most this many squared deviations at a time
+_LEAF_VALUES = 1 << 13
 
 
 def _reflect_pad(field: np.ndarray, axis: int, padded: np.ndarray) -> None:
@@ -270,6 +272,41 @@ def _add_floor(rng: SplitMix64, values: np.ndarray) -> None:
         values[lo:lo + block.size] += block
 
 
+def _squared_deviations(rows: np.ndarray, mean: np.ndarray, scratch: np.ndarray,
+                        lo: int, hi: int) -> np.ndarray:
+    """Per row, the sum of ``(rows[:, lo:hi] - mean)**2`` as numpy's pairwise sum forms it.
+
+    Columns are split as that sum splits them (half the count, rounded down
+    to a multiple of 8) until a leaf holds at most ``_LEAF_VALUES``; each
+    leaf is formed in ``scratch`` and summed by numpy itself.
+    """
+    n = hi - lo
+    if n <= _LEAF_VALUES:
+        leaf = scratch[:rows.shape[0], :n]
+        np.subtract(rows[:, lo:hi], mean, out=leaf)
+        np.square(leaf, out=leaf)
+        return leaf.sum(axis=1, keepdims=True)
+    half = n // 2 - n // 2 % 8
+    return (_squared_deviations(rows, mean, scratch, lo, lo + half)
+            + _squared_deviations(rows, mean, scratch, lo + half, hi))
+
+
+def _deviation(flat: np.ndarray) -> np.ndarray:
+    """``flat.std(axis=1, keepdims=True)`` bit for bit, without its whole-array temporary.
+
+    Rows of at most ``_LEAF_VALUES`` are reduced a block of rows at a time,
+    longer rows one at a time in leaves, all through one small scratch buffer.
+    """
+    count, n = flat.shape
+    mean = flat.sum(axis=1, keepdims=True) / n
+    step = max(1, _LEAF_VALUES // n)
+    scratch = np.empty((min(step, count), min(n, _LEAF_VALUES)))
+    var = np.concatenate([_squared_deviations(flat[lo:lo + step], mean[lo:lo + step], scratch, 0, n)
+                          for lo in range(0, count, step)])
+    var /= n
+    return np.sqrt(var, out=var)
+
+
 def _texture(rng: SplitMix64, shape: tuple[int, int, int], std: float) -> np.ndarray:
     """``(count, H, W)`` smoothed noise fields, each normalized to deviation ``std``.
 
@@ -284,7 +321,7 @@ def _texture(rng: SplitMix64, shape: tuple[int, int, int], std: float) -> np.nda
     _add_floor(rng, fields.reshape(-1))
     flat = fields.reshape(shape[0], -1)
     flat -= flat.mean(axis=1, keepdims=True)
-    scale = flat.std(axis=1, keepdims=True)  # a whole-field temporary: its sum is pairwise
+    scale = _deviation(flat)
     scale[scale == 0] = 1.0
     flat *= std / scale
     return fields

@@ -219,9 +219,11 @@ def q_eig(r_b, r_f, k: int, loading: float = 0.0) -> EigenResult:
     ``r_b + loading I = L L^T``, the symmetric matrix ``S = (L^-1 r_f) L^-T``
     shares the (real, non-negative) spectrum of the product, and each
     symmetric eigenvector x maps back to an eigenvector ``v = L^-T x`` of the
-    product. ``L`` is inverted once (:func:`whitener`) and no general solve
-    runs; the loaded copy of ``r_b`` and ``L`` itself are freed before the
-    eigensolve. Returned vectors are unit-norm with the deterministic sign
+    product. ``L`` is inverted by :func:`whitener` and no general solve
+    runs. ``L^-1`` is freed before the eigensolve and formed again after it
+    (one more Cholesky factorization and triangular inverse, about an eighth
+    of the fit at M = 784), so it is never held beside the eigensolver's
+    buffers. Returned vectors are unit-norm with the deterministic sign
     convention.
     """
     r_b = _as_square(r_b, "background covariance")
@@ -235,8 +237,9 @@ def q_eig(r_b, r_f, k: int, loading: float = 0.0) -> EigenResult:
     _require_symmetric(r_f, "foreground covariance")
     l_inv = whitener(r_b, loading, "background covariance")
     s = symmetrize_((l_inv @ r_f) @ l_inv.T)  # L^-1 r_f is freed before the symmetrization
+    del l_inv
     res = sym_eig(s, k)
     del s
-    vectors = l_inv.T @ res.vectors
+    vectors = whitener(r_b, loading, "background covariance").T @ res.vectors
     vectors /= np.linalg.norm(vectors, axis=0)
     return EigenResult(values=res.values, vectors=_fix_signs(vectors))

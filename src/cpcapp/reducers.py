@@ -110,7 +110,8 @@ def fit_cpca(pair: CovariancePair, k: int, alpha: float) -> FilterBank:
     """
     if not 0 <= alpha < np.inf:
         raise ArgumentError(f"contrast parameter must be finite and non-negative, got {alpha}")
-    res = sym_eig(pair.r_f - alpha * pair.r_b, k)
+    contrast = np.multiply(pair.r_b, alpha)  # r_f - alpha * r_b, in one M x M buffer
+    res = sym_eig(np.subtract(pair.r_f, contrast, out=contrast), k)
     return FilterBank(
         method="cpca",
         f=res.vectors,

@@ -112,10 +112,14 @@ class CovariancePair:
         return self.r_b.shape[0]
 
 
-def second_moment(data: DataMatrix) -> Moments:
-    """Moments of one batch: its row mean, then ``Z Z^T`` of ``Z = data - mean``."""
+def second_moment(data: DataMatrix, overwrite: bool = False) -> Moments:
+    """Moments of one batch: its row mean, then ``Z Z^T`` of ``Z = data - mean``.
+
+    With ``overwrite``, ``Z`` is formed in ``data.values`` itself, which the
+    caller gives up, instead of in a copy of the batch.
+    """
     mean = data.values.mean(axis=1)
-    z = data.values - mean[:, None]
+    z = np.subtract(data.values, mean[:, None], out=data.values if overwrite else None)
     return Moments(n=data.samples, mean=mean, scatter=z @ z.T)
 
 

@@ -17,6 +17,7 @@ import cpcapp
 from cpcapp import FilterBank, edge_mask, extract_patches, gen_spliced_image, load_model, \
     read_csv, read_image, reconstruct_map, sample_tables, save_model, score_patches, transform, \
     write_csv, write_image, write_probability_map
+from cpcapp import cli
 from cpcapp.cli import cli_dispatch
 
 from conftest import traced_peak
@@ -509,6 +510,131 @@ class TestGenerateAndBench:
                              "--n-fg", "30", "--n-bg", "30"]) == 0
         for name in ("rb.csv", "rf.csv", "directions.csv", "fg.csv", "bg.csv"):
             assert (tmp_path / name).exists()
+
+
+def _cpus(monkeypatch, n):
+    """Let generate see ``n`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _tree(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="generate runs in one process without fork")
+class TestGenerateWorkers:
+    """generate's forked workers write what one process writes, and outlive no run."""
+
+    GENERATE = ["generate", "spliced-image", "--seed", "6", "--count", "7", "--width", "40",
+                "--height", "36"]
+
+    def test_files_identical_for_any_worker_count(self, tmp_path, monkeypatch):
+        trees = []
+        for cpus in (1, 2, 3):
+            _cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            assert cli_dispatch([*self.GENERATE, "--out", str(out)]) == 0
+            _assert_no_children()
+            trees.append(_tree(out))
+        assert trees[0] == trees[1] == trees[2]
+        assert len(trees[0]) == 21
+
+    @pytest.mark.parametrize("blocked", [
+        ["probe_001.ppm"],  # worker 1's first job
+        ["edge_003.pgm", "probe_004.ppm"],  # worker 1 fails before worker 0
+        ["surface_002.pgm", "probe_005.ppm"],  # worker 0 fails first
+    ])
+    def test_failure_gives_the_serial_error(self, tmp_path, monkeypatch, capfd, blocked):
+        # a directory in a file's place fails that job with an OSError naming it
+        results = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            for name in blocked:
+                (out / name).mkdir(parents=True)
+            code = cli_dispatch([*self.GENERATE, "--out", str(out)])
+            _assert_no_children()
+            results.append((code, capfd.readouterr().err.replace(str(out), "OUT")))
+        assert results[0][0] == 2
+        assert blocked[0] in results[0][1]
+        assert results[1] == results[0]
+
+    def test_shares_not_forked_run_here(self, tmp_path, monkeypatch):
+        # a fork that fails (no process to spare) leaves its share to this process
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        _cpus(monkeypatch, 1)
+        assert cli_dispatch([*self.GENERATE, "--out", str(tmp_path / "one")]) == 0
+        _cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert cli_dispatch([*self.GENERATE, "--out", str(tmp_path / "unforked")]) == 0
+        assert _tree(tmp_path / "unforked") == _tree(tmp_path / "one")
+
+    def test_tables_are_written_in_this_process(self, tmp_path, monkeypatch):
+        # a fork costs a process that calls BLAS afterwards memory (see README)
+        # and the table writes are too short to repay it
+        def fork():
+            raise AssertionError("forked")
+
+        _cpus(monkeypatch, 4)
+        monkeypatch.setattr(os, "fork", fork)
+        assert cli_dispatch(["generate", "textured-digits", "--seed", "6", "--n-fg", "40",
+                             "--n-bg", "30", "--out", str(tmp_path)]) == 0
+        assert sorted(_tree(tmp_path)) == ["bg.csv", "clean.csv", "fg.csv", "labels.csv"]
+
+    def test_interrupt_kills_and_reaps_the_children(self, tmp_path, monkeypatch):
+        # this process is interrupted in its first job while its child is
+        # in a long one
+        _cpus(monkeypatch, 2)
+        me = os.getpid()
+
+        def probe(seed, **size):
+            if os.getpid() == me:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        start = time.perf_counter()
+        with mock.patch("cpcapp.cli.gen_spliced_image", probe), \
+                pytest.raises(KeyboardInterrupt):
+            cli_dispatch(["generate", "spliced-image", "--count", "4", "--out", str(tmp_path)])
+        _assert_no_children()
+        assert time.perf_counter() - start < 30
+
+    def test_child_stops_once_its_parent_is_gone(self, tmp_path):
+        written = tmp_path / "written"
+        pid = os.fork()
+        if pid == 0:  # the child runs as if forked by another process, which is gone
+            try:
+                cli._run_child(lambda: written.touch(), [()], parent=os.getppid() + 1)
+            finally:
+                os._exit(99)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1
+        assert not written.exists()
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [(60, 2, 2), (1, 2, 1), (3, 8, 3), (4, 1, 1)])
+    def test_worker_count_bounds(self, monkeypatch, jobs, cpus, workers):
+        _cpus(monkeypatch, cpus)
+        assert cli._worker_count(jobs) == workers
+
+    def test_worker_count_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._worker_count(5) == 3
+
+    def test_one_process_without_fork(self, tmp_path, monkeypatch):
+        # W = 1, so a mock sees every probe drawn here, once each, in order
+        monkeypatch.delattr(os, "fork")
+        _cpus(monkeypatch, 4)
+        with mock.patch("cpcapp.cli.gen_spliced_image", wraps=gen_spliced_image) as gen:
+            assert cli_dispatch(["generate", "spliced-image", "--seed", "6", "--count", "3",
+                                 "--out", str(tmp_path)]) == 0
+        assert [c.args[0] for c in gen.call_args_list] == cpcapp.SplitMix64(6).spawn_seeds(3)
 
 
 class TestDenoiseCommand:

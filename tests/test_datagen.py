@@ -437,6 +437,34 @@ class TestBandEdges:
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
+class TestDeviation:
+    """_deviation equals numpy's own row deviation, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(1, n) for n in (1, 7, 8, 129, 8193, 16384, 262144,
+                                                        884736, 1000003, 258741)]
+                             + [(800, 784), (3, 8193), (5, 1)])
+    def test_matches_numpy_std(self, shape):
+        flat = 3.0 * SplitMix64(6).normal(shape) + 0.25
+        flat -= flat.mean(axis=1, keepdims=True)
+        assert (datagen._deviation(flat).tobytes()
+                == flat.std(axis=1, keepdims=True).tobytes())
+
+    @pytest.mark.parametrize("n", [20001, 24584, 258741, 1000003])
+    def test_leaves_split_as_numpy_sums(self, n):
+        # the sum itself, before the division and root that can hide its
+        # last bit; these sizes halve to counts that are not multiples of 8
+        for seed in range(5):
+            flat = SplitMix64(seed).normal((1, n))
+            mean = flat.sum(axis=1, keepdims=True) / n
+            want = np.square(flat - mean).sum(axis=1, keepdims=True)
+            got = datagen._squared_deviations(flat, mean, np.empty((1, datagen._LEAF_VALUES)), 0, n)
+            assert got.tobytes() == want.tobytes(), seed
+
+    def test_holds_no_copy_of_its_input(self):
+        flat = SplitMix64(6).normal((1, 1 << 18))
+        assert traced_peak(lambda: datagen._deviation(flat)) <= 0.5 * flat.nbytes
+
+
 class TestSplicedImage:
     def test_deterministic(self):
         p1, s1, e1 = gen_spliced_image(21)
@@ -495,11 +523,11 @@ class TestSplicedImage:
 
     def test_holds_one_texture_field_beside_the_base(self):
         # donor fields are drawn first and cut to their values under the
-        # mask: the base, one field with its deviation temporary, the uint8
-        # probe and the masks
+        # mask: the base, one field with its smoothing slab, the uint8 probe
+        # and the masks (3.1 fields; 3.7 while the deviation copied the field)
         side = 512
         peak = traced_peak(lambda: gen_spliced_image(5, side, side))
-        assert peak <= 4.0 * side * side * 8
+        assert peak <= 3.4 * side * side * 8
 
     def test_fit_polygon_holds_no_coordinate_fields(self):
         # a row of x and a column of y: the bisection holds boolean masks only
@@ -518,11 +546,12 @@ class TestSplicedImage:
         assert peak <= 3.3 * side * side * 8
 
     def test_texture_holds_its_field_and_one_temporary(self):
-        # smoothing slabs and floor blocks are small; the deviation's
-        # temporary is the one other whole field
+        # the field and a smoothing slab's buffers (0.38 of a field); floor
+        # blocks and deviation leaves are smaller, and the deviation forms no
+        # whole-field temporary (2.0 fields when it did)
         side = 512
         peak = traced_peak(lambda: datagen._texture(SplitMix64(2), (1, side, side), 1.0))
-        assert peak <= 2.3 * side * side * 8
+        assert peak <= 1.45 * side * side * 8
 
     def test_sliver_polygon_falls_back_to_even_angles(self):
         # the drawn angles leave a 291 degree gap: at any scale the polygon

@@ -1,6 +1,7 @@
 """Eigen-machinery contracts, with scipy's general solver as the cross-check."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -207,6 +208,29 @@ class TestQEig:
         with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh:
             q_eig(r_b, r_f, 3)
         assert eigh.call_count == 1
+
+    def test_eigensolve_runs_beside_s_alone(self, rng):
+        # L^-1 is freed before the eigensolve and formed again after it, so
+        # the eigensolver's own buffers never share memory with it (S and
+        # L^-1 were both held when it ran); the result keeps its bits
+        m = 300
+        r_b, r_f = random_spd(rng, m), random_psd(rng, m)
+        want = q_eig(r_b, r_f, 3)
+        held, real_eigh = [], np.linalg.eigh
+
+        def eigh(a):
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+            return real_eigh(a)
+
+        with mock.patch("numpy.linalg.eigh", eigh):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                got = q_eig(r_b, r_f, 3)
+            finally:
+                tracemalloc.stop()
+        assert held[0] <= 1.1 * m * m * 8
+        assert got.vectors.tobytes() == want.vectors.tobytes()
 
 
 class TestQEigAgainstScipy:

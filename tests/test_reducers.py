@@ -23,6 +23,7 @@ from cpcapp import (
     fit_pca,
     gen_four_class,
     gen_haystack,
+    gen_textured_digits,
     score_patches,
     sweep_cpca,
     sym_eig,
@@ -186,6 +187,31 @@ class TestFitMemory:
         peak = traced_peak(lambda: fit_cpca(pair, 3, 2.0))
         assert peak <= 3 * self.M * self.M * 8
 
+    def test_cpca_forms_its_contrast_in_one_buffer(self):
+        # at the digits' M: the contrast matrix alone when the eigensolve
+        # starts (2 M x M when alpha * r_b was a temporary of its own), then
+        # the contrast and its eigenvectors
+        m = 784
+        fg, bg, _ = gen_textured_digits(1, 200, 200)
+        pair = build_covariance_pair(bg, fg.data)
+        formed = []
+
+        def eig(a, k):
+            formed.append(tracemalloc.get_traced_memory()[1] - base)
+            return sym_eig(a, k)
+
+        with mock.patch("cpcapp.reducers.sym_eig", eig):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                bank = fit_cpca(pair, 3, 2.0)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert formed[0] <= 1.05 * m * m * 8
+        assert peak <= 2.1 * m * m * 8
+        assert bank.f.tobytes() == sym_eig(pair.r_f - 2.0 * pair.r_b, 3).vectors.tobytes()
+
 
 class TestFitCpcapp:
     def test_identity_background(self, rng):
@@ -338,6 +364,73 @@ class TestThreadCountDeterminism:
         assert g < 1
         sine_f = np.linalg.cond(one["l_inv"]) * (sine_x + g / (1 - g))
         assert principal_angles(one["f_pp"], two["f_pp"]).max() <= sine_f
+
+
+def _splice_pair(seed=1, count=8):
+    """Patch moments of a few 128^2 probes, labeled as train-splice labels them."""
+    from cpcapp import edge_mask, extract_patches, gen_spliced_image, label_patches
+
+    fg, bg = [], []
+    for s in cpcapp.SplitMix64(seed).spawn_seeds(count):
+        probe, surface, _ = gen_spliced_image(s, 128, 128)
+        grid = extract_patches(probe, 8, 4)
+        fg_idx, bg_idx = label_patches(grid, surface, edge_mask(probe))
+        fg.append(grid.patches.values[:, fg_idx])
+        bg.append(grid.patches.values[:, bg_idx])
+    return build_covariance_pair(DataMatrix(values=np.concatenate(bg, axis=1)),
+                                 DataMatrix(values=np.concatenate(fg, axis=1)))
+
+
+def _four_class_pair():
+    fg, bg = gen_four_class(5, 400, 400)
+    return build_covariance_pair(bg, fg.data)
+
+
+def _haystack_pair():
+    from cpcapp import sample_haystack
+
+    fg, bg = sample_haystack(5, 400, 400)
+    return build_covariance_pair(bg, fg)
+
+
+def _digits_pair():
+    fg, bg, _ = gen_textured_digits(1, 800, 800)
+    return build_covariance_pair(bg, fg.data)
+
+
+BRIDGE_PAIRS = {"four-class": _four_class_pair, "haystack": _haystack_pair,
+                "textured-digits": _digits_pair, "spliced-image": _splice_pair}
+
+
+class TestCpcaBridge:
+    """cPCA at alpha = lambda_1, cPCA++'s top eigenvalue, picks cPCA++'s top filter v_1.
+
+    With B = r_b + rho I, r_f - lambda_1 B is negative semidefinite with v_1
+    in its null space, and fit_cpca's unloaded r_b only shifts that spectrum
+    by lambda_1 rho. By Ostrowski's theorem the contrast's second eigenvalue
+    lies at least sigma_min(B) (lambda_1 - lambda_2) below its first, which
+    is the gap the Davis-Kahan bound divides by. The residual of v_1 in the
+    contrast, r_f v_1 - lambda_1 B v_1, and each side's rounding (2 m eps
+    ||C||_F) are what it divides.
+    """
+
+    @pytest.mark.parametrize("kind", BRIDGE_PAIRS)
+    def test_contrast_at_top_eigenvalue_gives_cpcapp_filter(self, kind):
+        pair = BRIDGE_PAIRS[kind]()
+        cpcapp_bank = fit_cpcapp(pair, 2)
+        lam1, lam2 = cpcapp_bank.eigenvalues
+        v = cpcapp_bank.f[:, :1]
+        bank = fit_cpca(pair, 1, lam1)
+        c = pair.r_f - lam1 * pair.r_b
+        rounding = 2 * c.shape[0] * np.finfo(float).eps * np.linalg.norm(c)
+        residual = np.linalg.norm(c @ v - lam1 * pair.loading * v) + rounding
+        sigma_min = max(np.linalg.eigvalsh(pair.r_b)[0], 0.0) + pair.loading
+        gap = sigma_min * (lam1 - lam2) - residual
+        assert gap > 0, "eigengap closed by the residual"
+        bound = residual / gap
+        assert bound < 1e-3  # the bound says something
+        assert principal_angles(bank.f, v).max() <= bound
+        assert abs(bank.eigenvalues[0] - lam1 * pair.loading) <= residual
 
 
 class TestTransform:

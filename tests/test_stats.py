@@ -120,6 +120,19 @@ class TestSecondMoment:
         expected = (r + r.T) / 2.0
         assert second_moment(DataMatrix(values=values)).covariance().tobytes() == expected.tobytes()
 
+    def test_overwrite_centers_the_batch_in_place(self, rng):
+        # the same bits, with Z formed in the batch the caller gives up, not
+        # in a copy of it
+        values = rng.standard_normal((192, 2000))
+        want = second_moment(DataMatrix(values=values))
+        data = DataMatrix(values=values.copy())
+        moments = []
+        peak = traced_peak(lambda: moments.append(second_moment(data, overwrite=True)))
+        assert moments[0].mean.tobytes() == want.mean.tobytes()
+        assert moments[0].scatter.tobytes() == want.scatter.tobytes()
+        assert data.values.tobytes() == (values - want.mean[:, None]).tobytes()
+        assert peak < 0.1 * values.nbytes
+
 
 class TestMoments:
     @pytest.mark.parametrize("sizes", [[1] * 30, [1, 29], [17, 2, 1, 10], [3, 27]],
