@@ -180,57 +180,49 @@ def _run_jobs(run, jobs: list) -> None:
     The jobs are independent and deterministic. They are dealt round-robin
     to W workers (``_worker_count``): this process is worker 0 and forks the
     other W - 1. Every child is reaped before this returns or raises, and is
-    killed first if this process fails or is interrupted. A child that did
-    not exit 0, or could not be forked, has its jobs before this process's
-    own first failing job run again here, in order, so the first of them to
-    raise (else this process's own error) is the error running every job in
-    order would raise.
+    killed first if this process fails or is interrupted. One rule covers
+    every failure, of a job, a child or a fork: once the children are
+    reaped, every job runs again here, in order, so the first of them to
+    raise gives the error running them in order would give. The jobs that
+    had already run are redone, a cost only a failed run pays.
     """
     import os
 
     workers = _worker_count(len(jobs))
-    parent, children = os.getpid(), {}  # child pid -> its worker number
-    stop, error, done = len(jobs), None, False  # this process's first failing job and its error
+    parent, children, ok = os.getpid(), [], False
     try:
         for w in range(1, workers):
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: this one runs the shares not dealt
-                break
+            pid = os.fork()
             if pid == 0:
                 _run_child(run, jobs[w::workers], parent)
-            children[pid] = w
-        for i in range(0, len(jobs), workers):
-            try:
-                run(*jobs[i])
-            except Exception as exc:
-                stop, error = i, exc
-                break
-        done = error is None
+            children.append(pid)
+        for job in jobs[::workers]:
+            run(*job)
+        ok = True
+    except Exception:  # a job or a fork failed here; the rerun below raises it if it recurs
+        pass
     finally:
-        failed = _reap(children, kill=not done)
-    failed += range(len(children) + 1, workers)
-    for i in sorted(i for w in failed for i in range(w, stop, workers)):
-        run(*jobs[i])
-    if error is not None:
-        raise error
+        ok = _reap(children, kill=not ok) and ok
+    if not ok:
+        for job in jobs:
+            run(*job)
 
 
-def _reap(children: dict, kill: bool) -> list:
-    """Wait for every forked child, killing each first if ``kill``: the
-    worker numbers of those that did not exit 0. An interrupt arriving
-    meanwhile is raised once all are reaped."""
+def _reap(children: list, kill: bool) -> bool:
+    """Wait for every forked child, killing each first if ``kill``: whether
+    all exited 0. An interrupt arriving meanwhile is raised once all are
+    reaped."""
     import os
     import signal
 
     if not children:
-        return []
+        return True
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
         if kill:
             for pid in children:
                 os.kill(pid, signal.SIGKILL)
-        return [w for pid, w in children.items() if os.waitpid(pid, 0)[1] != 0]
+        return not any([os.waitpid(pid, 0)[1] for pid in children])  # a list: wait for all
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
+import ast
 import importlib.util
 import io
 import os
@@ -576,6 +577,24 @@ class TestGenerateWorkers:
         assert cli_dispatch([*self.GENERATE, "--out", str(tmp_path / "unforked")]) == 0
         assert _tree(tmp_path / "unforked") == _tree(tmp_path / "one")
 
+    def test_a_child_that_dies_is_made_good(self, tmp_path, monkeypatch):
+        # every forked child exits 3 before its first job, a failure that the
+        # jobs run again in this process do not meet
+        me, write_probe = os.getpid(), cli._write_probe
+
+        def write_or_die(*job):
+            if os.getpid() != me:
+                os._exit(3)
+            write_probe(*job)
+
+        _cpus(monkeypatch, 1)
+        assert cli_dispatch([*self.GENERATE, "--out", str(tmp_path / "one")]) == 0
+        _cpus(monkeypatch, 3)
+        monkeypatch.setattr(cli, "_write_probe", write_or_die)
+        assert cli_dispatch([*self.GENERATE, "--out", str(tmp_path / "died")]) == 0
+        _assert_no_children()
+        assert _tree(tmp_path / "died") == _tree(tmp_path / "one")
+
     def test_tables_are_written_in_this_process(self, tmp_path, monkeypatch):
         # a fork costs a process that calls BLAS afterwards memory (see README)
         # and the table writes are too short to repay it
@@ -635,6 +654,49 @@ class TestGenerateWorkers:
             assert cli_dispatch(["generate", "spliced-image", "--seed", "6", "--count", "3",
                                  "--out", str(tmp_path)]) == 0
         assert [c.args[0] for c in gen.call_args_list] == cpcapp.SplitMix64(6).spawn_seeds(3)
+
+
+def _fork_uses(source: str) -> list[tuple[str, int]]:
+    """``(enclosing function, line)`` of each reference to ``os.fork`` in
+    ``source``; the scope is ``""`` at module level."""
+    uses = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "fork"
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            uses.append((scope, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            uses.extend((scope, node.lineno) for alias in node.names if alias.name == "fork")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return uses
+
+
+class TestOneForkSite:
+    """``cli._run_jobs`` is the package's one ``os.fork``.
+
+    A fork costs a process that calls BLAS afterwards about 0.7 MiB of peak
+    resident set (README), so a new fork site is a deliberate change.
+    """
+
+    def test_only_run_jobs_forks(self):
+        package = Path(cpcapp.__file__).parent
+        found = {path.name: [scope for scope, _ in uses] for path in sorted(package.glob("*.py"))
+                 if (uses := _fork_uses(path.read_text()))}
+        assert found == {"cli.py": ["_run_jobs"]}
+
+    @pytest.mark.parametrize("source, uses", [
+        ("import os\ndef _run_jobs():\n    os.fork()\ndef f():\n    return os.fork",
+         [("_run_jobs", 3), ("f", 5)]),
+        ("from os import fork", [("", 1)]),
+        ("import os\nclass A:\n    def f(self):\n        os.fork()", [("A.f", 4)]),
+    ], ids=["fork-outside-run_jobs", "from-import-fork", "fork-in-a-method"])
+    def test_check_finds_each_fork(self, source, uses):
+        assert _fork_uses(source) == uses
 
 
 class TestDenoiseCommand:

@@ -1,5 +1,6 @@
 """Fit/transform behavior across the three methods."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -402,35 +403,73 @@ BRIDGE_PAIRS = {"four-class": _four_class_pair, "haystack": _haystack_pair,
                 "textured-digits": _digits_pair, "spliced-image": _splice_pair}
 
 
-class TestCpcaBridge:
-    """cPCA at alpha = lambda_1, cPCA++'s top eigenvalue, picks cPCA++'s top filter v_1.
+@pytest.fixture(scope="class")
+def bridge():
+    """A generator's pair and cPCA++'s first four filters on it, built once per class."""
+    @functools.cache
+    def build(kind):
+        pair = BRIDGE_PAIRS[kind]()
+        return pair, fit_cpcapp(pair, 4)
 
-    With B = r_b + rho I, r_f - lambda_1 B is negative semidefinite with v_1
-    in its null space, and fit_cpca's unloaded r_b only shifts that spectrum
-    by lambda_1 rho. By Ostrowski's theorem the contrast's second eigenvalue
-    lies at least sigma_min(B) (lambda_1 - lambda_2) below its first, which
-    is the gap the Davis-Kahan bound divides by. The residual of v_1 in the
-    contrast, r_f v_1 - lambda_1 B v_1, and each side's rounding (2 m eps
-    ||C||_F) are what it divides.
+    return build
+
+
+class TestCpcaBridge:
+    """cPCA at alpha = lambda_i, cPCA++'s i-th eigenvalue, gives cPCA++'s filter v_i as its i-th.
+
+    With B = r_b + rho I = L L^T, r_f - lambda_i B = L (S - lambda_i I) L^T is
+    congruent to the whitened S - lambda_i I. By Sylvester's inertia it has
+    exactly i - 1 positive eigenvalues, and v_i spans its null space when
+    lambda_i is simple; fit_cpca's unloaded r_b only shifts that spectrum by
+    lambda_i rho. By Ostrowski's theorem its other eigenvalues lie at least
+    sigma_min(B) min(lambda_{i-1} - lambda_i, lambda_i - lambda_{i+1}) away
+    from 0, which is the gap the Davis-Kahan bound divides by. The residual
+    of v_i in the contrast, r_f v_i - lambda_i B v_i, and each side's
+    rounding (2 m eps ||C||_F) are what it divides. Haystack's lambda_3 is
+    not simple (lambda_3 = lambda_4 = 0 up to rounding), so i = 3 is not
+    checked there.
     """
 
-    @pytest.mark.parametrize("kind", BRIDGE_PAIRS)
-    def test_contrast_at_top_eigenvalue_gives_cpcapp_filter(self, kind):
-        pair = BRIDGE_PAIRS[kind]()
-        cpcapp_bank = fit_cpcapp(pair, 2)
-        lam1, lam2 = cpcapp_bank.eigenvalues
-        v = cpcapp_bank.f[:, :1]
-        bank = fit_cpca(pair, 1, lam1)
-        c = pair.r_f - lam1 * pair.r_b
+    @staticmethod
+    def _bound(pair, cpcapp_bank, i):
+        """Davis-Kahan's bound on the sine between v_i and fit_cpca(pair, i, lambda_i)'s
+        i-th filter, and the residual it divides."""
+        lam = np.concatenate([[np.inf], cpcapp_bank.eigenvalues])  # lam[i] is lambda_i
+        v = cpcapp_bank.f[:, i - 1:i]
+        c = pair.r_f - lam[i] * pair.r_b
         rounding = 2 * c.shape[0] * np.finfo(float).eps * np.linalg.norm(c)
-        residual = np.linalg.norm(c @ v - lam1 * pair.loading * v) + rounding
+        residual = np.linalg.norm(c @ v - lam[i] * pair.loading * v) + rounding
         sigma_min = max(np.linalg.eigvalsh(pair.r_b)[0], 0.0) + pair.loading
-        gap = sigma_min * (lam1 - lam2) - residual
+        gap = sigma_min * min(lam[i - 1] - lam[i], lam[i] - lam[i + 1]) - residual
         assert gap > 0, "eigengap closed by the residual"
-        bound = residual / gap
+        return residual / gap, residual
+
+    def _check(self, pair, cpcapp_bank, i):
+        lam = cpcapp_bank.eigenvalues[i - 1]
+        bound, residual = self._bound(pair, cpcapp_bank, i)
         assert bound < 1e-3  # the bound says something
-        assert principal_angles(bank.f, v).max() <= bound
-        assert abs(bank.eigenvalues[0] - lam1 * pair.loading) <= residual
+        bank = fit_cpca(pair, i, lam)
+        assert principal_angles(bank.f[:, i - 1:i], cpcapp_bank.f[:, i - 1:i]).max() <= bound
+        assert abs(bank.eigenvalues[i - 1] - lam * pair.loading) <= residual
+
+    @pytest.mark.parametrize("kind", BRIDGE_PAIRS)
+    def test_contrast_at_top_eigenvalue_gives_cpcapp_filter(self, bridge, kind):
+        self._check(*bridge(kind), 1)
+
+    @pytest.mark.parametrize("kind, i", [(kind, i) for kind in BRIDGE_PAIRS for i in (2, 3)
+                                         if (kind, i) != ("haystack", 3)])
+    def test_contrast_at_ith_eigenvalue_gives_ith_filter(self, bridge, kind, i):
+        self._check(*bridge(kind), i)
+
+    @pytest.mark.parametrize("kind", BRIDGE_PAIRS)
+    def test_no_single_alpha_gives_two_filters(self, bridge, kind):
+        # (r_f - alpha r_b) v_2 = (lambda_2 - alpha) B v_2 + alpha rho v_2, so v_2
+        # is a contrast eigenvector only at alpha = lambda_2 or where B v_2 is
+        # parallel to v_2
+        pair, cpcapp_bank = bridge(kind)
+        bank = fit_cpca(pair, 2, cpcapp_bank.eigenvalues[0])
+        sine = principal_angles(bank.f, cpcapp_bank.f[:, :2]).max()
+        assert sine > 100 * self._bound(pair, cpcapp_bank, 1)[0]
 
 
 class TestTransform:
