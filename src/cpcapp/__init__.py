@@ -64,6 +64,7 @@ from .splicing import (
     reconstruct_map,
     score_lattice,
     score_patches,
+    splice_pair,
 )
 from .stats import CovariancePair, DataMatrix, Moments, build_covariance_pair, second_moment
 

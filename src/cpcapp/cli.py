@@ -23,10 +23,9 @@ from .reducers import METHODS, default_alpha_grid, fit_cpca, fit_cpcapp, fit_pca
     transform
 from .rng import SplitMix64
 from .splicing import BG_EDGE_MIN, FG_SPLICE_RANGE, PATCH_SIZE, PATCH_STRIDE, \
-    SCORE_THRESHOLD, SPLICE_K, ProbabilityMap, binarize_and_score, edge_mask, \
-    extract_patches, f1_score, label_patches, mcc_score, reconstruct_map, score_lattice, \
-    score_patches
-from .stats import DataMatrix, Moments, build_covariance_pair, second_moment
+    SCORE_THRESHOLD, SPLICE_K, ProbabilityMap, binarize_and_score, edge_mask, f1_score, \
+    mcc_score, reconstruct_map, score_lattice, score_patches, splice_pair
+from .stats import build_covariance_pair, second_moment
 
 
 # Probes ``generate spliced-image`` writes when --count is not given.
@@ -323,41 +322,20 @@ def _cmd_localize(args) -> int:
     return 0
 
 
-def _pool(acc: Moments | None, columns: np.ndarray) -> Moments | None:
-    """``acc`` merged with the moments of ``columns`` (patches as columns), if any.
-
-    ``columns`` is the caller's own copy, and is centered in place.
-    """
-    if not columns.shape[1]:
-        return acc
-    batch = second_moment(DataMatrix(values=columns), overwrite=True)
-    return batch if acc is None else acc.merge(batch)
-
-
 def _cmd_train_splice(args) -> int:
     train_dir = Path(args.train_dir)
-    probes = sorted(train_dir.glob("probe_*.ppm"))
-    if not probes:
+    paths = sorted(train_dir.glob("probe_*.ppm"))
+    if not paths:
         raise CpcappError(f"{train_dir}: no probe_*.ppm files found")
-    fg = bg = None  # moments pooled in sorted probe order
-    for probe_path in probes:
-        mask_path = train_dir / probe_path.name.replace("probe_", "surface_").replace(".ppm", ".pgm")
-        if not mask_path.exists():
-            raise CpcappError(f"missing surface mask {mask_path}")
-        try:  # every shape error names its probe
-            probe = netpbm.read_image(probe_path)
-            surface = netpbm.read_image(mask_path)
-            edge = edge_mask(probe)
-            grid = extract_patches(probe, args.n, args.stride)
-            fg_idx, bg_idx = label_patches(grid, surface, edge, fg_range=(args.fg_lo, args.fg_hi),
-                                           bg_edge_min=args.bg_edge_min)
-            fg = _pool(fg, grid.patches.values[:, fg_idx])
-            bg = _pool(bg, grid.patches.values[:, bg_idx])
-        except ShapeError as exc:
-            raise ShapeError(f"{probe_path}: {exc}") from exc
-    if fg is None or bg is None:
-        raise CpcappError("training images produced no labeled patches; relax the thresholds")
-    pair = build_covariance_pair(bg, fg)
+
+    def probes():  # read as splice_pair reaches them, in sorted order
+        for path in paths:
+            mask = train_dir / path.name.replace("probe_", "surface_").replace(".ppm", ".pgm")
+            if not mask.exists():
+                raise CpcappError(f"missing surface mask {mask}")
+            yield path, netpbm.read_image(path), netpbm.read_image(mask)
+
+    pair = splice_pair(probes(), args.n, args.stride, (args.fg_lo, args.fg_hi), args.bg_edge_min)
     bank = fit_cpcapp(pair, args.k)
     save_model(args.out, bank, w=recover_w(pair, bank).w)
     return 0

@@ -6,7 +6,7 @@ image to [0, 1]; per-pixel averaging plus edge masking yields the boundary
 probability map, which is then tallied against ground truth with F1 and
 Matthews scores. A patch's score is its column's squared norm in the
 bank's centered projection, :func:`~cpcapp.reducers.transform`. Training
-extracts each probe's patch matrix (:func:`extract_patches`); localization
+extracts each probe's patch matrix (:func:`splice_pair`); localization
 scores a probe one band of lattice rows at a time (:func:`score_lattice`),
 so no patch matrix of the whole image is ever built.
 """
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError
+from .errors import ArgumentError, CpcappError, ShapeError
 from .reducers import FilterBank, _project, _splits, transform
-from .stats import DataMatrix
+from .stats import CovariancePair, DataMatrix, Moments, build_covariance_pair, second_moment
 
 # Pipeline defaults; every one of these is overridable at the CLI.
 PATCH_SIZE = 8
@@ -259,6 +259,41 @@ def label_patches(grid: Lattice, surface_mask, edge, fg_range=FG_SPLICE_RANGE,
     edge_frac = _windows(edges, grid.n, grid.stride).mean(axis=(-2, -1)).ravel()
     is_fg = (lo <= frac) & (frac <= hi)
     return np.flatnonzero(is_fg), np.flatnonzero(~is_fg & (frac == 0) & (edge_frac >= bg_edge_min))
+
+
+def _pool(acc: Moments | None, columns: np.ndarray) -> Moments | None:
+    """``acc`` merged with the moments of ``columns``, if any; ``columns`` is centered in place."""
+    if not columns.shape[1]:
+        return acc
+    batch = second_moment(DataMatrix(values=columns), overwrite=True)
+    return batch if acc is None else acc.merge(batch)
+
+
+def splice_pair(probes, n: int = PATCH_SIZE, stride: int = PATCH_STRIDE, fg_range=FG_SPLICE_RANGE,
+                bg_edge_min: float = BG_EDGE_MIN) -> CovariancePair:
+    """The training pair of spliced probes: boundary patches as target, edge patches as background.
+
+    ``probes`` yields ``(name, probe, surface)``, one probe at a time. For
+    each, in order, the probe's :func:`edge_mask`, :func:`extract_patches`
+    and :func:`label_patches` split its patches; each set's columns are
+    reduced to :class:`~cpcapp.stats.Moments` and merged in probe order, so
+    memory is one probe's patches plus the M x M moments, however many
+    probes there are. A ``ShapeError`` is prefixed with its probe's ``name``;
+    a set with no patch at all raises ``CpcappError``.
+    """
+    fg = bg = None
+    for name, probe, surface in probes:
+        try:
+            edge = edge_mask(probe)
+            grid = extract_patches(probe, n, stride)
+            fg_idx, bg_idx = label_patches(grid, surface, edge, fg_range, bg_edge_min)
+            fg = _pool(fg, grid.patches.values[:, fg_idx])
+            bg = _pool(bg, grid.patches.values[:, bg_idx])
+        except ShapeError as exc:
+            raise ShapeError(f"{name}: {exc}") from exc
+    if fg is None or bg is None:
+        raise CpcappError("training images produced no labeled patches; relax the thresholds")
+    return build_covariance_pair(bg, fg)
 
 
 def _max_normalized(v: np.ndarray) -> np.ndarray:

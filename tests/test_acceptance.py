@@ -45,36 +45,23 @@ def example1():
 
 
 @pytest.fixture(scope="module")
-def splicing_run(tmp_path_factory):
-    root = tmp_path_factory.mktemp("splice")
+def splicing_run():
     start = time.perf_counter()
     seeds = cp.SplitMix64(SEED_SPLICE).spawn_seeds(25)
-    fg_cols, bg_cols = [], []
-    for s in seeds[:20]:
-        probe, surface, _ = cp.gen_spliced_image(s)
-        edge = cp.edge_mask(probe)
-        grid = cp.extract_patches(probe, 8, 4)
-        fg_idx, bg_idx = cp.label_patches(grid, surface, edge)
-        if fg_idx.size:
-            fg_cols.append(grid.patches.values[:, fg_idx])
-        if bg_idx.size:
-            bg_cols.append(grid.patches.values[:, bg_idx])
-    fg = cp.DataMatrix(values=np.concatenate(fg_cols, axis=1))
-    bg = cp.DataMatrix(values=np.concatenate(bg_cols, axis=1))
-    bank = cp.fit_cpcapp(cp.build_covariance_pair(bg, fg), 6)
+    train = ((s, *cp.gen_spliced_image(s)[:2]) for s in seeds[:20])
+    bank = cp.fit_cpcapp(cp.splice_pair(train), 6)
     f1s, mccs, baselines = [], [], []
-    for s in seeds[20:]:
+    for s in seeds[20:]:  # localized as the localize command does
         probe, _, edge_truth = cp.gen_spliced_image(s)
         edge = cp.edge_mask(probe)
-        grid = cp.extract_patches(probe, 8, 4)
-        scores = cp.score_patches(bank, grid.patches)
-        prob_map = cp.reconstruct_map(scores, grid, edge)
+        scores, lattice = cp.score_lattice(bank, probe, 4)
+        prob_map = cp.reconstruct_map(scores, lattice, edge)
         counts = cp.binarize_and_score(prob_map, edge_truth, 0.5)
         f1s.append(cp.f1_score(counts))
         mccs.append(cp.mcc_score(counts))
         baselines.append(cp.random_scorer_expected_f1(edge, edge_truth))
     elapsed = time.perf_counter() - start
-    return f1s, mccs, baselines, elapsed, root
+    return f1s, mccs, baselines, elapsed
 
 
 def test_criterion_1_closed_form_filter_recovery():
@@ -228,7 +215,7 @@ def test_criterion_9_denoising_beats_pca():
 
 
 def test_criterion_10_splicing_end_to_end(splicing_run):
-    f1s, mccs, baselines, elapsed, _ = splicing_run
+    f1s, mccs, baselines, elapsed = splicing_run
     mean_f1, mean_base = float(np.mean(f1s)), float(np.mean(baselines))
     mean_mcc = float(np.mean(mccs))
     ok = mean_f1 >= 2.0 * mean_base and mean_mcc > 0 and elapsed < 120.0

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import cpcapp
-from cpcapp import FilterBank, edge_mask, extract_patches, gen_spliced_image, load_model, \
-    read_csv, read_image, reconstruct_map, sample_tables, save_model, score_patches, transform, \
-    write_csv, write_image, write_probability_map
+from cpcapp import FilterBank, edge_mask, extract_patches, fit_cpcapp, gen_spliced_image, \
+    load_model, read_csv, read_image, reconstruct_map, recover_w, sample_tables, save_model, \
+    score_patches, splice_pair, transform, write_csv, write_image, write_probability_map
 from cpcapp import cli
 from cpcapp.cli import cli_dispatch
 
@@ -279,6 +279,20 @@ class TestSplicePipeline:
         assert cli_dispatch(["localize", "--model", str(model),
                              "--image", str(data / "probe_000.ppm"), "--out", str(pmap)]) == 0
         assert read_image(pmap).shape == (64, 64)
+
+    def test_train_saves_the_library_fit(self, tmp_path):
+        # train-splice is splice_pair over the sorted probes, fitted and saved with its W
+        assert cli_dispatch(["generate", "spliced-image", "--seed", "5", "--count", "4",
+                             "--out", str(tmp_path)]) == 0
+        assert cli_dispatch(["train-splice", "--train-dir", str(tmp_path), "--n", "6",
+                             "--stride", "3", "-k", "4", "--fg-lo", "0.2", "--fg-hi", "0.8",
+                             "--bg-edge-min", "0.1", "--out", str(tmp_path / "cli.txt")]) == 0
+        pair = splice_pair(((i, read_image(tmp_path / f"probe_{i:03d}.ppm"),
+                             read_image(tmp_path / f"surface_{i:03d}.pgm")) for i in range(4)),
+                           n=6, stride=3, fg_range=(0.2, 0.8), bg_edge_min=0.1)
+        bank = fit_cpcapp(pair, 4)
+        save_model(tmp_path / "library.txt", bank, w=recover_w(pair, bank).w)
+        assert files_equal(tmp_path / "cli.txt", tmp_path / "library.txt")
 
     @staticmethod
     def _random_model(path, m, seed=3):
@@ -656,24 +670,32 @@ class TestGenerateWorkers:
         assert [c.args[0] for c in gen.call_args_list] == cpcapp.SplitMix64(6).spawn_seeds(3)
 
 
-def _fork_uses(source: str) -> list[tuple[str, int]]:
-    """``(enclosing function, line)`` of each reference to ``os.fork`` in
-    ``source``; the scope is ``""`` at module level."""
+def _uses(source: str, names) -> list[tuple[str, int]]:
+    """``(enclosing function, line)`` of each reference to one of ``names`` in
+    ``source``: a bare name, an attribute or an imported name. The scope is
+    ``""`` at module level; a definition is not a reference."""
     uses = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        if (isinstance(node, ast.Attribute) and node.attr == "fork"
-                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+        if (isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr in names):
             uses.append((scope, node.lineno))
-        elif isinstance(node, ast.ImportFrom) and node.module == "os":
-            uses.extend((scope, node.lineno) for alias in node.names if alias.name == "fork")
+        elif isinstance(node, ast.ImportFrom):
+            uses.extend((scope, node.lineno) for alias in node.names if alias.name in names)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(source), "")
     return uses
+
+
+def _package_uses(names) -> dict[str, list[str]]:
+    """The scopes of ``_uses`` in each of the package's modules that has any."""
+    package = Path(cpcapp.__file__).parent
+    return {path.name: [scope for scope, _ in uses] for path in sorted(package.glob("*.py"))
+            if (uses := _uses(path.read_text(), names))}
 
 
 class TestOneForkSite:
@@ -684,10 +706,7 @@ class TestOneForkSite:
     """
 
     def test_only_run_jobs_forks(self):
-        package = Path(cpcapp.__file__).parent
-        found = {path.name: [scope for scope, _ in uses] for path in sorted(package.glob("*.py"))
-                 if (uses := _fork_uses(path.read_text()))}
-        assert found == {"cli.py": ["_run_jobs"]}
+        assert _package_uses({"fork"}) == {"cli.py": ["_run_jobs"]}
 
     @pytest.mark.parametrize("source, uses", [
         ("import os\ndef _run_jobs():\n    os.fork()\ndef f():\n    return os.fork",
@@ -696,7 +715,29 @@ class TestOneForkSite:
         ("import os\nclass A:\n    def f(self):\n        os.fork()", [("A.f", 4)]),
     ], ids=["fork-outside-run_jobs", "from-import-fork", "fork-in-a-method"])
     def test_check_finds_each_fork(self, source, uses):
-        assert _fork_uses(source) == uses
+        assert _uses(source, {"fork"}) == uses
+
+
+TRAINING_STEPS = {"extract_patches", "label_patches"}
+
+
+class TestOneTrainingSite:
+    """Patches are extracted and labeled in ``splicing.splice_pair`` alone, the one
+    training recipe; the package root re-exports the two steps."""
+
+    def test_only_splice_pair_extracts_and_labels(self):
+        assert _package_uses(TRAINING_STEPS) == {"__init__.py": ["", ""],
+                                                 "splicing.py": ["splice_pair", "splice_pair"]}
+
+    @pytest.mark.parametrize("source, uses", [
+        ("def _cmd_train_splice(args):\n    return label_patches(grid, surface, edge)",
+         [("_cmd_train_splice", 2)]),
+        ("from .splicing import label_patches", [("", 1)]),
+        ("class A:\n    def f(self, image):\n        return splicing.extract_patches(image, 8, 4)",
+         [("A.f", 3)]),
+    ], ids=["call-in-cli", "from-import", "call-in-a-method"])
+    def test_check_finds_each_reference(self, source, uses):
+        assert _uses(source, TRAINING_STEPS) == uses
 
 
 class TestDenoiseCommand:

@@ -368,18 +368,11 @@ class TestThreadCountDeterminism:
 
 
 def _splice_pair(seed=1, count=8):
-    """Patch moments of a few 128^2 probes, labeled as train-splice labels them."""
-    from cpcapp import edge_mask, extract_patches, gen_spliced_image, label_patches
+    """The train-splice pair of a few 128^2 probes."""
+    from cpcapp import gen_spliced_image, splice_pair
 
-    fg, bg = [], []
-    for s in cpcapp.SplitMix64(seed).spawn_seeds(count):
-        probe, surface, _ = gen_spliced_image(s, 128, 128)
-        grid = extract_patches(probe, 8, 4)
-        fg_idx, bg_idx = label_patches(grid, surface, edge_mask(probe))
-        fg.append(grid.patches.values[:, fg_idx])
-        bg.append(grid.patches.values[:, bg_idx])
-    return build_covariance_pair(DataMatrix(values=np.concatenate(bg, axis=1)),
-                                 DataMatrix(values=np.concatenate(fg, axis=1)))
+    return splice_pair((s, *gen_spliced_image(s, 128, 128)[:2])
+                       for s in cpcapp.SplitMix64(seed).spawn_seeds(count))
 
 
 def _four_class_pair():
@@ -424,10 +417,11 @@ class TestCpcaBridge:
     lambda_i rho. By Ostrowski's theorem its other eigenvalues lie at least
     sigma_min(B) min(lambda_{i-1} - lambda_i, lambda_i - lambda_{i+1}) away
     from 0, which is the gap the Davis-Kahan bound divides by. The residual
-    of v_i in the contrast, r_f v_i - lambda_i B v_i, and each side's
-    rounding (2 m eps ||C||_F) are what it divides. Haystack's lambda_3 is
-    not simple (lambda_3 = lambda_4 = 0 up to rounding), so i = 3 is not
-    checked there.
+    of v_i in the contrast, r_f v_i - lambda_i B v_i, and the rounding are
+    what it divides. The rounding is modelled as a symmetric eigensolver's
+    backward error, by Higham's rule of thumb sqrt(m) eps ||C||_2 for the
+    m x m contrast C = r_f - lambda_i r_b. Haystack's lambda_3 is not simple
+    (lambda_3 = lambda_4 = 0 up to rounding), so i = 3 is not checked there.
     """
 
     @staticmethod
@@ -437,7 +431,7 @@ class TestCpcaBridge:
         lam = np.concatenate([[np.inf], cpcapp_bank.eigenvalues])  # lam[i] is lambda_i
         v = cpcapp_bank.f[:, i - 1:i]
         c = pair.r_f - lam[i] * pair.r_b
-        rounding = 2 * c.shape[0] * np.finfo(float).eps * np.linalg.norm(c)
+        rounding = np.sqrt(c.shape[0]) * np.finfo(float).eps * np.linalg.norm(c, 2)
         residual = np.linalg.norm(c @ v - lam[i] * pair.loading * v) + rounding
         sigma_min = max(np.linalg.eigvalsh(pair.r_b)[0], 0.0) + pair.loading
         gap = sigma_min * min(lam[i - 1] - lam[i], lam[i] - lam[i + 1]) - residual

@@ -8,6 +8,7 @@ import pytest
 from cpcapp import (
     ArgumentError,
     ConfusionCounts,
+    CpcappError,
     DataMatrix,
     FilterBank,
     Lattice,
@@ -25,6 +26,7 @@ from cpcapp import (
     reconstruct_map,
     score_lattice,
     score_patches,
+    splice_pair,
 )
 from cpcapp.reducers import TRANSFORM_BLOCK
 
@@ -537,30 +539,23 @@ class TestScorePatches:
         assert peak <= 0.4 * grid.patches.values.nbytes
 
     def test_separates_boundary_from_background_patches(self):
-        from cpcapp import SplitMix64, build_covariance_pair, fit_cpcapp
+        from cpcapp import SplitMix64, fit_cpcapp
 
         seeds = SplitMix64(7).spawn_seeds(4)
-        fg_cols, bg_cols = [], []
-        for s in seeds[:3]:
-            probe, surface, _ = gen_spliced_image(s)
-            edge = edge_mask(probe)
-            grid = extract_patches(probe, 8, 4)
-            fg_idx, bg_idx = label_patches(grid, surface, edge)
-            fg_cols.append(grid.patches.values[:, fg_idx])
-            bg_cols.append(grid.patches.values[:, bg_idx])
-        bank = fit_cpcapp(
-            build_covariance_pair(
-                DataMatrix(values=np.concatenate(bg_cols, axis=1)),
-                DataMatrix(values=np.concatenate(fg_cols, axis=1)),
-            ),
-            6,
-        )
+        bank = fit_cpcapp(splice_pair((s, *gen_spliced_image(s)[:2]) for s in seeds[:3]), 6)
         probe, surface, _ = gen_spliced_image(seeds[3])
         edge = edge_mask(probe)
         grid = extract_patches(probe, 8, 4)
         fg_idx, bg_idx = label_patches(grid, surface, edge)
         scores = score_patches(bank, grid.patches)
         assert scores[fg_idx].mean() > scores[bg_idx].mean()
+
+
+class TestSplicePair:
+    def test_no_boundary_patch_is_an_error(self):
+        probe, surface, _ = gen_spliced_image(3)
+        with pytest.raises(CpcappError, match="no labeled patches"):
+            splice_pair([("p0", probe, np.zeros_like(surface))])
 
 
 class TestReconstructMap:
