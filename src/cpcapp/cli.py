@@ -19,8 +19,7 @@ from .datagen import TABLE_COUNTS, gen_spliced_image, sample_tables
 from .errors import ArgumentError, CpcappError, ShapeError
 from .factorization import FactorModel, denoise, glrt_statistic, recover_w
 from .model_io import load_model, save_model
-from .reducers import METHODS, default_alpha_grid, fit_cpca, fit_cpcapp, fit_pca, sweep_cpca, \
-    transform
+from .reducers import METHODS, default_alpha_grid, fit_cpca, fit_cpcapp, fit_pca, transform
 from .rng import SplitMix64
 from .splicing import BG_EDGE_MIN, FG_SPLICE_RANGE, PATCH_SIZE, PATCH_STRIDE, \
     SCORE_THRESHOLD, SPLICE_K, ProbabilityMap, binarize_and_score, edge_mask, f1_score, \
@@ -173,38 +172,50 @@ def _worker_count(jobs: int) -> int:
     return max(1, min(jobs, cpus))
 
 
-def _run_jobs(run, jobs: list) -> None:
-    """``run(*job)`` for every job, with the effect and the error of running them in order.
+def _run_jobs(run, jobs: list) -> list:
+    """``[run(*job) for job in jobs]``, with the effect and the error of running them in order.
 
     The jobs are independent and deterministic. They are dealt round-robin
-    to W workers (``_worker_count``): this process is worker 0 and forks the
-    other W - 1. Every child is reaped before this returns or raises, and is
-    killed first if this process fails or is interrupted. One rule covers
-    every failure, of a job, a child or a fork: once the children are
-    reaped, every job runs again here, in order, so the first of them to
-    raise gives the error running them in order would give. The jobs that
-    had already run are redone, a cost only a failed run pays.
+    to W workers (``_worker_count``). With W = 1 they run here. Otherwise
+    this process forks W children, runs no job itself and only collects:
+    each child sends its results back pickled through its own pipe. Every
+    child is reaped before this returns or raises, and is killed first if
+    this process fails or is interrupted. One rule covers every failure, of
+    a job, a child, a fork or a pipe: once the children are reaped, every
+    job runs again here, in order, so the first of them to raise gives the
+    error running them in order would give. The jobs that had already run
+    are redone, a cost only a failed run pays.
     """
     import os
+    import pickle
 
     workers = _worker_count(len(jobs))
-    parent, children, ok = os.getpid(), [], False
+    if workers == 1:
+        return [run(*job) for job in jobs]
+    parent, children, reads, ok = os.getpid(), [], [], False
+    results = [None] * len(jobs)
     try:
-        for w in range(1, workers):
-            pid = os.fork()
-            if pid == 0:
-                _run_child(run, jobs[w::workers], parent)
+        for w in range(workers):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(run, jobs[w::workers], parent, write, reads)
+            finally:
+                os.close(write)
             children.append(pid)
-        for job in jobs[::workers]:
-            run(*job)
+        for w, read in enumerate(reads):
+            with open(read, "rb", closefd=False) as pipe:
+                results[w::workers] = pickle.load(pipe)
         ok = True
-    except Exception:  # a job or a fork failed here; the rerun below raises it if it recurs
+    except Exception:  # a fork or a pipe failed, or a child sent nothing; see the rule above
         pass
     finally:
+        for read in reads:
+            os.close(read)
         ok = _reap(children, kill=not ok) and ok
-    if not ok:
-        for job in jobs:
-            run(*job)
+    return results if ok else [run(*job) for job in jobs]
 
 
 def _reap(children: list, kill: bool) -> bool:
@@ -226,18 +237,25 @@ def _reap(children: list, kill: bool) -> bool:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _run_child(run, jobs: list, parent: int) -> None:
-    """A forked worker's life: ``run(*job)`` for each job while ``parent`` lives, then exit,
-    with status 0 only if every job ran."""
+def _run_child(run, jobs: list, parent: int, out: int, inherited: list) -> None:
+    """A forked worker's life: close the ``inherited`` pipe ends, ``run(*job)`` for each
+    job while ``parent`` lives, then pickle the results to the pipe ``out`` and exit,
+    with status 0 only if every job ran and its results were sent."""
     import os
+    import pickle
 
     status = 1
     try:
+        for fd in inherited:  # so a write to ``out`` fails once the parent is gone
+            os.close(fd)
+        results = []
         for job in jobs:
             if os.getppid() != parent:
                 break
-            run(*job)
+            results.append(run(*job))
         else:
+            with open(out, "wb") as pipe:
+                pickle.dump(results, pipe)
             status = 0
     finally:
         os._exit(status)
@@ -270,7 +288,7 @@ def _cmd_fit(args) -> int:
         bank = fit_cpca(pair, args.k, args.alpha)
     else:
         grid = _parse_alpha_grid(args.alpha_grid or "default")
-        banks = sweep_cpca(pair, args.k, grid)
+        banks = _run_jobs(fit_cpca, [(pair, args.k, alpha) for alpha in grid])
         stats = glrt_statistic(pair, np.stack([b.f for b in banks]))
         bank = banks[int(np.argmax(stats))]
     save_model(args.out, bank)

@@ -5,8 +5,10 @@ import importlib.util
 import io
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 from unittest import mock
@@ -20,6 +22,7 @@ from cpcapp import FilterBank, edge_mask, extract_patches, fit_cpcapp, gen_splic
     score_patches, splice_pair, transform, write_csv, write_image, write_probability_map
 from cpcapp import cli
 from cpcapp.cli import cli_dispatch
+from cpcapp.errors import CpcappError
 
 from conftest import traced_peak
 
@@ -622,20 +625,22 @@ class TestGenerateWorkers:
         assert sorted(_tree(tmp_path)) == ["bg.csv", "clean.csv", "fg.csv", "labels.csv"]
 
     def test_interrupt_kills_and_reaps_the_children(self, tmp_path, monkeypatch):
-        # this process is interrupted in its first job while its child is
-        # in a long one
+        # this process is interrupted while it waits on its children, each
+        # in a long job; SIGINT goes to the main thread, the one that waits
         _cpus(monkeypatch, 2)
-        me = os.getpid()
 
         def probe(seed, **size):
-            if os.getpid() == me:
-                raise KeyboardInterrupt
             time.sleep(60)
 
+        interrupt = threading.Timer(1.0, signal.pthread_kill,
+                                    (threading.main_thread().ident, signal.SIGINT))
         start = time.perf_counter()
         with mock.patch("cpcapp.cli.gen_spliced_image", probe), \
                 pytest.raises(KeyboardInterrupt):
+            interrupt.start()
             cli_dispatch(["generate", "spliced-image", "--count", "4", "--out", str(tmp_path)])
+        interrupt.join(timeout=30)
+        assert not interrupt.is_alive()
         _assert_no_children()
         assert time.perf_counter() - start < 30
 
@@ -644,7 +649,8 @@ class TestGenerateWorkers:
         pid = os.fork()
         if pid == 0:  # the child runs as if forked by another process, which is gone
             try:
-                cli._run_child(lambda: written.touch(), [()], parent=os.getppid() + 1)
+                cli._run_child(lambda: written.touch(), [()], parent=os.getppid() + 1,
+                               out=os.pipe()[1], inherited=[])
             finally:
                 os._exit(99)
         assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1
@@ -668,6 +674,87 @@ class TestGenerateWorkers:
             assert cli_dispatch(["generate", "spliced-image", "--seed", "6", "--count", "3",
                                  "--out", str(tmp_path)]) == 0
         assert [c.args[0] for c in gen.call_args_list] == cpcapp.SplitMix64(6).spawn_seeds(3)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the sweep runs in one process without fork")
+class TestSweepWorkers:
+    """fit's cpca sweep returns from its forked workers what one process computes."""
+
+    GRID = ["--alpha-grid", "0.1:10:5"]
+
+    def _fit(self, csvs, out, grid):
+        fg, bg = csvs
+        return cli_dispatch(["fit", "--fg", str(fg), "--bg", str(bg), "--method", "cpca",
+                             "-k", "2", *grid, "--out", str(out)])
+
+    @pytest.mark.parametrize("grid", [[], GRID], ids=["default-grid", "five-points"])
+    def test_model_identical_for_any_worker_count(self, tmp_path, monkeypatch, four_class_csvs,
+                                                  grid):
+        models = []
+        for cpus in (1, 2, 3):
+            _cpus(monkeypatch, cpus)
+            model = tmp_path / f"model{cpus}.txt"
+            assert self._fit(four_class_csvs, model, grid) == 0
+            _assert_no_children()
+            models.append(model.read_bytes())
+        assert models[0] == models[1] == models[2]
+
+    def test_a_child_that_dies_is_made_good(self, tmp_path, monkeypatch, four_class_csvs):
+        # every forked child exits 3 before its first grid point, a failure
+        # that the grid points run again in this process do not meet
+        me, fit_cpca = os.getpid(), cli.fit_cpca
+
+        def fit_or_die(*job):
+            if os.getpid() != me:
+                os._exit(3)
+            return fit_cpca(*job)
+
+        _cpus(monkeypatch, 1)
+        assert self._fit(four_class_csvs, tmp_path / "one.txt", self.GRID) == 0
+        _cpus(monkeypatch, 3)
+        monkeypatch.setattr(cli, "fit_cpca", fit_or_die)
+        assert self._fit(four_class_csvs, tmp_path / "died.txt", self.GRID) == 0
+        _assert_no_children()
+        assert files_equal(tmp_path / "died.txt", tmp_path / "one.txt")
+
+    def test_failure_gives_the_serial_error(self, tmp_path, monkeypatch, capfd, four_class_csvs):
+        # grid points 1 and 4 raise in every process; running in order meets 1 first
+        grid, fit_cpca = cli._parse_alpha_grid(self.GRID[1]), cli.fit_cpca
+
+        def fit_or_raise(pair, k, alpha):
+            if alpha in (grid[1], grid[4]):
+                raise CpcappError(f"cannot fit alpha {alpha!r}")
+            return fit_cpca(pair, k, alpha)
+
+        monkeypatch.setattr(cli, "fit_cpca", fit_or_raise)
+        results = []
+        for cpus in (1, 2, 3):
+            _cpus(monkeypatch, cpus)
+            model = tmp_path / f"model{cpus}.txt"
+            code = self._fit(four_class_csvs, model, self.GRID)
+            _assert_no_children()
+            results.append((code, capfd.readouterr().err, model.exists()))
+        assert results[0] == (2, f"error: cannot fit alpha {grid[1]!r}\n", False)
+        assert results[1] == results[2] == results[0]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_run_jobs_returns_results_in_job_order(self, monkeypatch, cpus, count):
+        def run(i, shape):
+            return i, np.random.default_rng(i).standard_normal(shape), os.getpid()
+
+        jobs = [(i, (i + 1, 3)) for i in range(count)]
+        _cpus(monkeypatch, cpus)
+        results = cli._run_jobs(run, jobs)
+        _assert_no_children()
+        expected = [run(*job) for job in jobs]
+        assert [r[0] for r in results] == [e[0] for e in expected]
+        for got, want in zip(results, expected):
+            assert got[1].dtype == want[1].dtype and got[1].shape == want[1].shape
+            assert got[1].tobytes() == want[1].tobytes()
+        # with more than one worker this process runs no job, only collects
+        workers, pids = min(cpus, count), {r[2] for r in results}
+        assert len(pids) == workers and (os.getpid() in pids) == (workers == 1)
 
 
 def _uses(source: str, names) -> list[tuple[str, int]]:
@@ -699,23 +786,34 @@ def _package_uses(names) -> dict[str, list[str]]:
 
 
 class TestOneForkSite:
-    """``cli._run_jobs`` is the package's one ``os.fork``.
+    """``cli._run_jobs`` is the package's one ``os.fork``, and only commands call it.
 
     A fork costs a process that calls BLAS afterwards about 0.7 MiB of peak
-    resident set (README), so a new fork site is a deliberate change.
+    resident set (README), so a new fork site is a deliberate change. The
+    library (``reducers``, ``linalg`` and the rest) runs in one process, so
+    acceptance criterion 6 times the paper's sweep against one eigensolve.
     """
 
     def test_only_run_jobs_forks(self):
         assert _package_uses({"fork"}) == {"cli.py": ["_run_jobs"]}
+
+    def test_only_commands_run_jobs(self):
+        assert _package_uses({"_run_jobs"}) == {"cli.py": ["_cmd_generate", "_cmd_fit"]}
 
     @pytest.mark.parametrize("source, uses", [
         ("import os\ndef _run_jobs():\n    os.fork()\ndef f():\n    return os.fork",
          [("_run_jobs", 3), ("f", 5)]),
         ("from os import fork", [("", 1)]),
         ("import os\nclass A:\n    def f(self):\n        os.fork()", [("A.f", 4)]),
-    ], ids=["fork-outside-run_jobs", "from-import-fork", "fork-in-a-method"])
+        ("from .cli import _run_jobs\ndef sweep_cpca(pair, k, alphas):\n"
+         "    return _run_jobs(fit_cpca, [(pair, k, a) for a in alphas])",
+         [("", 1), ("sweep_cpca", 3)]),
+        ("from . import cli\ndef sym_eig(a, k):\n    return cli._run_jobs(eigh, [(a,)])",
+         [("sym_eig", 3)]),
+    ], ids=["fork-outside-run_jobs", "from-import-fork", "fork-in-a-method",
+            "run_jobs-in-reducers", "run_jobs-in-linalg"])
     def test_check_finds_each_fork(self, source, uses):
-        assert _uses(source, {"fork"}) == uses
+        assert _uses(source, {"fork", "_run_jobs"}) == uses
 
 
 TRAINING_STEPS = {"extract_patches", "label_patches"}
