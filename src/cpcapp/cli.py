@@ -15,16 +15,18 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio, netpbm
-from .datagen import TABLE_COUNTS, gen_spliced_image, sample_tables
+from .datagen import TABLE_COUNTS, TABLE_NAMES, check_counts, gen_spliced_image, \
+    sample_table
 from .errors import ArgumentError, CpcappError, ShapeError
 from .factorization import FactorModel, denoise, glrt_statistic, recover_w
 from .model_io import load_model, save_model
-from .reducers import METHODS, default_alpha_grid, fit_cpca, fit_cpcapp, fit_pca, transform
+from .reducers import METHODS, default_alpha_grid, fit_cpca, fit_cpcapp, fit_cpcapp_, fit_pca, \
+    transform
 from .rng import SplitMix64
 from .splicing import BG_EDGE_MIN, FG_SPLICE_RANGE, PATCH_SIZE, PATCH_STRIDE, \
     SCORE_THRESHOLD, SPLICE_K, ProbabilityMap, binarize_and_score, edge_mask, f1_score, \
     mcc_score, reconstruct_map, score_lattice, score_patches, splice_pair
-from .stats import build_covariance_pair, second_moment
+from .stats import Moments, build_covariance_pair, second_moment
 
 
 # Probes ``generate spliced-image`` writes when --count is not given.
@@ -134,22 +136,25 @@ def _cmd_generate(args) -> int:
         n_fg, n_bg = TABLE_COUNTS[kind]  # the kind's standard counts where no flag is given
         n_fg = n_fg if args.n_fg is None else args.n_fg
         n_bg = n_bg if args.n_bg is None else args.n_bg
-        out.mkdir(parents=True, exist_ok=True)
-        # in this process: their writes are short, and a fork would cost the
-        # process's next BLAS call a fresh buffer (README)
-        for name, values in sample_tables(kind, args.seed, n_fg, n_bg).items():
-            csvio.write_csv(out / f"{name}.csv", values)
-        return 0
-    _reject_flags(args, ("--n-fg", "--n-bg"), kind)
-    count = IMAGE_COUNT if args.count is None else args.count
-    if count < 1:
-        raise ArgumentError(f"--count must be at least 1, got {count}")
-    # gen_spliced_image's own defaults fill the sizes not given
-    size = {dim: v for dim in ("height", "width") if (v := getattr(args, dim)) is not None}
+        check_counts(n_fg, n_bg)  # here, once, rather than in every worker
+        run, jobs = _write_table, [(out / f"{name}.csv", kind, name, args.seed, n_fg, n_bg)
+                                   for name in TABLE_NAMES[kind]]
+    else:
+        _reject_flags(args, ("--n-fg", "--n-bg"), kind)
+        count = IMAGE_COUNT if args.count is None else args.count
+        if count < 1:
+            raise ArgumentError(f"--count must be at least 1, got {count}")
+        # gen_spliced_image's own defaults fill the sizes not given
+        size = {dim: v for dim in ("height", "width") if (v := getattr(args, dim)) is not None}
+        run, jobs = _write_probe, [(out, i, seed, size) for i, seed
+                                   in enumerate(SplitMix64(args.seed).spawn_seeds(count))]
     out.mkdir(parents=True, exist_ok=True)
-    _run_jobs(_write_probe, [(out, i, seed, size)
-                             for i, seed in enumerate(SplitMix64(args.seed).spawn_seeds(count))])
+    _run_jobs(run, jobs)
     return 0
+
+
+def _write_table(path: Path, kind: str, name: str, seed: int, n_fg: int, n_bg: int) -> None:
+    csvio.write_csv(path, sample_table(kind, name, seed, n_fg, n_bg))
 
 
 def _write_probe(out: Path, i: int, seed: int, size: dict) -> None:
@@ -270,18 +275,16 @@ def _cmd_fit(args) -> int:
         _reject_flags(args, ("--bg",), "method pca")
     elif args.bg is None:
         raise UsageError(f"--bg is required for method {args.method}")
-    fg = csvio.read_csv(args.fg)
     if args.method == "pca":
-        bank = fit_pca(fg, args.k)
-        save_model(args.out, bank)
+        save_model(args.out, fit_pca(csvio.read_csv(args.fg), args.k))
         return 0
-    # each table is reduced to its moments as soon as it is read, and only the
-    # pair's covariances live on into the fit
-    fg = second_moment(fg)
-    pair = build_covariance_pair(second_moment(csvio.read_csv(args.bg)), fg)
-    del fg
+    # each table is read and reduced to its moments by a job of its own, and
+    # only the pair's covariances live on into the fit
+    fg, bg = _run_jobs(_read_moments, [(args.fg,), (args.bg,)])
+    pair = build_covariance_pair(bg, fg)
+    del fg, bg
     if args.method == "cpca++":
-        bank = fit_cpcapp(pair, args.k)
+        bank = fit_cpcapp_(pair, args.k)  # gives up pair.r_f; recover_w reads r_b alone
         save_model(args.out, bank, w=recover_w(pair, bank).w)
         return 0
     if args.alpha is not None:
@@ -293,6 +296,10 @@ def _cmd_fit(args) -> int:
         bank = banks[int(np.argmax(stats))]
     save_model(args.out, bank)
     return 0
+
+
+def _read_moments(path: str) -> Moments:
+    return second_moment(csvio.read_csv(path))
 
 
 def _cmd_transform(args) -> int:

@@ -61,9 +61,18 @@ TABLE_COUNTS = {
     "textured-digits": (5000, 5000),
 }
 
+# Each sampled kind's tables, in the order ``generate`` deals them to its
+# workers round-robin: with two workers, the textured digits' fg and labels
+# go to one and bg and clean to the other, about equal shares of the work.
+TABLE_NAMES = {
+    "four-class": ("fg", "bg", "labels"),
+    "haystack": ("rb", "rf", "directions", "fg", "bg"),
+    "textured-digits": ("fg", "bg", "labels", "clean"),
+}
+
 
 def sample_tables(kind: str, seed: int, n_fg: int, n_bg: int) -> dict[str, np.ndarray]:
-    """A sampled kind's feature-major tables by name, in write order: the generators' own arrays."""
+    """A sampled kind's feature-major tables by name: the generators' own arrays."""
     if kind == "four-class":
         fg, bg = gen_four_class(seed, n_fg, n_bg)
         return {"fg": fg.data.values, "bg": bg.values, "labels": fg.labels[None, :]}
@@ -79,7 +88,45 @@ def sample_tables(kind: str, seed: int, n_fg: int, n_bg: int) -> dict[str, np.nd
     raise ArgumentError(f"unknown table kind {kind!r}; expected one of {', '.join(TABLE_COUNTS)}")
 
 
-def _check_counts(n_fg: int, n_bg: int) -> None:
+def sample_table(kind: str, name: str, seed: int, n_fg: int, n_bg: int) -> np.ndarray:
+    """``sample_tables(kind, seed, n_fg, n_bg)[name]``, drawn alone.
+
+    The table is formed by the draws its kind's generator makes for it, read
+    at the stream positions that generator's docstring gives, so no other
+    table is drawn and every value has the same bits.
+    """
+    if name not in TABLE_NAMES.get(kind, ()):
+        raise ArgumentError(f"no table {name!r} of kind {kind!r}")
+    check_counts(n_fg, n_bg)
+    rng = SplitMix64(seed)
+    if kind == "four-class":
+        if name == "bg":
+            return _four_class_bg(rng.at(n_fg + 2 * FOUR_CLASS_DIM * n_fg), n_bg)
+        labels = rng.integers(n_fg, 4)
+        return labels[None, :] if name == "labels" else _four_class_fg(rng, labels)
+    if kind == "haystack":
+        if name == "fg":
+            return _haystack_fg(rng, n_fg)
+        if name == "bg":
+            return _haystack_bg(rng.at(4 * n_fg), n_bg)
+        r_b, r_f, c_dir, a_dir = gen_haystack()
+        return {"rb": r_b, "rf": r_f, "directions": np.column_stack([c_dir, a_dir]).T}[name]
+    # textured digits
+    if name == "bg":
+        return _columns(_texture(rng.at(4 * n_fg + 4 * DIGIT_SIDE**2 * n_fg),
+                                 (n_bg, DIGIT_SIDE, DIGIT_SIDE), TEXTURE_STD))
+    if name == "labels":
+        return rng.integers(n_fg, 2)[None, :]
+    _, glyphs = _digit_glyphs(rng, n_fg)
+    if name == "clean":
+        return _columns(glyphs)
+    fg_tex = _texture(rng, (n_fg, DIGIT_SIDE, DIGIT_SIDE), TEXTURE_STD)
+    fg_tex += glyphs
+    return _columns(fg_tex)
+
+
+def check_counts(n_fg: int, n_bg: int) -> None:
+    """Raise ArgumentError unless both sample counts are at least 1."""
     if n_fg < 1 or n_bg < 1:
         raise ArgumentError("sample counts must be at least 1")
 
@@ -103,20 +150,31 @@ def gen_four_class(seed: int, n_fg: int, n_bg: int) -> tuple[LabeledDataset, Dat
 
     Classes differ by mean offsets on blocks 1 and 2 (offsets 6 and 3); the
     third block is zero-mean noise in both partitions. Draw order: class
-    labels, then the (30, n_fg) foreground normals in C order, then the
-    (30, n_bg) background normals.
+    labels (stream words 0 to n_fg), then the (30, n_fg) foreground normals
+    in C order (the next 60 n_fg words), then the (30, n_bg) background
+    normals (from word 61 n_fg on).
     """
-    _check_counts(n_fg, n_bg)
+    check_counts(n_fg, n_bg)
     rng = SplitMix64(seed)
     labels = rng.integers(n_fg, 4)
-    fg = rng.normal((FOUR_CLASS_DIM, n_fg))
+    fg = _four_class_fg(rng, labels)
+    bg = _four_class_bg(rng, n_bg)
+    return LabeledDataset(data=DataMatrix(values=fg), labels=labels), DataMatrix(values=bg)
+
+
+def _four_class_fg(rng: SplitMix64, labels: np.ndarray) -> np.ndarray:
+    fg = rng.normal((FOUR_CLASS_DIM, labels.size))
     fg[0:BLOCK] += MEAN_1 * (labels >= 2).astype(float)
     fg[BLOCK:2 * BLOCK] += MEAN_2 * (labels % 2 == 1).astype(float)
     fg[2 * BLOCK:] *= np.sqrt(FG_H3_VAR)
+    return fg
+
+
+def _four_class_bg(rng: SplitMix64, n_bg: int) -> np.ndarray:
     bg = rng.normal((FOUR_CLASS_DIM, n_bg))
     for i, var in enumerate(BG_VARS):
         bg[i * BLOCK:(i + 1) * BLOCK] *= np.sqrt(var)
-    return LabeledDataset(data=DataMatrix(values=fg), labels=labels), DataMatrix(values=bg)
+    return bg
 
 
 def oracle_four_class_filters() -> np.ndarray:
@@ -189,20 +247,29 @@ def sample_haystack(seed: int, n_fg: int, n_bg: int) -> tuple[DataMatrix, DataMa
     """Gaussian draws matching the haystack covariances.
 
     Draw order: the n_fg shared-direction weights, the n_fg planted-direction
-    weights, then the n_bg background weights followed by the (m, n_bg)
-    isotropic noise block.
+    weights (together stream words 0 to 4 n_fg), then the n_bg background
+    weights followed by the (m, n_bg) isotropic noise block (from word 4 n_fg
+    on).
     """
-    _check_counts(n_fg, n_bg)
-    _, _, c, a = gen_haystack()
+    check_counts(n_fg, n_bg)
     rng = SplitMix64(seed)
+    fg = _haystack_fg(rng, n_fg)
+    return DataMatrix(values=fg), DataMatrix(values=_haystack_bg(rng, n_bg))
+
+
+def _haystack_fg(rng: SplitMix64, n_fg: int) -> np.ndarray:
+    _, _, c, a = gen_haystack()
     g_shared = rng.normal(n_fg)
     g_planted = rng.normal(n_fg)
-    fg = (np.sqrt(HAYSTACK_BETA) * np.outer(a, g_shared)
-          + np.sqrt(HAYSTACK_EPS) * np.outer(c, g_planted))
+    return (np.sqrt(HAYSTACK_BETA) * np.outer(a, g_shared)
+            + np.sqrt(HAYSTACK_EPS) * np.outer(c, g_planted))
+
+
+def _haystack_bg(rng: SplitMix64, n_bg: int) -> np.ndarray:
+    _, _, _, a = gen_haystack()
     g_bg = rng.normal(n_bg)
     noise = rng.normal((HAYSTACK_DIM, n_bg))
-    bg = np.sqrt(HAYSTACK_GAMMA) * np.outer(a, g_bg) + np.sqrt(HAYSTACK_RHO) * noise
-    return DataMatrix(values=fg), DataMatrix(values=bg)
+    return np.sqrt(HAYSTACK_GAMMA) * np.outer(a, g_bg) + np.sqrt(HAYSTACK_RHO) * noise
 
 
 # ---------------------------------------------------------------------------
@@ -357,26 +424,34 @@ def gen_textured_digits(seed: int, n_fg: int, n_bg: int
     ``texture + glyph``, background images are texture only, and clean
     images are the bare glyphs used as denoising ground truth. Images are
     28x28, flattened row-major into 784-dim columns. Draw order: class
-    labels, per-glyph jitter triples, foreground texture fields (smoothed
-    field then noise floor per batch), background texture fields.
+    labels (stream words 0 to n_fg), per-glyph jitter triples (the next
+    3 n_fg words), the foreground texture fields (smoothed fields then
+    their noise floor, the next 4 * 784 n_fg words), then the background
+    texture fields (from word 4 n_fg + 4 * 784 n_fg on).
     """
-    _check_counts(n_fg, n_bg)
+    check_counts(n_fg, n_bg)
     rng = SplitMix64(seed)
-    labels = rng.integers(n_fg, 2)
-    jitter = rng.uniform(3 * n_fg).reshape(3, n_fg)
-    glyphs = GLYPH_AMP * _glyph_images(labels, jitter, DIGIT_SIDE)
+    labels, glyphs = _digit_glyphs(rng, n_fg)
     fg_tex = _texture(rng, (n_fg, DIGIT_SIDE, DIGIT_SIDE), TEXTURE_STD)
     bg_tex = _texture(rng, (n_bg, DIGIT_SIDE, DIGIT_SIDE), TEXTURE_STD)
     fg_tex += glyphs
-
-    def to_cols(imgs):
-        return DataMatrix(values=imgs.reshape(imgs.shape[0], -1).T)
-
     return (
-        LabeledDataset(data=to_cols(fg_tex), labels=labels),
-        to_cols(bg_tex),
-        to_cols(glyphs),
+        LabeledDataset(data=DataMatrix(values=_columns(fg_tex)), labels=labels),
+        DataMatrix(values=_columns(bg_tex)),
+        DataMatrix(values=_columns(glyphs)),
     )
+
+
+def _digit_glyphs(rng: SplitMix64, n_fg: int) -> tuple[np.ndarray, np.ndarray]:
+    """The class labels and the ``(n_fg, 28, 28)`` glyph images, from their draws."""
+    labels = rng.integers(n_fg, 2)
+    jitter = rng.uniform(3 * n_fg).reshape(3, n_fg)
+    return labels, GLYPH_AMP * _glyph_images(labels, jitter, DIGIT_SIDE)
+
+
+def _columns(images: np.ndarray) -> np.ndarray:
+    """``(count, H, W)`` images as the columns of a feature-major view."""
+    return images.reshape(images.shape[0], -1).T
 
 
 # ---------------------------------------------------------------------------

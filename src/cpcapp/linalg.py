@@ -226,6 +226,17 @@ def q_eig(r_b, r_f, k: int, loading: float = 0.0) -> EigenResult:
     buffers. Returned vectors are unit-norm with the deterministic sign
     convention.
     """
+    return _q_eig(r_b, r_f, k, loading, in_place=False)
+
+
+def q_eig_(r_b, r_f: np.ndarray, k: int, loading: float = 0.0) -> EigenResult:
+    """:func:`q_eig` of a float ``r_f`` that the caller gives up: ``S`` is
+    formed in ``r_f`` itself, so the foreground covariance is gone before the
+    eigensolve and ``S`` takes no M x M array of its own."""
+    return _q_eig(r_b, r_f, k, loading, in_place=True)
+
+
+def _q_eig(r_b, r_f, k: int, loading: float, in_place: bool) -> EigenResult:
     r_b = _as_square(r_b, "background covariance")
     r_f = _as_square(r_f, "foreground covariance")
     if r_b.shape != r_f.shape:
@@ -236,7 +247,8 @@ def q_eig(r_b, r_f, k: int, loading: float = 0.0) -> EigenResult:
     _require_symmetric(r_b, "background covariance")
     _require_symmetric(r_f, "foreground covariance")
     l_inv = whitener(r_b, loading, "background covariance")
-    s = symmetrize_((l_inv @ r_f) @ l_inv.T)  # L^-1 r_f is freed before the symmetrization
+    # L^-1 r_f is freed before the symmetrization
+    s = symmetrize_(np.matmul(l_inv @ r_f, l_inv.T, out=r_f if in_place else None))
     del l_inv
     res = sym_eig(s, k)
     del s

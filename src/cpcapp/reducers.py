@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DefinitenessError, ShapeError
-from .linalg import q_eig, sym_eig
+from .linalg import q_eig, q_eig_, sym_eig
 from .stats import CovariancePair, DataMatrix, second_moment
 
 METHODS = ("pca", "cpca", "cpca++")
@@ -139,9 +139,22 @@ def fit_cpcapp(pair: CovariancePair, k: int) -> FilterBank:
     contrast parameter. A zero-trace foreground (constant features, or one
     sample) has no structure to contrast and raises :class:`DefinitenessError`.
     """
+    return _fit_cpcapp(pair, k, q_eig)
+
+
+def fit_cpcapp_(pair: CovariancePair, k: int) -> FilterBank:
+    """:func:`fit_cpcapp` of a pair whose foreground covariance the caller
+    gives up: the whitened product is formed in ``pair.r_f`` itself
+    (:func:`~cpcapp.linalg.q_eig_`), so the eigensolve runs beside ``r_b``
+    and that product alone. Afterwards ``pair.r_f`` holds the product, not
+    the covariance; the pair's other fields are as they were."""
+    return _fit_cpcapp(pair, k, q_eig_)
+
+
+def _fit_cpcapp(pair: CovariancePair, k: int, solve) -> FilterBank:
     if not np.trace(pair.r_f) > 0:
         raise DefinitenessError("foreground has no variance (zero-trace covariance)")
-    res = q_eig(pair.r_b, pair.r_f, k, loading=pair.loading)
+    res = solve(pair.r_b, pair.r_f, k, loading=pair.loading)
     return FilterBank(
         method="cpca++",
         f=res.vectors,

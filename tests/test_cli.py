@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -17,9 +18,10 @@ import numpy as np
 import pytest
 
 import cpcapp
-from cpcapp import FilterBank, edge_mask, extract_patches, fit_cpcapp, gen_spliced_image, \
-    load_model, read_csv, read_image, reconstruct_map, recover_w, sample_tables, save_model, \
-    score_patches, splice_pair, transform, write_csv, write_image, write_probability_map
+from cpcapp import DataMatrix, FilterBank, build_covariance_pair, edge_mask, extract_patches, \
+    fit_cpcapp, gen_spliced_image, load_model, read_csv, read_image, reconstruct_map, recover_w, \
+    sample_tables, save_model, score_patches, second_moment, splice_pair, sym_eig, transform, \
+    write_csv, write_image, write_probability_map
 from cpcapp import cli
 from cpcapp.cli import cli_dispatch
 from cpcapp.errors import CpcappError
@@ -612,17 +614,63 @@ class TestGenerateWorkers:
         _assert_no_children()
         assert _tree(tmp_path / "died") == _tree(tmp_path / "one")
 
-    def test_tables_are_written_in_this_process(self, tmp_path, monkeypatch):
-        # a fork costs a process that calls BLAS afterwards memory (see README)
-        # and the table writes are too short to repay it
-        def fork():
-            raise AssertionError("forked")
+    @pytest.mark.parametrize("kind", ["four-class", "haystack", "textured-digits"])
+    def test_table_files_identical_for_any_worker_count(self, tmp_path, monkeypatch, kind):
+        # each table is a job of its own, drawn at its own stream positions:
+        # the files hold the generators' tables at any worker count
+        argv = ["generate", kind, "--seed", "6", "--n-fg", "40", "--n-bg", "30"]
+        trees = []
+        for cpus in (1, 2, 3):
+            _cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            assert cli_dispatch([*argv, "--out", str(out)]) == 0
+            _assert_no_children()
+            trees.append(_tree(out))
+        monkeypatch.delattr(os, "fork")
+        assert cli_dispatch([*argv, "--out", str(tmp_path / "unforked")]) == 0
+        trees.append(_tree(tmp_path / "unforked"))
+        library = tmp_path / "library"
+        library.mkdir()
+        for name, values in sample_tables(kind, 6, 40, 30).items():
+            write_csv(library / f"{name}.csv", values)
+        assert trees == [_tree(library)] * 4
 
-        _cpus(monkeypatch, 4)
+    def test_a_child_that_dies_mid_table_is_made_good(self, tmp_path, monkeypatch):
+        # every forked child writes half of its first table and exits 3, a
+        # failure that the tables written again in this process do not meet
+        me, write = os.getpid(), cli.csvio.write_csv
+
+        def write_or_die(path, values):
+            if os.getpid() != me:
+                write(path, values[:, :values.shape[1] // 2])
+                os._exit(3)
+            write(path, values)
+
+        argv = ["generate", "textured-digits", "--seed", "6", "--n-fg", "40", "--n-bg", "30"]
+        _cpus(monkeypatch, 1)
+        assert cli_dispatch([*argv, "--out", str(tmp_path / "one")]) == 0
+        _cpus(monkeypatch, 3)
+        monkeypatch.setattr(cli.csvio, "write_csv", write_or_die)
+        assert cli_dispatch([*argv, "--out", str(tmp_path / "died")]) == 0
+        _assert_no_children()
+        assert _tree(tmp_path / "died") == _tree(tmp_path / "one")
+
+    @pytest.mark.parametrize("flag", ["--n-fg", "--n-bg"])
+    def test_bad_count_fails_before_any_fork(self, tmp_path, monkeypatch, capfd, flag):
+        # checked once, here, not in every worker and again in the rerun
+        forks = []
+
+        def fork():
+            forks.append(1)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        _cpus(monkeypatch, 3)
         monkeypatch.setattr(os, "fork", fork)
-        assert cli_dispatch(["generate", "textured-digits", "--seed", "6", "--n-fg", "40",
-                             "--n-bg", "30", "--out", str(tmp_path)]) == 0
-        assert sorted(_tree(tmp_path)) == ["bg.csv", "clean.csv", "fg.csv", "labels.csv"]
+        code = cli_dispatch(["generate", "textured-digits", flag, "0",
+                             "--out", str(tmp_path / "d")])
+        assert (code, forks) == (2, [])
+        assert capfd.readouterr().err == "error: sample counts must be at least 1\n"
+        assert not (tmp_path / "d").exists()
 
     def test_interrupt_kills_and_reaps_the_children(self, tmp_path, monkeypatch):
         # this process is interrupted while it waits on its children, each
@@ -757,6 +805,115 @@ class TestSweepWorkers:
         assert len(pids) == workers and (os.getpid() in pids) == (workers == 1)
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="fit reads in one process without fork")
+class TestFitWorkers:
+    """fit reads its two tables on forked workers: its models and errors are one process's."""
+
+    def _fit(self, fg, bg, method, out):
+        tables = ["--fg", str(fg)] + (["--bg", str(bg)] if method != "pca" else [])
+        return cli_dispatch(["fit", *tables, "--method", method, "-k", "2", "--out", str(out)])
+
+    @pytest.mark.parametrize("method", ["pca", "cpca++", "cpca"])
+    def test_model_identical_for_any_worker_count(self, tmp_path, monkeypatch, four_class_csvs,
+                                                  method):
+        models = []
+        for cpus in (1, 2, 3):
+            _cpus(monkeypatch, cpus)
+            model = tmp_path / f"model{cpus}.txt"
+            assert self._fit(*four_class_csvs, method, model) == 0
+            _assert_no_children()
+            models.append(model.read_bytes())
+        assert models[1] == models[0] and models[2] == models[0]
+
+    def test_cpcapp_model_is_the_library_fit(self, tmp_path, four_class_csvs):
+        # the command forms S in its own pair's r_f; the library keeps a
+        # caller's pair intact, and both give the same model
+        fg, bg = four_class_csvs
+        assert self._fit(fg, bg, "cpca++", tmp_path / "cli.txt") == 0
+        pair = build_covariance_pair(read_csv(bg), read_csv(fg))
+        r_f = pair.r_f.copy()
+        bank = fit_cpcapp(pair, 2)
+        assert pair.r_f.tobytes() == r_f.tobytes()
+        save_model(tmp_path / "library.txt", bank, w=recover_w(pair, bank).w)
+        assert files_equal(tmp_path / "cli.txt", tmp_path / "library.txt")
+
+    @pytest.mark.parametrize("fg_state, bg_state, named", [
+        ("good", "missing", "bg"), ("good", "malformed", "bg"),
+        ("malformed", "missing", "fg"), ("missing", "malformed", "fg"),
+    ])
+    def test_errors_are_the_one_process_errors(self, tmp_path, monkeypatch, capfd,
+                                               four_class_csvs, fg_state, bg_state, named):
+        # an error in --fg wins over one in --bg, as reading them in order gives
+        def table(state, good):
+            path = tmp_path / f"{state}-{good.name}"
+            if state == "good":
+                return good
+            if state == "malformed":
+                path.write_text("1,2\n3,x\n")
+            return path
+
+        fg, bg = (table(state, good) for state, good in zip((fg_state, bg_state),
+                                                            four_class_csvs))
+        results = []
+        for cpus in (1, 2, 3, None):
+            if cpus is None:
+                monkeypatch.delattr(os, "fork")
+            else:
+                _cpus(monkeypatch, cpus)
+            model = tmp_path / "model.txt"
+            code = self._fit(fg, bg, "cpca++", model)
+            _assert_no_children()
+            results.append((code, capfd.readouterr().err, model.exists()))
+        assert results[0][0] == 2 and not results[0][2]
+        assert str({"fg": fg, "bg": bg}[named]) in results[0][1]
+        assert results == [results[0]] * 4
+
+    def test_results_larger_than_a_pipe_buffer(self, monkeypatch):
+        # an M = 784 Moments pickles to about 4.9 MB, far above a pipe's 64 KiB;
+        # each child's results wait in its pipe until this process reads them
+        def moments(seed):
+            data = DataMatrix(values=np.random.default_rng(seed).standard_normal((784, 40)))
+            return os.getpid(), second_moment(data)
+
+        jobs = [(1,), (2,), (3,)]
+        _cpus(monkeypatch, 2)
+        results = cli._run_jobs(moments, jobs)
+        _assert_no_children()
+        assert os.getpid() not in {pid for pid, _ in results}
+        for (_, got), (_, want) in zip(results, [moments(*job) for job in jobs]):
+            assert got.n == want.n
+            assert got.mean.tobytes() == want.mean.tobytes()
+            assert got.scatter.tobytes() == want.scatter.tobytes()
+
+
+def test_cpcapp_fit_gives_up_r_f_before_its_eigensolve(tmp_path, monkeypatch):
+    # the command's pair is its own: S is formed in r_f's buffer, so the
+    # eigensolve starts beside r_b and S alone, 2 M x M above the start
+    # (3 while r_f was held beside S)
+    m = 784
+    assert cli_dispatch(["generate", "textured-digits", "--seed", "2", "--n-fg", "60",
+                         "--n-bg", "60", "--out", str(tmp_path)]) == 0
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        held = []
+
+        def eig(a, k):
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+            return sym_eig(a, k)
+
+        with mock.patch("cpcapp.linalg.sym_eig", eig):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                code = cli_dispatch(["fit", "--fg", str(tmp_path / "fg.csv"),
+                                     "--bg", str(tmp_path / "bg.csv"), "--method", "cpca++",
+                                     "-k", "3", "--out", str(tmp_path / "model.txt")])
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert len(held) == 1 and held[0] <= 2.3 * m * m * 8, (cpus, held)
+
+
 def _uses(source: str, names) -> list[tuple[str, int]]:
     """``(enclosing function, line)`` of each reference to one of ``names`` in
     ``source``: a bare name, an attribute or an imported name. The scope is
@@ -798,7 +955,9 @@ class TestOneForkSite:
         assert _package_uses({"fork"}) == {"cli.py": ["_run_jobs"]}
 
     def test_only_commands_run_jobs(self):
-        assert _package_uses({"_run_jobs"}) == {"cli.py": ["_cmd_generate", "_cmd_fit"]}
+        # fit's two: the reads of its tables, then a cpca sweep's grid points
+        assert _package_uses({"_run_jobs"}) == {"cli.py": ["_cmd_generate", "_cmd_fit",
+                                                           "_cmd_fit"]}
 
     @pytest.mark.parametrize("source, uses", [
         ("import os\ndef _run_jobs():\n    os.fork()\ndef f():\n    return os.fork",
@@ -915,10 +1074,12 @@ class TestDenoiseCommand:
         assert code == 2
 
 
-def test_traced_pass_feeds_every_observer(tmp_path):
+def test_traced_pass_feeds_every_observer(tmp_path, monkeypatch):
     # the benchmark's tracer wraps the library and reads arguments and results
     # of its calls; a signature it no longer understands fails here, not only
-    # in a traced benchmark run
+    # in a traced benchmark run. On one CPU every call runs in this process:
+    # the tracer does not see the calls of the commands' forked workers.
+    _cpus(monkeypatch, 1)
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer_mod = importlib.util.module_from_spec(spec)

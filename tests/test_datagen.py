@@ -65,6 +65,43 @@ class TestSampleTables:
         with pytest.raises(ArgumentError, match="unknown table kind 'spliced-image'"):
             datagen.sample_tables("spliced-image", 0, 5, 5)
 
+    # stream words each table reads on its own, by the generators' draw orders
+    TABLE_WORDS = {
+        "four-class": {"fg": lambda f, b: 61 * f, "bg": lambda f, b: 60 * b,
+                       "labels": lambda f, b: f},
+        "haystack": {"rb": lambda f, b: 0, "rf": lambda f, b: 0, "directions": lambda f, b: 0,
+                     "fg": lambda f, b: 4 * f, "bg": lambda f, b: 10 * b},
+        "textured-digits": {"fg": lambda f, b: 4 * f + 4 * 784 * f,
+                            "bg": lambda f, b: 4 * 784 * b, "labels": lambda f, b: f,
+                            "clean": lambda f, b: 4 * f},
+    }
+
+    @pytest.mark.parametrize("kind", list(datagen.TABLE_NAMES))
+    @pytest.mark.parametrize("n_fg, n_bg", [(20, 15), (1, 1), (7, 33)])
+    def test_each_table_drawn_alone(self, kind, n_fg, n_bg):
+        # each table reads only its own draws, at their stream positions, and
+        # has the bits of the generators' table
+        tables = datagen.sample_tables(kind, 3, n_fg, n_bg)
+        assert sorted(datagen.TABLE_NAMES[kind]) == sorted(tables)
+        for name in datagen.TABLE_NAMES[kind]:
+            with mock.patch.object(SplitMix64, "_words", autospec=True,
+                                   side_effect=SplitMix64._words) as words:
+                got = datagen.sample_table(kind, name, 3, n_fg, n_bg)
+            drawn = sum(call.args[2] for call in words.call_args_list)
+            assert drawn == self.TABLE_WORDS[kind][name](n_fg, n_bg), name
+            assert got.dtype == tables[name].dtype and got.shape == tables[name].shape, name
+            assert got.tobytes() == tables[name].tobytes(), name
+
+    @pytest.mark.parametrize("kind, name", [("four-class", "clean"), ("spliced-image", "fg")])
+    def test_rejects_unknown_table(self, kind, name):
+        with pytest.raises(ArgumentError, match=f"no table '{name}' of kind '{kind}'"):
+            datagen.sample_table(kind, name, 0, 5, 5)
+
+    @pytest.mark.parametrize("n_fg, n_bg", [(0, 5), (5, 0)])
+    def test_table_counts_below_one_rejected(self, n_fg, n_bg):
+        with pytest.raises(ArgumentError, match="sample counts must be at least 1"):
+            datagen.sample_table("haystack", "rb", 0, n_fg, n_bg)
+
 
 class TestRng:
     def test_known_stream_reproducible(self):

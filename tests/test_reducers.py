@@ -31,6 +31,9 @@ from cpcapp import (
     transform,
 )
 
+from cpcapp.linalg import symmetrize_, whitener
+from cpcapp.reducers import fit_cpcapp_
+
 from conftest import principal_angles, traced_peak
 
 
@@ -183,6 +186,12 @@ class TestFitMemory:
         peak = traced_peak(lambda: fit_cpcapp(pair, 3))
         assert peak <= 3.5 * self.M * self.M * 8
 
+    def test_in_place_cpcapp_peak(self, pair):
+        # S is formed in r_f: L^-1 with L^-1 r_f while S is formed, no third
+        # array; the peak is the triangular inverse's, about 2.5
+        peak = traced_peak(lambda: fit_cpcapp_(pair, 3))
+        assert peak <= 2.6 * self.M * self.M * 8
+
     def test_cpca_peak(self, pair):
         # the contrast matrix and its eigenvectors
         peak = traced_peak(lambda: fit_cpca(pair, 3, 2.0))
@@ -215,6 +224,22 @@ class TestFitMemory:
 
 
 class TestFitCpcapp:
+    def test_in_place_fit_gives_up_r_f_alone(self, rng):
+        # the library fit leaves the pair intact; the in-place one has the same
+        # bits and leaves S = L^-1 r_f L^-T in r_f, the rest of the pair as it was
+        pair = build_covariance_pair(DataMatrix(values=rng.standard_normal((40, 30))),
+                                     DataMatrix(values=rng.standard_normal((40, 50))))
+        before = {name: getattr(pair, name).copy() for name in ("r_b", "r_f", "mean_b", "mean_f")}
+        bank = fit_cpcapp(pair, 3)
+        assert all(getattr(pair, name).tobytes() == v.tobytes() for name, v in before.items())
+        in_place = fit_cpcapp_(pair, 3)
+        assert in_place.f.tobytes() == bank.f.tobytes()
+        assert in_place.eigenvalues.tobytes() == bank.eigenvalues.tobytes()
+        l_inv = whitener(before["r_b"], pair.loading)
+        assert pair.r_f.tobytes() == symmetrize_((l_inv @ before["r_f"]) @ l_inv.T).tobytes()
+        for name in ("r_b", "mean_b", "mean_f"):
+            assert getattr(pair, name).tobytes() == before[name].tobytes(), name
+
     def test_identity_background(self, rng):
         from cpcapp import CovariancePair
 
