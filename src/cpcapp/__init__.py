@@ -18,7 +18,6 @@ from .datagen import (
     gen_textured_digits,
     oracle_four_class_filters,
     sample_haystack,
-    sample_tables,
 )
 from .errors import (
     ArgumentError,
@@ -45,7 +44,6 @@ from .reducers import (
     fit_cpca,
     fit_cpcapp,
     fit_pca,
-    sweep_cpca,
     transform,
 )
 from .rng import SplitMix64

@@ -15,13 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio, netpbm
-from .datagen import TABLE_COUNTS, TABLE_NAMES, check_counts, gen_spliced_image, \
-    sample_table
+from .datagen import PROBE_SIDE, TABLE_COUNTS, TABLE_NAMES, check_counts, check_size, \
+    gen_spliced_image, sample_table
 from .errors import ArgumentError, CpcappError, ShapeError
 from .factorization import FactorModel, denoise, glrt_statistic, recover_w
 from .model_io import load_model, save_model
-from .reducers import METHODS, default_alpha_grid, fit_cpca, fit_cpcapp, fit_cpcapp_, fit_pca, \
-    transform
+from .reducers import METHODS, default_alpha_grid, fit_cpca, fit_cpcapp, fit_pca, transform
 from .rng import SplitMix64
 from .splicing import BG_EDGE_MIN, FG_SPLICE_RANGE, PATCH_SIZE, PATCH_STRIDE, \
     SCORE_THRESHOLD, SPLICE_K, ProbabilityMap, binarize_and_score, edge_mask, f1_score, \
@@ -69,8 +68,10 @@ def _build_parser() -> _Parser:
     gen.add_argument("--n-bg", type=int, default=None, help="table kinds only")
     gen.add_argument("--count", type=int, default=None,
                      help=f"spliced-image only; default {IMAGE_COUNT}")
-    gen.add_argument("--width", type=int, default=None, help="spliced-image only; default 64")
-    gen.add_argument("--height", type=int, default=None, help="spliced-image only; default 64")
+    gen.add_argument("--width", type=int, default=None,
+                     help=f"spliced-image only; default {PROBE_SIDE}")
+    gen.add_argument("--height", type=int, default=None,
+                     help=f"spliced-image only; default {PROBE_SIDE}")
 
     fit = sub.add_parser("fit", help="fit a reduction model on CSV data")
     fit.add_argument("--fg", required=True)
@@ -144,9 +145,10 @@ def _cmd_generate(args) -> int:
         count = IMAGE_COUNT if args.count is None else args.count
         if count < 1:
             raise ArgumentError(f"--count must be at least 1, got {count}")
-        # gen_spliced_image's own defaults fill the sizes not given
-        size = {dim: v for dim in ("height", "width") if (v := getattr(args, dim)) is not None}
-        run, jobs = _write_probe, [(out, i, seed, size) for i, seed
+        height = PROBE_SIDE if args.height is None else args.height
+        width = PROBE_SIDE if args.width is None else args.width
+        check_size(height, width)  # here, once, rather than in every worker
+        run, jobs = _write_probe, [(out, i, seed, height, width) for i, seed
                                    in enumerate(SplitMix64(args.seed).spawn_seeds(count))]
     out.mkdir(parents=True, exist_ok=True)
     _run_jobs(run, jobs)
@@ -157,8 +159,8 @@ def _write_table(path: Path, kind: str, name: str, seed: int, n_fg: int, n_bg: i
     csvio.write_csv(path, sample_table(kind, name, seed, n_fg, n_bg))
 
 
-def _write_probe(out: Path, i: int, seed: int, size: dict) -> None:
-    probe, surface, edge = gen_spliced_image(seed, **size)
+def _write_probe(out: Path, i: int, seed: int, height: int, width: int) -> None:
+    probe, surface, edge = gen_spliced_image(seed, height=height, width=width)
     netpbm.write_image(out / f"probe_{i:03d}.ppm", probe)
     netpbm.write_image(out / f"surface_{i:03d}.pgm", surface)
     netpbm.write_image(out / f"edge_{i:03d}.pgm", edge)
@@ -284,7 +286,7 @@ def _cmd_fit(args) -> int:
     pair = build_covariance_pair(bg, fg)
     del fg, bg
     if args.method == "cpca++":
-        bank = fit_cpcapp_(pair, args.k)  # gives up pair.r_f; recover_w reads r_b alone
+        bank = fit_cpcapp(pair, args.k, overwrite=True)  # recover_w reads r_b alone
         save_model(args.out, bank, w=recover_w(pair, bank).w)
         return 0
     if args.alpha is not None:
@@ -299,7 +301,7 @@ def _cmd_fit(args) -> int:
 
 
 def _read_moments(path: str) -> Moments:
-    return second_moment(csvio.read_csv(path))
+    return second_moment(csvio.read_csv(path), overwrite=True)  # the table is its own
 
 
 def _cmd_transform(args) -> int:

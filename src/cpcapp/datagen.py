@@ -51,8 +51,9 @@ HAYSTACK_EPS = 0.1
 HAYSTACK_RHO = 0.01
 HAYSTACK_DIM = 4
 
-# Bounds on the spliced-pixel fraction of a probe.
+# Bounds on the spliced-pixel fraction of a probe, and its default side.
 SPLICE_AREA = (0.08, 0.20)
+PROBE_SIDE = 64
 
 # Standard (n_fg, n_bg) per sampled dataset kind.
 TABLE_COUNTS = {
@@ -71,29 +72,15 @@ TABLE_NAMES = {
 }
 
 
-def sample_tables(kind: str, seed: int, n_fg: int, n_bg: int) -> dict[str, np.ndarray]:
-    """A sampled kind's feature-major tables by name: the generators' own arrays."""
-    if kind == "four-class":
-        fg, bg = gen_four_class(seed, n_fg, n_bg)
-        return {"fg": fg.data.values, "bg": bg.values, "labels": fg.labels[None, :]}
-    if kind == "haystack":
-        fg, bg = sample_haystack(seed, n_fg, n_bg)
-        r_b, r_f, c_dir, a_dir = gen_haystack()
-        return {"rb": r_b, "rf": r_f, "directions": np.column_stack([c_dir, a_dir]).T,
-                "fg": fg.values, "bg": bg.values}
-    if kind == "textured-digits":
-        fg, bg, clean = gen_textured_digits(seed, n_fg, n_bg)
-        return {"fg": fg.data.values, "bg": bg.values, "clean": clean.values,
-                "labels": fg.labels[None, :]}
-    raise ArgumentError(f"unknown table kind {kind!r}; expected one of {', '.join(TABLE_COUNTS)}")
-
-
 def sample_table(kind: str, name: str, seed: int, n_fg: int, n_bg: int) -> np.ndarray:
-    """``sample_tables(kind, seed, n_fg, n_bg)[name]``, drawn alone.
+    """The feature-major table ``name`` of a sampled kind, drawn alone.
 
-    The table is formed by the draws its kind's generator makes for it, read
-    at the stream positions that generator's docstring gives, so no other
-    table is drawn and every value has the same bits.
+    The table is the generator's array of that name (``gen_four_class``,
+    ``sample_haystack`` with ``gen_haystack``, or ``gen_textured_digits``;
+    ``labels`` as one row, ``directions`` as the rows ``c`` and ``a``). It is
+    formed by the draws that generator makes for it, read at the stream
+    positions its docstring gives, so no other table is drawn and every
+    value has the same bits.
     """
     if name not in TABLE_NAMES.get(kind, ()):
         raise ArgumentError(f"no table {name!r} of kind {kind!r}")
@@ -129,6 +116,12 @@ def check_counts(n_fg: int, n_bg: int) -> None:
     """Raise ArgumentError unless both sample counts are at least 1."""
     if n_fg < 1 or n_bg < 1:
         raise ArgumentError("sample counts must be at least 1")
+
+
+def check_size(height: int, width: int) -> None:
+    """Raise ArgumentError unless a probe is at least 1x1."""
+    if height < 1 or width < 1:
+        raise ArgumentError(f"image size {width}x{height} must be at least 1x1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -534,7 +527,7 @@ def _fit_polygon(height, width, angles, radii, cx, cy, target):
     return None
 
 
-def gen_spliced_image(seed: int, height: int = 64, width: int = 64
+def gen_spliced_image(seed: int, height: int = PROBE_SIDE, width: int = PROBE_SIDE
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One spliced probe plus its surface and boundary ground-truth masks.
 
@@ -557,8 +550,7 @@ def gen_spliced_image(seed: int, height: int = 64, width: int = 64
     the mask are kept, and a field is freed before the next is drawn, so
     at most one whole texture field is held beside the host/donor base.
     """
-    if height < 1 or width < 1:
-        raise ArgumentError(f"image size {width}x{height} must be at least 1x1")
+    check_size(height, width)
     rng = SplitMix64(seed)
     n_verts = 6 + int(rng.integers(1, 4)[0])
     angles = np.sort(rng.uniform(n_verts)) * 2 * np.pi

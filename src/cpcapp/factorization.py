@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefinitenessError, RankError, ShapeError
-from .linalg import diagonal_load, whitener, whitener_
+from .linalg import diagonal_load, whitener
 from .reducers import FilterBank
 from .stats import CovariancePair
 
@@ -81,6 +81,9 @@ def glrt_statistic(pair: CovariancePair, w) -> float | np.ndarray:
     the two matrices ``A`` is Cholesky-factored once, ``A = L L^T``, and
     ``W^T A^-1 W`` is taken as the Gram matrix of ``L^-1 W`` for all the
     bases side by side, so it is positive semidefinite by construction.
+    The pooled sum is an array of this call's own, which it gives up to
+    :func:`~cpcapp.linalg.whitener` (``overwrite=True``) to be loaded and
+    factored in place; the pair is left intact.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim < 2 or w.shape[-2] != pair.features:
@@ -96,8 +99,9 @@ def glrt_statistic(pair: CovariancePair, w) -> float | np.ndarray:
 
     sign_n, logdet_n = np.linalg.slogdet(
         projected(whitener(pair.r_b, pair.loading, "background covariance")))
-    sign_d, logdet_d = np.linalg.slogdet(projected(whitener_(  # loaded in place, not copied
-        pair.n_f / pair.n_b * pair.r_f + pair.r_b, pair.loading, "pooled covariance")))
+    sign_d, logdet_d = np.linalg.slogdet(projected(whitener(
+        pair.n_f / pair.n_b * pair.r_f + pair.r_b, pair.loading, "pooled covariance",
+        overwrite=True)))
     if np.any(sign_n <= 0) or np.any(sign_d <= 0):
         raise DefinitenessError("projected covariances lost positive definiteness")
     return np.exp(logdet_n - logdet_d)

@@ -13,6 +13,13 @@ The loading decision uses a Cholesky test, and whitening (:func:`q_eig`, the
 detection statistic) multiplies by the inverse of a Cholesky factor
 (:func:`whitener`). No general linear solve is run. Tests check both rules
 on the package source.
+
+One in-place idiom, numpy's and scipy's (``overwrite_a``): a function that
+can work in an argument's own buffer takes ``overwrite=False``, and a caller
+that gives the buffer up passes ``overwrite=True`` and must not read it
+afterwards. Its docstring names the buffer it gives up. A function whose only
+job is to mutate its argument (``symmetrize_``, ``_load_``) has no copying
+twin and keeps a trailing underscore instead.
 """
 
 from __future__ import annotations
@@ -144,23 +151,20 @@ def _tri_inv(l: np.ndarray) -> np.ndarray:
     return out
 
 
-def whitener(a, loading: float = 0.0, name: str = "matrix") -> np.ndarray:
+def whitener(a, loading: float = 0.0, name: str = "matrix", overwrite: bool = False
+             ) -> np.ndarray:
     """``L^-1`` for the Cholesky factor ``L L^T = a + loading * I``.
 
     ``L^-1`` whitens the loaded matrix: ``L^-1 (a + loading I) L^-T = I``.
-    The loaded copy is freed once factored and the factor once inverted, so
-    besides ``a`` no more than two M x M arrays and the block scratch of the
-    inverse are alive at once. A matrix that is not positive definite after
-    loading raises :class:`DefinitenessError`.
+    The loaded matrix is freed once factored and the factor once inverted,
+    so besides ``a`` no more than two M x M arrays and the block scratch of
+    the inverse are alive at once. With ``overwrite``, the caller gives up
+    the float array ``a``: it is loaded in place, so no copy of it is made.
+    A matrix that is not positive definite after loading raises
+    :class:`DefinitenessError`.
     """
-    return whitener_(_as_square(a).copy(), loading, name)
-
-
-def whitener_(a: np.ndarray, loading: float = 0.0, name: str = "matrix") -> np.ndarray:
-    """:func:`whitener` of a float array that the caller passes without
-    keeping it: ``a`` is loaded in place and freed once factored, so no copy
-    of it is made."""
-    _load_(a, loading)
+    a = _as_square(a)
+    a = _load_(a if overwrite else a.copy(), loading)
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
@@ -212,7 +216,7 @@ def auto_loading(r_b) -> float:
     return 0.0
 
 
-def q_eig(r_b, r_f, k: int, loading: float = 0.0) -> EigenResult:
+def q_eig(r_b, r_f, k: int, loading: float = 0.0, overwrite: bool = False) -> EigenResult:
     """Top-k eigenpairs of the background-whitened product ``(r_b + loading I)^-1 r_f``.
 
     Solved through a symmetric congruence: with the Cholesky factor
@@ -223,20 +227,11 @@ def q_eig(r_b, r_f, k: int, loading: float = 0.0) -> EigenResult:
     runs. ``L^-1`` is freed before the eigensolve and formed again after it
     (one more Cholesky factorization and triangular inverse, about an eighth
     of the fit at M = 784), so it is never held beside the eigensolver's
-    buffers. Returned vectors are unit-norm with the deterministic sign
-    convention.
+    buffers. With ``overwrite``, the caller gives up the float array
+    ``r_f``: ``S`` is formed in it, so the foreground covariance is gone
+    before the eigensolve and ``S`` takes no M x M array of its own. Returned
+    vectors are unit-norm with the deterministic sign convention.
     """
-    return _q_eig(r_b, r_f, k, loading, in_place=False)
-
-
-def q_eig_(r_b, r_f: np.ndarray, k: int, loading: float = 0.0) -> EigenResult:
-    """:func:`q_eig` of a float ``r_f`` that the caller gives up: ``S`` is
-    formed in ``r_f`` itself, so the foreground covariance is gone before the
-    eigensolve and ``S`` takes no M x M array of its own."""
-    return _q_eig(r_b, r_f, k, loading, in_place=True)
-
-
-def _q_eig(r_b, r_f, k: int, loading: float, in_place: bool) -> EigenResult:
     r_b = _as_square(r_b, "background covariance")
     r_f = _as_square(r_f, "foreground covariance")
     if r_b.shape != r_f.shape:
@@ -248,7 +243,7 @@ def _q_eig(r_b, r_f, k: int, loading: float, in_place: bool) -> EigenResult:
     _require_symmetric(r_f, "foreground covariance")
     l_inv = whitener(r_b, loading, "background covariance")
     # L^-1 r_f is freed before the symmetrization
-    s = symmetrize_(np.matmul(l_inv @ r_f, l_inv.T, out=r_f if in_place else None))
+    s = symmetrize_(np.matmul(l_inv @ r_f, l_inv.T, out=r_f if overwrite else None))
     del l_inv
     res = sym_eig(s, k)
     del s

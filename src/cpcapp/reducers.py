@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DefinitenessError, ShapeError
-from .linalg import q_eig, q_eig_, sym_eig
+from .linalg import q_eig, sym_eig
 from .stats import CovariancePair, DataMatrix, second_moment
 
 METHODS = ("pca", "cpca", "cpca++")
@@ -123,38 +123,21 @@ def fit_cpca(pair: CovariancePair, k: int, alpha: float) -> FilterBank:
     )
 
 
-def sweep_cpca(pair: CovariancePair, k: int, alphas) -> list[FilterBank]:
-    """One contrastive fit per grid value, in the given order."""
-    alphas = list(alphas)
-    if not alphas:
-        raise ArgumentError("alpha grid must not be empty")
-    return [fit_cpca(pair, k, alpha) for alpha in alphas]
-
-
-def fit_cpcapp(pair: CovariancePair, k: int) -> FilterBank:
+def fit_cpcapp(pair: CovariancePair, k: int, overwrite: bool = False) -> FilterBank:
     """Sweep-free contrastive fit: top-k eigenvectors of the whitened product.
 
     Costs exactly one symmetric eigendecomposition; the relative scale of the
     two covariances cancels inside the product, which is what removes the
     contrast parameter. A zero-trace foreground (constant features, or one
     sample) has no structure to contrast and raises :class:`DefinitenessError`.
+    With ``overwrite``, the caller gives up ``pair.r_f``: the whitened product
+    is formed in it (:func:`~cpcapp.linalg.q_eig`), so the eigensolve runs
+    beside ``r_b`` and that product alone. Afterwards ``pair.r_f`` holds the
+    product, not the covariance; the pair's other fields are as they were.
     """
-    return _fit_cpcapp(pair, k, q_eig)
-
-
-def fit_cpcapp_(pair: CovariancePair, k: int) -> FilterBank:
-    """:func:`fit_cpcapp` of a pair whose foreground covariance the caller
-    gives up: the whitened product is formed in ``pair.r_f`` itself
-    (:func:`~cpcapp.linalg.q_eig_`), so the eigensolve runs beside ``r_b``
-    and that product alone. Afterwards ``pair.r_f`` holds the product, not
-    the covariance; the pair's other fields are as they were."""
-    return _fit_cpcapp(pair, k, q_eig_)
-
-
-def _fit_cpcapp(pair: CovariancePair, k: int, solve) -> FilterBank:
     if not np.trace(pair.r_f) > 0:
         raise DefinitenessError("foreground has no variance (zero-trace covariance)")
-    res = solve(pair.r_b, pair.r_f, k, loading=pair.loading)
+    res = q_eig(pair.r_b, pair.r_f, k, loading=pair.loading, overwrite=overwrite)
     return FilterBank(
         method="cpca++",
         f=res.vectors,

@@ -42,3 +42,22 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def generator_tables(kind, seed, n_fg, n_bg):
+    """A sampled kind's tables by name, in ``datagen.TABLE_NAMES`` order, from
+    the public generators' arrays: the sequential-draw reference for
+    ``datagen.sample_table`` and the files ``generate`` writes."""
+    from cpcapp import gen_four_class, gen_haystack, gen_textured_digits, sample_haystack
+
+    if kind == "four-class":
+        fg, bg = gen_four_class(seed, n_fg, n_bg)
+        return {"fg": fg.data.values, "bg": bg.values, "labels": fg.labels[None, :]}
+    if kind == "haystack":
+        fg, bg = sample_haystack(seed, n_fg, n_bg)
+        r_b, r_f, c_dir, a_dir = gen_haystack()
+        return {"rb": r_b, "rf": r_f, "directions": np.stack([c_dir, a_dir]),
+                "fg": fg.values, "bg": bg.values}
+    fg, bg, clean = gen_textured_digits(seed, n_fg, n_bg)
+    return {"fg": fg.data.values, "bg": bg.values, "labels": fg.labels[None, :],
+            "clean": clean.values}

@@ -129,7 +129,7 @@ def test_criterion_6_sweep_free_efficiency():
     start = time.perf_counter()
     fg, bg = cp.gen_four_class(SEED_FOUR_CLASS, 400, 400)
     pair = cp.build_covariance_pair(bg, fg.data)
-    fits = {"cpca": lambda: cp.sweep_cpca(pair, 2, cp.default_alpha_grid()),
+    fits = {"cpca": lambda: [cp.fit_cpca(pair, 2, a) for a in cp.default_alpha_grid()],
             "cpca++": lambda: cp.fit_cpcapp(pair, 2)}
     eighs = {}
     for method, fit in fits.items():

@@ -20,13 +20,13 @@ import pytest
 import cpcapp
 from cpcapp import DataMatrix, FilterBank, build_covariance_pair, edge_mask, extract_patches, \
     fit_cpcapp, gen_spliced_image, load_model, read_csv, read_image, reconstruct_map, recover_w, \
-    sample_tables, save_model, score_patches, second_moment, splice_pair, sym_eig, transform, \
+    save_model, score_patches, second_moment, splice_pair, sym_eig, transform, \
     write_csv, write_image, write_probability_map
 from cpcapp import cli
 from cpcapp.cli import cli_dispatch
 from cpcapp.errors import CpcappError
 
-from conftest import traced_peak
+from conftest import generator_tables, traced_peak
 
 
 def files_equal(a, b):
@@ -91,13 +91,14 @@ class TestFit:
         assert code == 2 and not model.exists()
         assert "must be finite" in capfd.readouterr().err
 
-    @pytest.mark.parametrize("grid", ["1e-3:inf:5", "nan:1:5", "1:nan:5"])
+    @pytest.mark.parametrize("grid", ["1e-3:inf:5", "nan:1:5", "1:nan:5", "0.1:10:0"])
     def test_non_finite_alpha_grid_is_usage_error(self, tmp_path, capfd, four_class_csvs, grid):
+        # an empty grid (count 0) is refused with the same message
         fg, bg = four_class_csvs
         code = cli_dispatch(["fit", "--fg", str(fg), "--bg", str(bg), "--method", "cpca",
                              "--alpha-grid", grid, "--out", str(tmp_path / "m.txt")])
         assert code == 1
-        assert "0 < lo < hi < inf" in capfd.readouterr().err
+        assert "0 < lo < hi < inf and count >= 1" in capfd.readouterr().err
 
     @pytest.mark.parametrize("method", ["pca", "cpca++"])
     @pytest.mark.parametrize("flag, value", [("--alpha", "3"), ("--alpha-grid", "1:2:3")])
@@ -163,7 +164,7 @@ def test_written_rows_match_numpy_savetxt(tmp_path):
     out = tmp_path / "digits"
     assert cli_dispatch(["generate", "textured-digits", "--seed", "4", "--out", str(out),
                          "--n-fg", "60", "--n-bg", "50"]) == 0
-    tables = sample_tables("textured-digits", 4, 60, 50)
+    tables = generator_tables("textured-digits", 4, 60, 50)
     for name, values in tables.items():
         assert (out / f"{name}.csv").read_text() == _savetxt(values.T), name
     model, projected = tmp_path / "model.txt", tmp_path / "projected.csv"
@@ -631,7 +632,7 @@ class TestGenerateWorkers:
         trees.append(_tree(tmp_path / "unforked"))
         library = tmp_path / "library"
         library.mkdir()
-        for name, values in sample_tables(kind, 6, 40, 30).items():
+        for name, values in generator_tables(kind, 6, 40, 30).items():
             write_csv(library / f"{name}.csv", values)
         assert trees == [_tree(library)] * 4
 
@@ -670,6 +671,24 @@ class TestGenerateWorkers:
                              "--out", str(tmp_path / "d")])
         assert (code, forks) == (2, [])
         assert capfd.readouterr().err == "error: sample counts must be at least 1\n"
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("flag, size", [("--width", "0x64"), ("--height", "64x0")])
+    def test_bad_probe_size_fails_before_any_fork(self, tmp_path, monkeypatch, capfd,
+                                                  flag, size):
+        # checked once, here, not in every worker and again in the rerun
+        forks = []
+
+        def fork():
+            forks.append(1)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", fork)
+        code = cli_dispatch(["generate", "spliced-image", "--count", "3", flag, "0",
+                             "--out", str(tmp_path / "d")])
+        assert (code, forks) == (2, [])
+        assert capfd.readouterr().err == f"error: image size {size} must be at least 1x1\n"
         assert not (tmp_path / "d").exists()
 
     def test_interrupt_kills_and_reaps_the_children(self, tmp_path, monkeypatch):
@@ -964,9 +983,9 @@ class TestOneForkSite:
          [("_run_jobs", 3), ("f", 5)]),
         ("from os import fork", [("", 1)]),
         ("import os\nclass A:\n    def f(self):\n        os.fork()", [("A.f", 4)]),
-        ("from .cli import _run_jobs\ndef sweep_cpca(pair, k, alphas):\n"
+        ("from .cli import _run_jobs\ndef sweep(pair, k, alphas):\n"
          "    return _run_jobs(fit_cpca, [(pair, k, a) for a in alphas])",
-         [("", 1), ("sweep_cpca", 3)]),
+         [("", 1), ("sweep", 3)]),
         ("from . import cli\ndef sym_eig(a, k):\n    return cli._run_jobs(eigh, [(a,)])",
          [("sym_eig", 3)]),
     ], ids=["fork-outside-run_jobs", "from-import-fork", "fork-in-a-method",

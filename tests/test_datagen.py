@@ -22,7 +22,7 @@ from cpcapp import (
     sym_eig,
 )
 
-from conftest import traced_peak
+from conftest import generator_tables, traced_peak
 
 
 @pytest.mark.parametrize("gen", [gen_four_class, sample_haystack, gen_textured_digits])
@@ -34,36 +34,11 @@ def test_sample_counts_below_one_rejected(gen, n_fg, n_bg):
 
 class TestSampleTables:
     def test_names_order_and_arrays(self):
-        fg, bg = gen_four_class(3, 20, 15)
-        hay_fg, hay_bg = sample_haystack(3, 20, 15)
-        r_b, r_f, c_dir, a_dir = gen_haystack()
-        dig_fg, dig_bg, clean = gen_textured_digits(3, 20, 15)
-        want = {
-            "four-class": [("fg", fg.data.values), ("bg", bg.values),
-                           ("labels", fg.labels[None, :])],
-            "haystack": [("rb", r_b), ("rf", r_f), ("directions", np.stack([c_dir, a_dir])),
-                         ("fg", hay_fg.values), ("bg", hay_bg.values)],
-            "textured-digits": [("fg", dig_fg.data.values), ("bg", dig_bg.values),
-                                ("clean", clean.values), ("labels", dig_fg.labels[None, :])],
-        }
-        assert list(want) == list(datagen.TABLE_COUNTS)
-        for kind, tables in want.items():
-            got = datagen.sample_tables(kind, 3, 20, 15)
-            assert list(got) == [name for name, _ in tables], kind
-            for name, values in tables:
-                assert got[name].shape == values.shape, (kind, name)
-                assert got[name].tobytes() == values.tobytes(), (kind, name)
-
-    def test_returns_the_generators_arrays(self):
-        fg, bg = gen_four_class(3, 20, 15)
-        with mock.patch.object(datagen, "gen_four_class", return_value=(fg, bg)):
-            got = datagen.sample_tables("four-class", 3, 20, 15)
-        assert got["fg"] is fg.data.values and got["bg"] is bg.values
-        assert np.shares_memory(got["labels"], fg.labels)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ArgumentError, match="unknown table kind 'spliced-image'"):
-            datagen.sample_tables("spliced-image", 0, 5, 5)
+        # the tables each kind writes, in the order generate deals them, are
+        # the generators' arrays of those names
+        assert list(datagen.TABLE_NAMES) == list(datagen.TABLE_COUNTS)
+        for kind, names in datagen.TABLE_NAMES.items():
+            assert tuple(generator_tables(kind, 3, 20, 15)) == names, kind
 
     # stream words each table reads on its own, by the generators' draw orders
     TABLE_WORDS = {
@@ -81,8 +56,7 @@ class TestSampleTables:
     def test_each_table_drawn_alone(self, kind, n_fg, n_bg):
         # each table reads only its own draws, at their stream positions, and
         # has the bits of the generators' table
-        tables = datagen.sample_tables(kind, 3, n_fg, n_bg)
-        assert sorted(datagen.TABLE_NAMES[kind]) == sorted(tables)
+        tables = generator_tables(kind, 3, n_fg, n_bg)
         for name in datagen.TABLE_NAMES[kind]:
             with mock.patch.object(SplitMix64, "_words", autospec=True,
                                    side_effect=SplitMix64._words) as words:

@@ -443,6 +443,33 @@ class TestOneEigensolver:
         assert _eigensolver_uses(source) == uses
 
 
+def _underscore_twins(source: str) -> list[str]:
+    """Each public module-level function ``f`` in ``source`` that has an ``f_`` beside it."""
+    defined = {node.name for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return sorted(name for name in defined if not name.startswith("_") and f"{name}_" in defined)
+
+
+class TestOneInPlaceIdiom:
+    """A caller gives up a buffer through an ``overwrite=True`` keyword, numpy's
+    and scipy's idiom, not through a trailing-underscore twin of a function."""
+
+    def test_no_public_function_has_an_underscore_twin(self):
+        package = Path(cpcapp.__file__).parent
+        found = {path.name: twins for path in sorted(package.glob("*.py"))
+                 if (twins := _underscore_twins(path.read_text()))}
+        assert found == {}
+
+    @pytest.mark.parametrize("source, twins", [
+        ("def q_eig(a):\n    pass\ndef q_eig_(a):\n    pass", ["q_eig"]),
+        ("def symmetrize_(a):\n    pass\ndef _load_(a):\n    pass\ndef _load(a):\n    pass",
+         []),
+        ("class A:\n    def f(self):\n        pass\n    def f_(self):\n        pass", []),
+    ], ids=["twin", "mutators-without-public-twin", "methods"])
+    def test_check_finds_each_twin(self, source, twins):
+        assert _underscore_twins(source) == twins
+
+
 class TestEigenResultValidation:
     def test_rejects_count_mismatch(self):
         from cpcapp import EigenResult

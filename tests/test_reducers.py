@@ -26,13 +26,11 @@ from cpcapp import (
     gen_haystack,
     gen_textured_digits,
     score_patches,
-    sweep_cpca,
     sym_eig,
     transform,
 )
 
 from cpcapp.linalg import symmetrize_, whitener
-from cpcapp.reducers import fit_cpcapp_
 
 from conftest import principal_angles, traced_peak
 
@@ -126,16 +124,19 @@ class TestFitCpca:
 
 
 class TestSweep:
+    """The cPCA sweep is one ``fit_cpca`` per grid point, in grid order."""
+
     def test_singleton_matches_single_fit(self):
+        # a repeated fit has the same bits: a grid point's bank does not
+        # depend on the fits before it
         pair, _, _ = analytic_pair()
         single = fit_cpca(pair, 2, 0.7)
-        swept = sweep_cpca(pair, 2, [0.7])
-        assert len(swept) == 1
-        np.testing.assert_array_equal(swept[0].f, single.f)
+        swept = [fit_cpca(pair, 2, alpha) for alpha in [0.1, 0.7]]
+        np.testing.assert_array_equal(swept[1].f, single.f)
 
     def test_default_grid_hits_planted_direction(self):
         pair, c, _ = example1_pair()
-        banks = sweep_cpca(pair, 1, default_alpha_grid())
+        banks = [fit_cpca(pair, 1, alpha) for alpha in default_alpha_grid()]
         best = max(abs(b.f[:, 0] @ c) for b in banks)
         assert best >= 0.99
 
@@ -143,15 +144,10 @@ class TestSweep:
         pair, _, _ = analytic_pair()
         alphas = np.linspace(0.1, 10.0, 40)
         with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh:
-            banks = sweep_cpca(pair, 1, alphas)
+            banks = [fit_cpca(pair, 1, alpha) for alpha in alphas]
         assert len(banks) == 40
         assert eigh.call_count == 40
         assert [b.alpha for b in banks] == list(alphas)
-
-    def test_rejects_empty_grid(self):
-        pair, _, _ = analytic_pair()
-        with pytest.raises(ArgumentError):
-            sweep_cpca(pair, 1, [])
 
     def test_banks_keep_no_eigenvector_matrix_alive(self, rng):
         # each fit_cpca decomposes an M x M matrix; its banks must keep only
@@ -162,7 +158,7 @@ class TestSweep:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            banks = sweep_cpca(pair, k, np.linspace(0.1, 10.0, 10))
+            banks = [fit_cpca(pair, k, alpha) for alpha in np.linspace(0.1, 10.0, 10)]
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -189,7 +185,7 @@ class TestFitMemory:
     def test_in_place_cpcapp_peak(self, pair):
         # S is formed in r_f: L^-1 with L^-1 r_f while S is formed, no third
         # array; the peak is the triangular inverse's, about 2.5
-        peak = traced_peak(lambda: fit_cpcapp_(pair, 3))
+        peak = traced_peak(lambda: fit_cpcapp(pair, 3, overwrite=True))
         assert peak <= 2.6 * self.M * self.M * 8
 
     def test_cpca_peak(self, pair):
@@ -232,7 +228,7 @@ class TestFitCpcapp:
         before = {name: getattr(pair, name).copy() for name in ("r_b", "r_f", "mean_b", "mean_f")}
         bank = fit_cpcapp(pair, 3)
         assert all(getattr(pair, name).tobytes() == v.tobytes() for name, v in before.items())
-        in_place = fit_cpcapp_(pair, 3)
+        in_place = fit_cpcapp(pair, 3, overwrite=True)
         assert in_place.f.tobytes() == bank.f.tobytes()
         assert in_place.eigenvalues.tobytes() == bank.eigenvalues.tobytes()
         l_inv = whitener(before["r_b"], pair.loading)
@@ -334,7 +330,7 @@ from cpcapp.linalg import symmetrize_, whitener
 fg, bg, _ = cp.gen_textured_digits(1, 400, 400)
 pair = cp.build_covariance_pair(bg, fg.data)
 alphas = cp.default_alpha_grid()[::8]
-banks = cp.sweep_cpca(pair, 3, alphas)
+banks = [cp.fit_cpca(pair, 3, alpha) for alpha in alphas]
 pick = int(np.argmax(cp.glrt_statistic(pair, np.stack([b.f for b in banks]))))
 l_inv = whitener(pair.r_b, pair.loading)
 s = symmetrize_((l_inv @ pair.r_f) @ l_inv.T)
