@@ -277,6 +277,7 @@ def _cmd_fit(args) -> int:
         _reject_flags(args, ("--bg",), "method pca")
     elif args.bg is None:
         raise UsageError(f"--bg is required for method {args.method}")
+    _check_k(args.k)
     if args.method == "pca":
         save_model(args.out, fit_pca(csvio.read_csv(args.fg), args.k))
         return 0
@@ -298,6 +299,12 @@ def _cmd_fit(args) -> int:
         bank = banks[int(np.argmax(stats))]
     save_model(args.out, bank)
     return 0
+
+
+def _check_k(k: int) -> None:
+    """-k below 1 fails here, before any file is read or worker forked."""
+    if k < 1:
+        raise ArgumentError(f"-k must be at least 1, got {k}")
 
 
 def _read_moments(path: str) -> Moments:
@@ -350,6 +357,7 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_train_splice(args) -> int:
+    _check_k(args.k)
     train_dir = Path(args.train_dir)
     paths = sorted(train_dir.glob("probe_*.ppm"))
     if not paths:

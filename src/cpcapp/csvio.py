@@ -333,16 +333,12 @@ def _write_rows(fh, rows) -> None:
     of ``'%.17g' % value``."""
     rows = np.asarray(rows, dtype=float)
     width = rows.shape[1]
-    if width > _BLOCK:  # a row wider than a block is split
-        scratch = np.empty(_SCRATCH_ROWS * _BLOCK, np.uint8)
-        for row in rows:
-            for lo in range(0, width, _BLOCK):
-                fh.write(_format_block(row[lo:lo + _BLOCK], width - 1 - lo, width, scratch))
-        return
-    step = _BLOCK // width
-    scratch = np.empty(_SCRATCH_ROWS * min(step, rows.shape[0]) * width, np.uint8)
+    step, cols = max(1, _BLOCK // width), min(width, _BLOCK)  # whole rows, or pieces of one
+    scratch = np.empty(_SCRATCH_ROWS * min(step, rows.shape[0]) * cols, np.uint8)
     for start in range(0, rows.shape[0], step):
-        fh.write(_format_block(rows[start:start + step], width - 1, width, scratch))
+        for lo in range(0, width, cols):
+            block = rows[start:start + step, lo:lo + cols]
+            fh.write(_format_block(block, width - 1 - lo, width, scratch))
 
 
 def read_csv(path) -> DataMatrix:

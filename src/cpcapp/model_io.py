@@ -64,13 +64,6 @@ def load_model(path) -> tuple[FilterBank, np.ndarray | None]:
         raise ParseError(f"{path}: truncated file, expected at least {5 + m} lines")
     mean_bg, mean_fg, eigenvalues = (_parse_rows(lines[i:i + 1], path)[0] for i in (2, 3, 4))
     f = _parse_rows(lines[5:5 + m], path)
-    for name, arr, want in (
-        ("mean_bg", mean_bg, m),
-        ("mean_fg", mean_fg, m),
-        ("eigenvalues", eigenvalues, k),
-    ):
-        if arr.shape != (want,):
-            raise ParseError(f"{path}: {name} has {arr.shape[0]} entries, expected {want}")
     if f.shape != (m, k):
         raise ParseError(f"{path}: filter block is {f.shape}, expected {(m, k)}")
     w = None

@@ -13,66 +13,44 @@ import numpy as np
 
 from .errors import ParseError, ShapeError
 
-# read_image parses the header from reads of this many bytes;
 # write_probability_map quantizes row bands of about this many pixels
-_HEADER_CHUNK = 1 << 12
 _BAND_PIXELS = 1 << 14
 
 
-def _read_tokens(data: bytes, count: int):
-    """First ``count`` whitespace-separated header tokens, skipping comments."""
-    tokens = []
-    pos = 0
-    while len(tokens) < count:
-        if pos >= len(data):
-            raise ParseError("truncated netpbm header")
-        ch = data[pos:pos + 1]
-        if ch == b"#":
-            nl = data.find(b"\n", pos)
-            if nl < 0:
+def _read_header(fh) -> list[bytes]:
+    """The four header tokens, read from ``fh`` through the whitespace byte that ends the last.
+
+    Whitespace or the end of the file ends a token; a ``#`` outside a token
+    starts a comment, which runs to the end of its line.
+    """
+    tokens, token = [], bytearray()
+    while len(tokens) < 4:
+        ch = fh.read(1)
+        if ch and not ch.isspace() and (token or ch != b"#"):
+            token += ch
+        elif token:
+            tokens.append(bytes(token))
+            token.clear()
+        elif ch == b"#":
+            if not fh.readline().endswith(b"\n"):
                 raise ParseError("unterminated comment in netpbm header")
-            pos = nl + 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(data) and not data[end:end + 1].isspace():
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
-    return tokens, pos + 1  # header ends after one whitespace byte
-
-
-def _read_header(fh) -> tuple[list[bytes], int]:
-    """The header tokens and raster offset, from as few ``_HEADER_CHUNK`` reads as parse them."""
-    head = b""
-    while True:
-        chunk = fh.read(_HEADER_CHUNK)
-        head += chunk
-        try:
-            tokens, offset = _read_tokens(head, 4)
-        except ParseError:
-            if chunk:
-                continue
-            raise
-        # the last token may run on past what was read, up to its closing whitespace byte
-        if offset <= len(head) or not chunk:
-            return tokens, offset
+        elif not ch:
+            raise ParseError("truncated netpbm header")
+    return tokens
 
 
 def read_image(path) -> np.ndarray:
     """Read a P5 or P6 file; returns (H, W) or (H, W, 3) uint8.
 
-    The header is parsed from the file's first bytes, and the raster is
-    read straight into the returned array, so the image is held once.
+    The header is parsed in one pass through the file's buffer, and the
+    raster is read straight into the returned array, so the image is held once.
     """
     with open(path, "rb") as fh:
-        tokens, offset = _read_header(fh)
-        magic = tokens[0]
+        magic, *fields = _read_header(fh)
         if magic not in (b"P5", b"P6"):
             raise ParseError(f"{path}: unsupported netpbm magic {magic!r}")
         try:
-            width, height, maxval = (int(t) for t in tokens[1:4])
+            width, height, maxval = map(int, fields)
         except ValueError as exc:
             raise ParseError(f"{path}: bad netpbm dimensions: {exc}") from exc
         if width < 1 or height < 1:
@@ -82,11 +60,10 @@ def read_image(path) -> np.ndarray:
         shape = (height, width) if magic == b"P5" else (height, width, 3)
         needed = math.prod(shape)
         # sized from the file before anything is allocated for the raster
-        available = max(os.fstat(fh.fileno()).st_size - offset, 0)
+        available = max(os.fstat(fh.fileno()).st_size - fh.tell(), 0)
         if available < needed:
             raise ParseError(f"{path}: raster has {available} bytes, expected {needed}")
         pixels = np.empty(shape, dtype=np.uint8)
-        fh.seek(offset)
         got = fh.readinto(pixels)
     if got < needed:  # the file shrank while it was read
         raise ParseError(f"{path}: raster has {got} bytes, expected {needed}")

@@ -64,6 +64,9 @@ class FilterBank:
             raise ArgumentError("alpha must be present exactly when method is 'cpca'")
         if self.eigenvalues.shape != (k,):
             raise ShapeError("one eigenvalue per filter column is required")
+        for mean in (self.train_mean_bg, self.train_mean_fg):
+            if np.shape(mean) != (m,):
+                raise ShapeError(f"training means must have shape ({m},), got {np.shape(mean)}")
         values = (self.f, self.train_mean_bg, self.train_mean_fg, self.eigenvalues,
                   self.loading, 0.0 if self.alpha is None else self.alpha)
         if not all(np.isfinite(v).all() for v in values):

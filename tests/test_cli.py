@@ -349,6 +349,17 @@ class TestSplicePipeline:
         assert codes == [0]
         assert peak <= 3.0 * side * side * 8
 
+    def test_k_below_one_fails_before_any_read(self, tmp_path, monkeypatch, capfd):
+        assert cli_dispatch(["generate", "spliced-image", "--seed", "5", "--count", "2",
+                             "--out", str(tmp_path)]) == 0
+        reads = []
+        monkeypatch.setattr(cli.netpbm, "read_image", lambda path: reads.append(path))
+        code = cli_dispatch(["train-splice", "--train-dir", str(tmp_path), "-k", "0",
+                             "--out", str(tmp_path / "model.txt")])
+        assert (code, reads) == (2, [])
+        assert capfd.readouterr().err == "error: -k must be at least 1, got 0\n"
+        assert not (tmp_path / "model.txt").exists()
+
     def test_train_rejects_grey_probe_among_colour_probes(self, tmp_path, capfd):
         data = tmp_path / "imgs"
         assert cli_dispatch(["generate", "spliced-image", "--seed", "5",
@@ -886,6 +897,26 @@ class TestFitWorkers:
         assert results[0][0] == 2 and not results[0][2]
         assert str({"fg": fg, "bg": bg}[named]) in results[0][1]
         assert results == [results[0]] * 4
+
+    @pytest.mark.parametrize("method", ["cpca", "cpca++"])
+    def test_k_below_one_fails_before_any_read_or_fork(self, tmp_path, monkeypatch, capfd,
+                                                       four_class_csvs, method):
+        # checked once, here, not after both tables are read and the grid is run
+        forks, reads = [], []
+
+        def fork():
+            forks.append(1)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(cli.csvio, "read_csv", lambda path: reads.append(path))
+        fg, bg = four_class_csvs
+        code = cli_dispatch(["fit", "--fg", str(fg), "--bg", str(bg), "--method", method,
+                             "-k", "0", "--out", str(tmp_path / "model.txt")])
+        assert (code, forks, reads) == (2, [], [])
+        assert capfd.readouterr().err == "error: -k must be at least 1, got 0\n"
+        assert not (tmp_path / "model.txt").exists()
 
     def test_results_larger_than_a_pipe_buffer(self, monkeypatch):
         # an M = 784 Moments pickles to about 4.9 MB, far above a pipe's 64 KiB;

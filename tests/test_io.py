@@ -2,6 +2,8 @@
 
 import ast
 import io
+import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -357,16 +359,34 @@ class TestNetpbm:
 
     @pytest.mark.parametrize("shift", range(-6, 3))
     def test_header_across_read_chunks(self, tmp_path, shift):
-        # a comment pushes the size and maxval tokens onto the first chunk's end
-        from cpcapp.netpbm import _HEADER_CHUNK
-
+        # a comment puts the size and maxval tokens on either side of byte 4096
         tail = b"\n3 2\n255\n"
-        comment = b"#" + b"x" * (_HEADER_CHUNK + shift - 5 - len(tail)) + b"\n"
+        comment = b"#" + b"x" * (4096 + shift - 5 - len(tail)) + b"\n"
         head = b"P5\n" + comment + tail
-        assert len(head) == _HEADER_CHUNK + shift
+        assert len(head) == 4096 + shift
         path = tmp_path / "c.pgm"
         path.write_bytes(head + bytes(range(6)))
         np.testing.assert_array_equal(read_image(path), [[0, 1, 2], [3, 4, 5]])
+
+    @pytest.mark.parametrize("data, outcome", [
+        # one whitespace byte after maxval ends the header, whichever it is
+        *[(b"P5\n2 1\n255" + bytes([space]) + b"\x07\x08", [[7, 8]]) for space in b" \t\r\n\v\f"],
+        (b"P5 #a\n2 #b\n1 #c\n255\n\x07\x08", [[7, 8]]),  # a comment between every two tokens
+        (b"P5\n#" + b"x" * 10000 + b"\n2 1\n255\n\x07\x08", [[7, 8]]),  # past an 8 KiB buffer
+        (b"P5\n2#c\n1\n255\n\x07\x08", "bad netpbm dimensions"),  # '#' inside a token is its own
+        (b"P5\n2 1 # no newline", "unterminated comment in netpbm header"),
+        (b"P5\n2 1", "truncated netpbm header"),  # end of file after the third token
+        (b"P5\n2 1\n255", "raster has 0 bytes, expected 2"),  # ... and after the fourth
+    ], ids=[*(f"space-{byte:#04x}" for byte in b" \t\r\n\v\f"), "comments", "long-comment",
+            "hash-in-token", "unterminated-comment", "eof-after-3", "eof-after-4"])
+    def test_header_tokens(self, tmp_path, data, outcome):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(data)
+        if isinstance(outcome, str):
+            with pytest.raises(ParseError, match=outcome):
+                read_image(path)
+        else:
+            np.testing.assert_array_equal(read_image(path), outcome)
 
     @pytest.mark.parametrize("data, message", [
         # sized from the file, before a raster of the header's size is allocated
@@ -506,3 +526,27 @@ class TestModelFile:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="unit norm"):
             load_model(path)
+
+    @pytest.mark.parametrize("row", [2, 3])  # mean_bg, mean_fg
+    def test_short_mean_row_is_parse_error(self, tmp_path, rng, row):
+        path, lines = self._saved_4x2(tmp_path, rng)
+        lines[row] = lines[row].rsplit(",", 1)[0]  # one cell lost
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: .*mean"):
+            load_model(path)
+
+
+@pytest.mark.parametrize("reader, data, message", [
+    (read_image, b"P5\n" + b"9" * 1_280_000 + b" 1\n255\n", "bad netpbm dimensions"),
+    (load_model, b"cpcapp-model v1\ncpca++ " + b"9" * 1_280_000 + b" 2 nan 0\n",
+     ":2: bad header line"),
+    (read_csv, b"1,2\n" + b"x" * 1_280_000 + b",3\n", ":2: non-numeric cell"),
+], ids=["netpbm-token", "model-header-token", "csv-cell"])
+def test_long_token_reaches_its_error_in_linear_time(tmp_path, reader, data, message):
+    # work quadratic in a token's length would take tens of seconds at this size
+    path = tmp_path / "long"
+    path.write_bytes(data)
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=message):
+        reader(path)
+    assert time.perf_counter() - start < 5.0

@@ -435,36 +435,77 @@ class TestCpcaBridge:
     congruent to the whitened S - lambda_i I. By Sylvester's inertia it has
     exactly i - 1 positive eigenvalues, and v_i spans its null space when
     lambda_i is simple; fit_cpca's unloaded r_b only shifts that spectrum by
-    lambda_i rho. By Ostrowski's theorem its other eigenvalues lie at least
-    sigma_min(B) min(lambda_{i-1} - lambda_i, lambda_i - lambda_{i+1}) away
-    from 0, which is the gap the Davis-Kahan bound divides by. The residual
-    of v_i in the contrast, r_f v_i - lambda_i B v_i, and the rounding are
-    what it divides. The rounding is modelled as a symmetric eigensolver's
-    backward error, by Higham's rule of thumb sqrt(m) eps ||C||_2 for the
-    m x m contrast C = r_f - lambda_i r_b. Haystack's lambda_3 is not simple
+    lambda_i rho. So v_i is the i-th eigenvector of fit_cpca's contrast
+    C = r_f - lambda_i r_b, with eigenvalue mu = lambda_i rho.
+
+    The bounds rest on measurements, not on a model of the eigensolver's
+    rounding. The full eigensolve of C that fit_cpca runs, (theta, V), has a
+    measured residual R = C V - V diag(theta) and a measured loss of
+    orthogonality E = V^T V - I; with V = U P its polar form, U^T C U =
+    diag(theta) + G and ||G|| <= (||R|| + 2 ||E|| ||theta||) / sqrt(1 - ||E||),
+    so by Weyl each eigenvalue of C lies within ||G|| of its theta. A unit
+    vector x with residual r = C x - t x lies within ||r|| of an eigenvalue of
+    C, and its sine to the j-th eigenvector is at most ||r|| over the distance
+    from t to the other eigenvalues, which the computed spectrum less ||G||
+    bounds below. That bounds the sines of v_i and of fit_cpca's i-th filter
+    to the i-th eigenvector of C, and their sum bounds the sine between them.
+    Where each residual is below its gap, the eigenvalue it is near is the
+    i-th, so mu and fit_cpca's i-th eigenvalue lie within the sum of the two
+    residuals. Each residual is taken in long double and raised by its
+    forward error bound, so another LAPACK moves the bounds with its own
+    rounding rather than failing them. Haystack's lambda_3 is not simple
     (lambda_3 = lambda_4 = 0 up to rounding), so i = 3 is not checked there.
     """
 
     @staticmethod
     def _bound(pair, cpcapp_bank, i):
-        """Davis-Kahan's bound on the sine between v_i and fit_cpca(pair, i, lambda_i)'s
-        i-th filter, and the residual it divides."""
-        lam = np.concatenate([[np.inf], cpcapp_bank.eigenvalues])  # lam[i] is lambda_i
-        v = cpcapp_bank.f[:, i - 1:i]
-        c = pair.r_f - lam[i] * pair.r_b
-        rounding = np.sqrt(c.shape[0]) * np.finfo(float).eps * np.linalg.norm(c, 2)
-        residual = np.linalg.norm(c @ v - lam[i] * pair.loading * v) + rounding
-        sigma_min = max(np.linalg.eigvalsh(pair.r_b)[0], 0.0) + pair.loading
-        gap = sigma_min * min(lam[i - 1] - lam[i], lam[i] - lam[i + 1]) - residual
-        assert gap > 0, "eigengap closed by the residual"
-        return residual / gap, residual
+        """Bounds on the sine between v_i and fit_cpca(pair, i, lambda_i)'s i-th
+        filter, and on the distance of its i-th eigenvalue from lambda_i rho."""
+        lam = cpcapp_bank.eigenvalues[i - 1]
+        c = pair.r_f - lam * pair.r_b  # fit_cpca's contrast, bit for bit
+        full = sym_eig(c, c.shape[0])  # and its eigensolve, of which it keeps the first i
+        theta, vectors = full.values, full.vectors
+        m, eps = c.shape[0], np.finfo(float).eps
+
+        def slack(n, u, *terms):
+            """Higham's gamma_n (unit roundoff u) times the norm of the summed |terms|:
+            how far rounding can move a computed sum of n products of them."""
+            return np.linalg.norm(sum(terms)) * n * u / (1 - n * u)
+
+        spread = np.linalg.norm(c @ vectors - vectors * theta) + slack(
+            m + 2, eps, np.abs(c) @ np.abs(vectors), np.abs(vectors) * np.abs(theta))
+        skew = np.linalg.norm(vectors.T @ vectors - np.eye(m)) + slack(
+            m + 1, eps, np.abs(vectors.T) @ np.abs(vectors), np.eye(m))
+        assert skew < 1
+        weyl = (spread + 2 * skew * np.abs(theta).max()) / np.sqrt(1 - skew)
+        c_long, ulp = c.astype(np.longdouble), np.finfo(np.longdouble).eps
+
+        def residual(x, t):
+            """An upper bound on ||c x - t x|| / ||x||."""
+            x = x.astype(np.longdouble)
+            r = np.linalg.norm(c_long @ x - t * x) + slack(
+                m + 2, ulp, np.abs(c_long) @ np.abs(x), abs(t) * np.abs(x))
+            return float(r / np.linalg.norm(x))
+
+        def gap(t):
+            """A lower bound on the distance from t to C's eigenvalues other than the i-th."""
+            return np.abs(np.delete(theta, i - 1) - t).min() - weyl
+
+        mu = lam * pair.loading
+        r_v, gap_v = residual(cpcapp_bank.f[:, i - 1], mu), gap(mu)
+        r_c, gap_c = residual(vectors[:, i - 1], theta[i - 1]), gap(theta[i - 1])
+        assert r_v < gap_v and r_c < gap_c, "eigengap closed by the residuals"
+        return r_v / gap_v + r_c / gap_c, r_v + r_c
 
     def _check(self, pair, cpcapp_bank, i):
         lam = cpcapp_bank.eigenvalues[i - 1]
         bound, residual = self._bound(pair, cpcapp_bank, i)
         assert bound < 1e-3  # the bound says something
         bank = fit_cpca(pair, i, lam)
-        assert principal_angles(bank.f[:, i - 1:i], cpcapp_bank.f[:, i - 1:i]).max() <= bound
+        # the computed sine's own rounding, to first order
+        rounding = (pair.r_f.shape[0] + 3) * np.finfo(float).eps
+        assert principal_angles(bank.f[:, i - 1:i], cpcapp_bank.f[:, i - 1:i]).max() <= (
+            bound + rounding)
         assert abs(bank.eigenvalues[i - 1] - lam * pair.loading) <= residual
 
     @pytest.mark.parametrize("kind", BRIDGE_PAIRS)
@@ -594,6 +635,15 @@ class TestFilterBankValidation:
             args[field][-1] = bad  # the last eigenvalue keeps the order check quiet
         with pytest.raises(ArgumentError, match="values must be finite"):
             FilterBank(**args)
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])  # M - 1, M + 1, a column
+    @pytest.mark.parametrize("field", ["train_mean_bg", "train_mean_fg"])
+    def test_rejects_training_means_not_of_length_m(self, field, shape):
+        from cpcapp import FilterBank, ShapeError
+
+        args = dict(self._args(), **{field: np.zeros(shape)})
+        with pytest.raises(ShapeError, match=r"training means must have shape \(3,\)"):
+            FilterBank(method="pca", f=np.eye(3)[:, :2], **args)
 
     def test_rejects_negative_loading(self):
         from cpcapp import FilterBank
