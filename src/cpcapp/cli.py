@@ -44,15 +44,14 @@ class _Parser(argparse.ArgumentParser):
 def _parse_alpha_grid(spec: str) -> np.ndarray:
     if spec == "default":
         return default_alpha_grid()
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"bad alpha grid {spec!r}, expected 'lo:hi:count' or 'default'")
     try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, count = spec.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
-        raise UsageError(f"bad alpha grid {spec!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(
+            f"bad alpha grid {spec!r}, expected 'lo:hi:count' or 'default': {exc}") from exc
     if not 0 < lo < hi < math.inf or count < 1:
-        raise UsageError("alpha grid needs 0 < lo < hi < inf and count >= 1")
+        raise argparse.ArgumentTypeError("alpha grid needs 0 < lo < hi < inf and count >= 1")
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
@@ -61,42 +60,38 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset")
-    gen.add_argument("kind", choices=[*TABLE_COUNTS, "spliced-image"])
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", required=True)
-    gen.add_argument("--n-fg", type=int, default=None, help="table kinds only")
-    gen.add_argument("--n-bg", type=int, default=None, help="table kinds only")
-    gen.add_argument("--count", type=int, default=None,
-                     help=f"spliced-image only; default {IMAGE_COUNT}")
-    gen.add_argument("--width", type=int, default=None,
-                     help=f"spliced-image only; default {PROBE_SIDE}")
-    gen.add_argument("--height", type=int, default=None,
-                     help=f"spliced-image only; default {PROBE_SIDE}")
+    kinds = gen.add_subparsers(dest="kind", required=True)
+    for kind in [*TABLE_COUNTS, "spliced-image"]:
+        one = kinds.add_parser(kind)
+        one.add_argument("--seed", type=int, default=0)
+        one.add_argument("--out", required=True)
+        if kind in TABLE_COUNTS:
+            one.add_argument("--n-fg", type=int, default=TABLE_COUNTS[kind][0])
+            one.add_argument("--n-bg", type=int, default=TABLE_COUNTS[kind][1])
+        else:
+            one.add_argument("--count", type=int, default=IMAGE_COUNT)
+            one.add_argument("--width", type=int, default=PROBE_SIDE)
+            one.add_argument("--height", type=int, default=PROBE_SIDE)
 
     fit = sub.add_parser("fit", help="fit a reduction model on CSV data")
     fit.add_argument("--fg", required=True)
     fit.add_argument("--bg")
     fit.add_argument("--method", choices=METHODS, required=True)
     fit.add_argument("-k", type=int, default=2)
-    fit.add_argument("--alpha", type=float, default=None, help="cpca only")
-    fit.add_argument("--alpha-grid", default=None, help="cpca only")
+    alpha = fit.add_mutually_exclusive_group()
+    alpha.add_argument("--alpha", type=float, help="cpca only")
+    alpha.add_argument("--alpha-grid", type=_parse_alpha_grid, help="cpca only")
     fit.add_argument("--out", required=True)
 
-    tra = sub.add_parser("transform", help="project CSV samples through a model")
-    tra.add_argument("--model", required=True)
-    tra.add_argument("--in", dest="infile", required=True)
-    tra.add_argument("--out", required=True)
-
-    sco = sub.add_parser("score", help="per-sample probability scores through a model")
-    sco.add_argument("--model", required=True)
-    sco.add_argument("--in", dest="infile", required=True)
-    sco.add_argument("--out", required=True)
-
-    den = sub.add_parser("denoise", help="project an image onto the learned basis")
-    den.add_argument("--model", required=True)
-    den.add_argument("--in", dest="infile", required=True)
-    den.add_argument("--out", required=True)
-    den.add_argument("-k", type=int, default=None)
+    applying = {}  # the commands that run a model over one input file
+    for name, text in (("transform", "project CSV samples through a model"),
+                       ("score", "per-sample probability scores through a model"),
+                       ("denoise", "project an image onto the learned basis")):
+        applying[name] = sub.add_parser(name, help=text)
+        applying[name].add_argument("--model", required=True)
+        applying[name].add_argument("--in", dest="infile", required=True)
+        applying[name].add_argument("--out", required=True)
+    applying["denoise"].add_argument("-k", type=int)
 
     loc = sub.add_parser("localize", help="boundary probability map for a probe image")
     loc.add_argument("--model", required=True)
@@ -130,26 +125,17 @@ def _reject_flags(args, flags, target: str) -> None:
 
 
 def _cmd_generate(args) -> int:
-    kind = args.kind
     out = Path(args.out)
-    if kind != "spliced-image":
-        _reject_flags(args, ("--count", "--width", "--height"), kind)
-        n_fg, n_bg = TABLE_COUNTS[kind]  # the kind's standard counts where no flag is given
-        n_fg = n_fg if args.n_fg is None else args.n_fg
-        n_bg = n_bg if args.n_bg is None else args.n_bg
-        check_counts(n_fg, n_bg)  # here, once, rather than in every worker
-        run, jobs = _write_table, [(out / f"{name}.csv", kind, name, args.seed, n_fg, n_bg)
-                                   for name in TABLE_NAMES[kind]]
+    if args.kind != "spliced-image":
+        check_counts(args.n_fg, args.n_bg)  # here, once, rather than in every worker
+        run, jobs = _write_table, [(out / f"{name}.csv", args.kind, name, args.seed, args.n_fg,
+                                    args.n_bg) for name in TABLE_NAMES[args.kind]]
     else:
-        _reject_flags(args, ("--n-fg", "--n-bg"), kind)
-        count = IMAGE_COUNT if args.count is None else args.count
-        if count < 1:
-            raise ArgumentError(f"--count must be at least 1, got {count}")
-        height = PROBE_SIDE if args.height is None else args.height
-        width = PROBE_SIDE if args.width is None else args.width
-        check_size(height, width)  # here, once, rather than in every worker
-        run, jobs = _write_probe, [(out, i, seed, height, width) for i, seed
-                                   in enumerate(SplitMix64(args.seed).spawn_seeds(count))]
+        if args.count < 1:
+            raise ArgumentError(f"--count must be at least 1, got {args.count}")
+        check_size(args.height, args.width)  # here, once, rather than in every worker
+        run, jobs = _write_probe, [(out, i, seed, args.height, args.width) for i, seed
+                                   in enumerate(SplitMix64(args.seed).spawn_seeds(args.count))]
     out.mkdir(parents=True, exist_ok=True)
     _run_jobs(run, jobs)
     return 0
@@ -271,20 +257,18 @@ def _run_child(run, jobs: list, parent: int, out: int, inherited: list) -> None:
 def _cmd_fit(args) -> int:
     if args.method != "cpca":
         _reject_flags(args, ("--alpha", "--alpha-grid"), f"method {args.method}")
-    elif args.alpha is not None and args.alpha_grid is not None:
-        raise UsageError("--alpha and --alpha-grid are mutually exclusive")
     if args.method == "pca":
         _reject_flags(args, ("--bg",), "method pca")
     elif args.bg is None:
         raise UsageError(f"--bg is required for method {args.method}")
     _check_k(args.k)
+    # each table is read and reduced to its moments by a job of its own (pca's
+    # one job runs here), and only the pair's covariances live on into the fit
+    fg, *bg = _run_jobs(_read_moments, [(p,) for p in (args.fg, args.bg) if p is not None])
     if args.method == "pca":
-        save_model(args.out, fit_pca(csvio.read_csv(args.fg), args.k))
+        save_model(args.out, fit_pca(fg, args.k))
         return 0
-    # each table is read and reduced to its moments by a job of its own, and
-    # only the pair's covariances live on into the fit
-    fg, bg = _run_jobs(_read_moments, [(args.fg,), (args.bg,)])
-    pair = build_covariance_pair(bg, fg)
+    pair = build_covariance_pair(*bg, fg)
     del fg, bg
     if args.method == "cpca++":
         bank = fit_cpcapp(pair, args.k, overwrite=True)  # recover_w reads r_b alone
@@ -293,7 +277,7 @@ def _cmd_fit(args) -> int:
     if args.alpha is not None:
         bank = fit_cpca(pair, args.k, args.alpha)
     else:
-        grid = _parse_alpha_grid(args.alpha_grid or "default")
+        grid = default_alpha_grid() if args.alpha_grid is None else args.alpha_grid
         banks = _run_jobs(fit_cpca, [(pair, args.k, alpha) for alpha in grid])
         stats = glrt_statistic(pair, np.stack([b.f for b in banks]))
         bank = banks[int(np.argmax(stats))]
@@ -327,15 +311,17 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
+    if args.k is not None:
+        _check_k(args.k)
     bank, w = load_model(args.model)
     if w is None:
         raise CpcappError("model has no basis block; fit with method cpca++")
+    k = bank.k if args.k is None else args.k
+    if k > bank.k:
+        raise ArgumentError(f"-k must be at most the model's K = {bank.k}, got {k}")
     image = netpbm.read_image(args.infile)
     if image.ndim != 2:
         raise CpcappError("denoise expects a grayscale image")
-    k = args.k if args.k is not None else bank.k
-    if not 1 <= k <= bank.k:
-        raise UsageError(f"-k must be in [1, {bank.k}]")
     flat = image.astype(float).ravel()
     if flat.shape != bank.train_mean_fg.shape:  # before the subtraction can broadcast
         raise ShapeError(f"image has {flat.size} pixels but the model expects {bank.features}")
@@ -398,22 +384,14 @@ _COMMANDS = {
 
 def cli_dispatch(argv) -> int:
     """Run one subcommand; returns the process exit status."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help paths
         return 0 if exc.code in (0, None) else 1
-    try:
-        return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, CpcappError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (CpcappError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, UsageError) else 2
 
 
 def main() -> None:

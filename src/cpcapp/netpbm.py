@@ -17,7 +17,7 @@ from .errors import ParseError, ShapeError
 _BAND_PIXELS = 1 << 14
 
 
-def _read_header(fh) -> list[bytes]:
+def _read_header(fh, path) -> list[bytes]:
     """The four header tokens, read from ``fh`` through the whitespace byte that ends the last.
 
     Whitespace or the end of the file ends a token; a ``#`` outside a token
@@ -33,9 +33,9 @@ def _read_header(fh) -> list[bytes]:
             token.clear()
         elif ch == b"#":
             if not fh.readline().endswith(b"\n"):
-                raise ParseError("unterminated comment in netpbm header")
+                raise ParseError(f"{path}: unterminated comment in netpbm header")
         elif not ch:
-            raise ParseError("truncated netpbm header")
+            raise ParseError(f"{path}: truncated netpbm header")
     return tokens
 
 
@@ -46,7 +46,7 @@ def read_image(path) -> np.ndarray:
     raster is read straight into the returned array, so the image is held once.
     """
     with open(path, "rb") as fh:
-        magic, *fields = _read_header(fh)
+        magic, *fields = _read_header(fh, path)
         if magic not in (b"P5", b"P6"):
             raise ParseError(f"{path}: unsupported netpbm magic {magic!r}")
         try:

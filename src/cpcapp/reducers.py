@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ArgumentError, DefinitenessError, ShapeError
 from .linalg import q_eig, sym_eig
-from .stats import CovariancePair, DataMatrix, second_moment
+from .stats import CovariancePair, DataMatrix, Moments, second_moment
 
 METHODS = ("pca", "cpca", "cpca++")
 
@@ -88,11 +88,11 @@ class FilterBank:
         return self.f.shape[1]
 
 
-def fit_pca(data: DataMatrix, k: int) -> FilterBank:
-    """Top-k eigenvectors of the sample covariance of ``data``."""
-    if data.samples < 2:
+def fit_pca(data: DataMatrix | Moments, k: int) -> FilterBank:
+    """Top-k eigenvectors of the sample covariance of ``data``, a sample matrix or its moments."""
+    moments = data if isinstance(data, Moments) else second_moment(data)
+    if moments.n < 2:
         raise ArgumentError("PCA needs at least two samples")
-    moments = second_moment(data)
     res = sym_eig(moments.covariance(), k)
     return FilterBank(
         method="pca",

@@ -245,12 +245,7 @@ def label_patches(grid: Lattice, surface_mask, edge, fg_range=FG_SPLICE_RANGE,
     range needs ``0 <= lo <= hi <= 1`` and the edge floor ``0 <= bg_edge_min
     <= 1``, so NaN and infinities are rejected.
     """
-    lo, hi = fg_range
-    if not 0.0 <= lo <= hi <= 1.0:
-        raise ArgumentError(f"foreground spliced-fraction range must satisfy "
-                            f"0 <= lo <= hi <= 1, got ({lo}, {hi})")
-    if not 0.0 <= bg_edge_min <= 1.0:
-        raise ArgumentError(f"background edge fraction must be in [0, 1], got {bg_edge_min}")
+    lo, hi = _check_thresholds(fg_range, bg_edge_min)
     surface = np.asarray(surface_mask) > 0
     edges = np.asarray(edge) > 0
     if surface.shape != (grid.image_h, grid.image_w) or edges.shape != surface.shape:
@@ -259,6 +254,17 @@ def label_patches(grid: Lattice, surface_mask, edge, fg_range=FG_SPLICE_RANGE,
     edge_frac = _windows(edges, grid.n, grid.stride).mean(axis=(-2, -1)).ravel()
     is_fg = (lo <= frac) & (frac <= hi)
     return np.flatnonzero(is_fg), np.flatnonzero(~is_fg & (frac == 0) & (edge_frac >= bg_edge_min))
+
+
+def _check_thresholds(fg_range, bg_edge_min: float) -> tuple[float, float]:
+    """``fg_range`` as ``(lo, hi)``; an ``ArgumentError`` unless both thresholds are fractions."""
+    lo, hi = fg_range
+    if not 0.0 <= lo <= hi <= 1.0:
+        raise ArgumentError(f"foreground spliced-fraction range must satisfy "
+                            f"0 <= lo <= hi <= 1, got ({lo}, {hi})")
+    if not 0.0 <= bg_edge_min <= 1.0:
+        raise ArgumentError(f"background edge fraction must be in [0, 1], got {bg_edge_min}")
+    return lo, hi
 
 
 def _pool(acc: Moments | None, columns: np.ndarray) -> Moments | None:
@@ -281,6 +287,7 @@ def splice_pair(probes, n: int = PATCH_SIZE, stride: int = PATCH_STRIDE, fg_rang
     probes there are. A ``ShapeError`` is prefixed with its probe's ``name``;
     a set with no patch at all raises ``CpcappError``.
     """
+    _check_thresholds(fg_range, bg_edge_min)  # before the first probe is read
     fg = bg = None
     for name, probe, surface in probes:
         try:

@@ -1,7 +1,11 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import cpcapp
 
 
 @pytest.fixture
@@ -61,3 +65,33 @@ def generator_tables(kind, seed, n_fg, n_bg):
     fg, bg, clean = gen_textured_digits(seed, n_fg, n_bg)
     return {"fg": fg.data.values, "bg": bg.values, "labels": fg.labels[None, :],
             "clean": clean.values}
+
+
+def uses(source: str, names) -> list[tuple[str, str, int]]:
+    """``(enclosing scope, name, line)`` of each reference to one of ``names`` in
+    ``source``: a bare name, an attribute or an imported name. The scope is
+    ``""`` at module level; a definition is not a reference."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Name) and node.id in names:
+            found.append((scope, node.id, node.lineno))
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.append((scope, node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            found.extend((scope, alias.name, node.lineno) for alias in node.names
+                         if alias.name in names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def package_uses(names) -> dict[str, list[tuple[str, str]]]:
+    """``(scope, name)`` of each of ``uses`` in each of the package's modules that has any."""
+    package = Path(cpcapp.__file__).parent
+    return {path.name: [use[:2] for use in found] for path in sorted(package.glob("*.py"))
+            if (found := uses(path.read_text(), names))}

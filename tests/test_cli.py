@@ -1,6 +1,5 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
-import ast
 import importlib.util
 import io
 import os
@@ -26,7 +25,7 @@ from cpcapp import cli
 from cpcapp.cli import cli_dispatch
 from cpcapp.errors import CpcappError
 
-from conftest import generator_tables, traced_peak
+from conftest import generator_tables, package_uses, traced_peak, uses
 
 
 def files_equal(a, b):
@@ -99,6 +98,31 @@ class TestFit:
                              "--alpha-grid", grid, "--out", str(tmp_path / "m.txt")])
         assert code == 1
         assert "0 < lo < hi < inf and count >= 1" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("grid, message", [
+        ("1:0:3", "0 < lo < hi < inf"), ("1:2", "expected 'lo:hi:count'"),
+        ("a:2:3", "expected 'lo:hi:count'"),
+    ], ids=["descending", "two-fields", "not-a-number"])
+    def test_malformed_alpha_grid_fails_before_any_read_or_fork(self, tmp_path, monkeypatch,
+                                                               capfd, four_class_csvs, grid,
+                                                               message):
+        # the parser converts the grid, so a bad one is a usage error before any job
+        forks, reads = [], []
+
+        def fork():
+            forks.append(1)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(cli.csvio, "read_csv", lambda path: reads.append(path))
+        fg, bg = four_class_csvs
+        code = cli_dispatch(["fit", "--fg", str(fg), "--bg", str(bg), "--method", "cpca",
+                             "--alpha-grid", grid, "--out", str(tmp_path / "model.txt")])
+        assert (code, forks, reads) == (1, [], [])
+        err = capfd.readouterr().err
+        assert err.startswith("error: argument --alpha-grid: ") and message in err
+        assert not (tmp_path / "model.txt").exists()
 
     @pytest.mark.parametrize("method", ["pca", "cpca++"])
     @pytest.mark.parametrize("flag, value", [("--alpha", "3"), ("--alpha-grid", "1:2:3")])
@@ -401,6 +425,39 @@ class TestSplicePipeline:
         assert code == 2
         assert message in err and "relax the thresholds" not in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--fg-lo", "2", "got (2.0, 0.7)"), ("--fg-hi", "-1", "got (0.3, -1.0)"),
+        ("--bg-edge-min", "nan", "must be in [0, 1], got nan"),
+    ])
+    def test_bad_threshold_fails_before_any_read_or_fork(self, tmp_path, monkeypatch, capfd,
+                                                         flag, value, message):
+        assert cli_dispatch(["generate", "spliced-image", "--seed", "5", "--count", "2",
+                             "--out", str(tmp_path)]) == 0
+        forks, reads = [], []
+
+        def fork():
+            forks.append(1)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(cli.netpbm, "read_image", lambda path: reads.append(path))
+        code = cli_dispatch(["train-splice", "--train-dir", str(tmp_path), flag, value,
+                             "--out", str(tmp_path / "model.txt")])
+        assert (code, forks, reads) == (2, [], [])
+        assert message in capfd.readouterr().err
+        assert not (tmp_path / "model.txt").exists()
+
+    def test_train_names_probe_with_truncated_header(self, tmp_path, capfd):
+        data = tmp_path / "imgs"
+        assert cli_dispatch(["generate", "spliced-image", "--seed", "5", "--count", "3",
+                             "--width", "32", "--height", "32", "--out", str(data)]) == 0
+        (data / "probe_001.ppm").write_bytes(b"P6\n32")
+        code = cli_dispatch(["train-splice", "--train-dir", str(data),
+                             "--out", str(tmp_path / "model.txt")])
+        assert code == 2
+        assert capfd.readouterr().err == (f"error: {data / 'probe_001.ppm'}: "
+                                          "truncated netpbm header\n")
+
     def test_train_memory_does_not_grow_with_images(self, tmp_path):
         # moments are pooled per probe, so peak traced memory is set by one
         # image and the M x M fit, not by the number of training images
@@ -509,9 +566,10 @@ class TestGenerateAndBench:
     @pytest.mark.parametrize("flag, value", [("--count", "0"), ("--count", "3"),
                                              ("--width", "8"), ("--height", "8")])
     def test_generate_rejects_image_flags_for_tables(self, tmp_path, capfd, kind, flag, value):
+        # the kind's own parser refuses the flag: a usage error that names it
         code = cli_dispatch(["generate", kind, flag, value, "--out", str(tmp_path)])
         assert code == 1
-        assert f"{flag} does not apply to {kind}" in capfd.readouterr().err
+        assert flag in capfd.readouterr().err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", ["--n-fg", "--n-bg"])
@@ -519,7 +577,7 @@ class TestGenerateAndBench:
         code = cli_dispatch(["generate", "spliced-image", "--count", "1", flag, "10",
                              "--out", str(tmp_path)])
         assert code == 1
-        assert f"{flag} does not apply to spliced-image" in capfd.readouterr().err
+        assert flag in capfd.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_generate_image_defaults(self, tmp_path):
@@ -867,6 +925,16 @@ class TestFitWorkers:
         save_model(tmp_path / "library.txt", bank, w=recover_w(pair, bank).w)
         assert files_equal(tmp_path / "cli.txt", tmp_path / "library.txt")
 
+    def test_pca_model_is_the_library_fit(self, tmp_path, monkeypatch, four_class_csvs):
+        # pca's one read job runs here, centers its table in place, and gives
+        # the model of the library fit on the table
+        fg, _ = four_class_csvs
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("one job forks no worker"))
+        assert self._fit(fg, None, "pca", tmp_path / "cli.txt") == 0
+        save_model(tmp_path / "library.txt", cli.fit_pca(read_csv(fg), 2))
+        assert files_equal(tmp_path / "cli.txt", tmp_path / "library.txt")
+
     @pytest.mark.parametrize("fg_state, bg_state, named", [
         ("good", "missing", "bg"), ("good", "malformed", "bg"),
         ("malformed", "missing", "fg"), ("missing", "malformed", "fg"),
@@ -964,34 +1032,6 @@ def test_cpcapp_fit_gives_up_r_f_before_its_eigensolve(tmp_path, monkeypatch):
         assert len(held) == 1 and held[0] <= 2.3 * m * m * 8, (cpus, held)
 
 
-def _uses(source: str, names) -> list[tuple[str, int]]:
-    """``(enclosing function, line)`` of each reference to one of ``names`` in
-    ``source``: a bare name, an attribute or an imported name. The scope is
-    ``""`` at module level; a definition is not a reference."""
-    uses = []
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
-        if (isinstance(node, ast.Name) and node.id in names
-                or isinstance(node, ast.Attribute) and node.attr in names):
-            uses.append((scope, node.lineno))
-        elif isinstance(node, ast.ImportFrom):
-            uses.extend((scope, node.lineno) for alias in node.names if alias.name in names)
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(ast.parse(source), "")
-    return uses
-
-
-def _package_uses(names) -> dict[str, list[str]]:
-    """The scopes of ``_uses`` in each of the package's modules that has any."""
-    package = Path(cpcapp.__file__).parent
-    return {path.name: [scope for scope, _ in uses] for path in sorted(package.glob("*.py"))
-            if (uses := _uses(path.read_text(), names))}
-
-
 class TestOneForkSite:
     """``cli._run_jobs`` is the package's one ``os.fork``, and only commands call it.
 
@@ -1002,27 +1042,28 @@ class TestOneForkSite:
     """
 
     def test_only_run_jobs_forks(self):
-        assert _package_uses({"fork"}) == {"cli.py": ["_run_jobs"]}
+        assert package_uses({"fork"}) == {"cli.py": [("_run_jobs", "fork")]}
 
     def test_only_commands_run_jobs(self):
         # fit's two: the reads of its tables, then a cpca sweep's grid points
-        assert _package_uses({"_run_jobs"}) == {"cli.py": ["_cmd_generate", "_cmd_fit",
-                                                           "_cmd_fit"]}
+        assert package_uses({"_run_jobs"}) == {"cli.py": [("_cmd_generate", "_run_jobs"),
+                                                          ("_cmd_fit", "_run_jobs"),
+                                                          ("_cmd_fit", "_run_jobs")]}
 
-    @pytest.mark.parametrize("source, uses", [
+    @pytest.mark.parametrize("source, found", [
         ("import os\ndef _run_jobs():\n    os.fork()\ndef f():\n    return os.fork",
-         [("_run_jobs", 3), ("f", 5)]),
-        ("from os import fork", [("", 1)]),
-        ("import os\nclass A:\n    def f(self):\n        os.fork()", [("A.f", 4)]),
+         [("_run_jobs", "fork", 3), ("f", "fork", 5)]),
+        ("from os import fork", [("", "fork", 1)]),
+        ("import os\nclass A:\n    def f(self):\n        os.fork()", [("A.f", "fork", 4)]),
         ("from .cli import _run_jobs\ndef sweep(pair, k, alphas):\n"
          "    return _run_jobs(fit_cpca, [(pair, k, a) for a in alphas])",
-         [("", 1), ("sweep", 3)]),
+         [("", "_run_jobs", 1), ("sweep", "_run_jobs", 3)]),
         ("from . import cli\ndef sym_eig(a, k):\n    return cli._run_jobs(eigh, [(a,)])",
-         [("sym_eig", 3)]),
+         [("sym_eig", "_run_jobs", 3)]),
     ], ids=["fork-outside-run_jobs", "from-import-fork", "fork-in-a-method",
             "run_jobs-in-reducers", "run_jobs-in-linalg"])
-    def test_check_finds_each_fork(self, source, uses):
-        assert _uses(source, {"fork", "_run_jobs"}) == uses
+    def test_check_finds_each_fork(self, source, found):
+        assert uses(source, {"fork", "_run_jobs"}) == found
 
 
 TRAINING_STEPS = {"extract_patches", "label_patches"}
@@ -1033,18 +1074,19 @@ class TestOneTrainingSite:
     training recipe; the package root re-exports the two steps."""
 
     def test_only_splice_pair_extracts_and_labels(self):
-        assert _package_uses(TRAINING_STEPS) == {"__init__.py": ["", ""],
-                                                 "splicing.py": ["splice_pair", "splice_pair"]}
+        assert package_uses(TRAINING_STEPS) == {
+            "__init__.py": [("", "extract_patches"), ("", "label_patches")],
+            "splicing.py": [("splice_pair", "extract_patches"), ("splice_pair", "label_patches")]}
 
-    @pytest.mark.parametrize("source, uses", [
+    @pytest.mark.parametrize("source, found", [
         ("def _cmd_train_splice(args):\n    return label_patches(grid, surface, edge)",
-         [("_cmd_train_splice", 2)]),
-        ("from .splicing import label_patches", [("", 1)]),
+         [("_cmd_train_splice", "label_patches", 2)]),
+        ("from .splicing import label_patches", [("", "label_patches", 1)]),
         ("class A:\n    def f(self, image):\n        return splicing.extract_patches(image, 8, 4)",
-         [("A.f", 3)]),
+         [("A.f", "extract_patches", 3)]),
     ], ids=["call-in-cli", "from-import", "call-in-a-method"])
-    def test_check_finds_each_reference(self, source, uses):
-        assert _uses(source, TRAINING_STEPS) == uses
+    def test_check_finds_each_reference(self, source, found):
+        assert uses(source, TRAINING_STEPS) == found
 
 
 class TestDenoiseCommand:
@@ -1103,6 +1145,23 @@ class TestDenoiseCommand:
                              "--out", str(tmp_path / "o.pgm")])
         assert code == 2 and not (tmp_path / "o.pgm").exists()
         assert "W block has non-finite values" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("k, message", [
+        ("0", "-k must be at least 1, got 0"),
+        ("9", "-k must be at most the model's K = 3, got 9"),
+    ], ids=["below-one", "above-K"])
+    def test_k_out_of_range_fails_before_the_image_is_read(self, tmp_path, monkeypatch, capfd,
+                                                           digits_model, k, message):
+        # below 1 before the model is read; above K once the model says what K is
+        write_image(tmp_path / "digit.pgm", np.full((28, 28), 128, dtype=np.uint8))
+        loads, reads = [], []
+        monkeypatch.setattr(cli, "load_model", lambda path: loads.append(path) or load_model(path))
+        monkeypatch.setattr(cli.netpbm, "read_image", lambda path: reads.append(path))
+        code = cli_dispatch(["denoise", "--model", str(digits_model), "-k", k,
+                             "--in", str(tmp_path / "digit.pgm"), "--out", str(tmp_path / "o.pgm")])
+        assert (code, len(loads), reads) == (2, int(k) > 1, [])
+        assert capfd.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o.pgm").exists()
 
     @pytest.mark.parametrize("side", [1, 10])  # one pixel would broadcast over the mean
     def test_denoise_rejects_wrong_size_image(self, tmp_path, digits_model, side):

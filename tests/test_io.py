@@ -1,16 +1,13 @@
 """CSV and netpbm round trips plus model-file serialization."""
 
-import ast
 import io
 import re
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import cpcapp
 from cpcapp import (
     DataMatrix,
     ParseError,
@@ -30,7 +27,7 @@ from cpcapp import (
     write_probability_map,
 )
 
-from conftest import traced_peak
+from conftest import package_uses, traced_peak
 
 
 class TestCsv:
@@ -247,15 +244,7 @@ class TestRowFormat:
         assert tables and sum(table.nbytes for table in tables) <= 16 * 1024
 
     def test_package_has_one_row_writer(self):
-        package = Path(cpcapp.__file__).parent
-        found = {}
-        for path in sorted(package.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if (isinstance(node, ast.Attribute) and node.attr == "savetxt") or (
-                        isinstance(node, ast.ImportFrom) and node.module == "numpy"
-                        and any(alias.name == "savetxt" for alias in node.names)):
-                    found.setdefault(path.name, []).append(node.lineno)
-        assert found == {}
+        assert package_uses({"savetxt"}) == {}
 
 
 class TestNetpbm:

@@ -22,7 +22,8 @@ from cpcapp import (
 )
 from cpcapp.linalg import BAND_ROWS, TRI_INV_LEAF, _tri_inv, symmetrize_, whitener
 
-from conftest import principal_angles, random_psd, random_spd, traced_peak
+from conftest import package_uses, principal_angles, random_psd, random_spd, traced_peak, \
+    uses
 
 
 class TestSymEig:
@@ -353,19 +354,6 @@ class TestSymmetrize:
         assert traced_peak(lambda: symmetrize_(a)) <= 2 * BAND_ROWS * m * 8
 
 
-def _general_solves(source: str) -> list[int]:
-    """Line numbers of ``np.linalg.solve``/``numpy.linalg.solve`` uses in ``source``."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
-        if (isinstance(node, ast.Attribute) and node.attr == "solve"
-                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
-            lines.append(node.lineno)
-        elif (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
-              and any(alias.name == "solve" for alias in node.names)):
-            lines.append(node.lineno)
-    return lines
-
-
 class TestNoGeneralSolve:
     """Whitening multiplies by an inverted Cholesky factor; no LU solve runs.
 
@@ -376,10 +364,7 @@ class TestNoGeneralSolve:
     """
 
     def test_package_calls_no_general_solve(self):
-        package = Path(cpcapp.__file__).parent
-        found = {path.name: lines for path in sorted(package.glob("*.py"))
-                 if (lines := _general_solves(path.read_text()))}
-        assert found == {}
+        assert package_uses({"solve"}) == {}
 
     @pytest.mark.parametrize("source", [
         "import numpy as np\nx = np.linalg.solve(a, b)",
@@ -387,32 +372,10 @@ class TestNoGeneralSolve:
         "from numpy.linalg import inv, solve",
     ])
     def test_check_finds_a_solve(self, source):
-        assert _general_solves(source)
+        assert uses(source, {"solve"})
 
 
-_EIGENSOLVERS = ("eigh", "eigvalsh")
-
-
-def _eigensolver_uses(source: str) -> list[tuple[str, str, int]]:
-    """``(enclosing function, solver, line)`` of each ``eigh``/``eigvalsh`` of
-    ``numpy.linalg`` referenced in ``source``; the scope is ``""`` at module level."""
-    uses = []
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
-        if (isinstance(node, ast.Attribute) and node.attr in _EIGENSOLVERS
-                and (isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
-                     or isinstance(node.value, ast.Name) and node.value.id == "linalg")):
-            uses.append((scope, node.attr, node.lineno))
-        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
-            uses.extend((scope, alias.name, node.lineno) for alias in node.names
-                        if alias.name in _EIGENSOLVERS)
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(ast.parse(source), "")
-    return uses
+_EIGENSOLVERS = {"eigh", "eigvalsh"}
 
 
 class TestOneEigensolver:
@@ -423,12 +386,9 @@ class TestOneEigensolver:
     """
 
     def test_only_sym_eig_calls_eigh(self):
-        package = Path(cpcapp.__file__).parent
-        found = {path.name: [use[:2] for use in uses] for path in sorted(package.glob("*.py"))
-                 if (uses := _eigensolver_uses(path.read_text()))}
-        assert found == {"linalg.py": [("sym_eig", "eigh")]}
+        assert package_uses(_EIGENSOLVERS) == {"linalg.py": [("sym_eig", "eigh")]}
 
-    @pytest.mark.parametrize("source, uses", [
+    @pytest.mark.parametrize("source, found", [
         ("import numpy as np\ndef sym_eig(a):\n    return np.linalg.eigh(a)\n"
          "def fit(a):\n    return np.linalg.eigh(a)",
          [("sym_eig", "eigh", 3), ("fit", "eigh", 5)]),
@@ -439,8 +399,8 @@ class TestOneEigensolver:
          [("sym_eig", "eigvalsh", 3)]),
     ], ids=["eigh-outside-sym_eig", "from-import-eigvalsh", "eigvalsh-in-a-method",
             "eigvalsh-in-sym_eig"])
-    def test_check_finds_each_eigensolver(self, source, uses):
-        assert _eigensolver_uses(source) == uses
+    def test_check_finds_each_eigensolver(self, source, found):
+        assert uses(source, _EIGENSOLVERS) == found
 
 
 def _underscore_twins(source: str) -> list[str]:

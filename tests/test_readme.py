@@ -38,12 +38,15 @@ def test_readme_has_cli_lines():
 def test_cli_line_names_real_subcommand_and_flags(index):
     tokens = shlex.split(CLI_LINES[index], comments=True)
     parser = _build_parser()
-    subparsers = next(action.choices for action in parser._actions
-                      if isinstance(action, argparse._SubParsersAction))
-    assert tokens[1] in subparsers, CLI_LINES[index]
-    accepted = subparsers[tokens[1]]._option_string_actions
-    for flag in (token.split("=")[0] for token in tokens[2:] if token.startswith("-")):
-        assert flag in accepted, f"{tokens[1]} has no {flag}"
+    command, depth = parser, 1
+    while subparsers := [action.choices for action in command._actions
+                         if isinstance(action, argparse._SubParsersAction)]:
+        # a command with sub-commands of its own (generate's kinds): descend
+        assert tokens[depth] in subparsers[0], CLI_LINES[index]
+        command, depth = subparsers[0][tokens[depth]], depth + 1
+    accepted = command._option_string_actions
+    for flag in (token.split("=")[0] for token in tokens[depth:] if token.startswith("-")):
+        assert flag in accepted, f"{' '.join(tokens[1:depth])} has no {flag}"
     parser.parse_args(tokens[1:])  # values and required flags too
 
 
